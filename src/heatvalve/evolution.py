@@ -2,10 +2,15 @@
 
 The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}
 is evaluated by phase rotation in the eigenbasis: one O(M^3)
-eigendecomposition up front, then O(M^2) work per time point.  Heat
-currents d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) are evaluated as a
-low-rank contraction in the eigenbasis, which never rebuilds the full
-chi(t); a dense evaluation path is retained for cross-checking.
+eigendecomposition up front (an M x M SVD for real Hamiltonians, the
+2M x 2M eigh otherwise; see ``nambu.diagonalize``), then O(M^2) work per
+time point.  A diagonal chi(0) is rotated into that basis from M x M
+blocks when the basis is a paired SVD basis, by one scaled product
+otherwise.  Heat currents d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H])
+are evaluated as a low-rank contraction in the eigenbasis, which never
+rebuilds the full chi(t); a dense evaluation path is retained for
+cross-checking.  Particle-conserving (RWA) instances can instead be
+evolved with the reduced M x M propagator.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 from .nambu import (
     SPECTRAL_TOL,
+    STRUCT_TOL,
     CorrelationMatrix,
     NambuMatrix,
     QuasiparticleBasis,
@@ -60,17 +66,48 @@ class CurrentTrace:
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
+def _rotate_paired_diagonal(U: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """U^T diag(a, b) U for a paired basis and a + b = 1, from M x M blocks.
+
+    With K = P S Q^T the first M columns of U are [Q - P; Q + P]/2.  For
+    e = a - b and X = Q^T diag(e) P the rotated state has blocks
+    1/2 - (X + X^T)/4 (negative energies), 1/2 + (X + X^T)/4 (positive) and
+    (X - X^T)/4 between them, the positive side in reversed order.  One
+    M^3 product instead of one (2M)^3 product.
+    """
+    M = len(diag) // 2
+    Q = U[:M, :M] + U[M:, :M]
+    P = U[M:, :M] - U[:M, :M]
+    X = (Q.T * (diag[:M] - diag[M:])) @ P
+    del Q, P
+    S = X + X.T
+    A = X - X.T
+    del X
+    S /= 4
+    A /= 4
+    rotated = np.block([[-S, A[:, ::-1]], [A.T[::-1, :], S[::-1, ::-1]]])
+    rotated[np.diag_indices(2 * M)] += 0.5
+    return rotated
+
+
 def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
     if H.modes != chi0.modes:
         raise ValueError(f"mode mismatch: H M={H.modes}, chi0 M={chi0.modes}")
+    M = H.modes
     basis = diagonalize(H)
     U = basis.transform
     diag = np.diagonal(chi0.data)
-    if np.abs(chi0.data - np.diag(diag)).max() == 0.0:
+    if np.count_nonzero(chi0.data) != np.count_nonzero(diag):
+        rotated = U.conj().T @ chi0.data @ U
+    elif (
+        basis.paired
+        and np.isrealobj(diag)
+        and np.abs(diag[:M] + diag[M:] - 1.0).max() <= STRUCT_TOL
+    ):
+        rotated = _rotate_paired_diagonal(U, diag)
+    else:
         # diagonal initial state: one matmul instead of two
         rotated = (U.conj().T * diag) @ U
-    else:
-        rotated = U.conj().T @ chi0.data @ U
     return Propagator(basis=basis, rotated_initial=rotated)
 
 
@@ -87,14 +124,27 @@ def _phase_matrix(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(eigenvalues, times))
 
 
-def _contract(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for every time column of Z."""
-    if np.isrealobj(B):
-        # keep the big matmul in real arithmetic
-        G = B @ Z.real.copy() - 1j * (B @ Z.imag.copy())
-    else:
-        G = B @ Z.conj()
-    return np.einsum("jt,jt->t", Z, G)
+def _phase_parts(eigenvalues: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts X, Y of the phases z_j(t) = exp(-i E_j t)."""
+    arg = np.multiply.outer(eigenvalues, times)
+    X = np.cos(arg)
+    Y = np.sin(arg, out=arg)
+    np.negative(Y, out=Y)
+    return X, Y
+
+
+def _contract(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for every time column of z = X + iY."""
+    X, Y = phases
+    if not np.isrealobj(B):
+        Z = X + 1j * Y
+        return np.einsum("jt,jt->t", Z, B @ Z.conj())
+    # real B: z (B conj z) = X.BX + Y.BY + i (Y.BX - X.BY), all real arithmetic
+    BX = B @ X
+    BY = B @ Y
+    re = np.einsum("jt,jt->t", X, BX) + np.einsum("jt,jt->t", Y, BY)
+    im = np.einsum("jt,jt->t", Y, BX) - np.einsum("jt,jt->t", X, BY)
+    return re + 1j * im
 
 
 def _trace_series(prop: Propagator, C: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -102,8 +152,7 @@ def _trace_series(prop: Propagator, C: np.ndarray, times: np.ndarray) -> np.ndar
     U = prop.basis.transform
     Ct = U.conj().T @ C @ U
     B = prop.rotated_initial * Ct.T
-    Z = _phase_matrix(prop.basis.eigenvalues, times)
-    return _contract(B, Z)
+    return _contract(B, _phase_parts(prop.basis.eigenvalues, times))
 
 
 def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
@@ -166,21 +215,27 @@ def _lowrank_terms(C: np.ndarray, M: int):
 
 
 def _lowrank_B(prop: Propagator, terms) -> np.ndarray | None:
-    """Accumulate B = chi~ * (U^dag C U)^T for a sum of rank-1 terms of C."""
+    """B = chi~ * (U^dag C U)^T for a sum of rank-1 terms of C.
+
+    The k terms give (U^dag C U)^T = L R with L = [b_1 ... b_k] (2M x k) and
+    R = [a_1 ... a_k]^T (k x 2M): one product, then one in-place multiply.
+    """
     if not terms:
         return None
     U = prop.basis.transform
     chi_rot = prop.rotated_initial
-    B = None
-    for kind, r, vec in terms:
+    dtype = np.result_type(U, chi_rot, *(vec for _, _, vec in terms))
+    L = np.empty((U.shape[0], len(terms)), dtype=dtype)
+    R = np.empty((len(terms), U.shape[0]), dtype=dtype)
+    for i, (kind, r, vec) in enumerate(terms):
         if kind == "col":  # C term: vec e_r^T
-            a = U.conj().T @ vec
-            b = U[r, :]
+            R[i] = U.conj().T @ vec
+            L[:, i] = U[r, :]
         else:  # C term: e_r vec^T
-            a = np.conj(U[r, :])
-            b = vec @ U
-        piece = chi_rot * np.multiply.outer(b, a)
-        B = piece if B is None else B + piece
+            R[i] = np.conj(U[r, :])
+            L[:, i] = vec @ U
+    B = L @ R
+    B *= chi_rot
     return B
 
 
@@ -213,13 +268,17 @@ def heat_current(
             f"mode mismatch: propagator M={M}, H M={H.modes}, H_bath M={H_bath.modes}"
         )
     d = np.diagonal(H_bath.data)
-    diag_residual = np.abs(H_bath.data - np.diag(d)).max()
+    if np.count_nonzero(H_bath.data) == np.count_nonzero(d):
+        diag_residual = 0.0
+    else:
+        diag_residual = np.abs(H_bath.data - np.diag(d)).max()
     if diag_residual > 1e-12 * max(np.abs(d).max(), 1.0):
         raise ValueError(
             "H_bath must be diagonal in the mode basis (bath-restricted free Hamiltonian)"
         )
     # [H_bath, H] elementwise for diagonal H_bath
-    C = (d[:, None] - d[None, :]) * H.data
+    C = np.subtract.outer(d, d).astype(H.data.dtype, copy=False)
+    C *= H.data
 
     if method not in ("auto", "lowrank", "dense"):
         raise ValueError(f"unknown method {method!r}")
@@ -227,25 +286,19 @@ def heat_current(
     terms = None
     if not use_dense:
         terms = _lowrank_terms(C, M)
-        if terms is None:
+        if terms is not None:
+            del C
+        else:
             if method == "lowrank":
                 raise ValueError("commutator structure not low-rank; use method='dense'")
             use_dense = True
 
-    Z = _phase_matrix(prop.basis.eigenvalues, times)
-    if use_dense:
-        Cn, Ca = _split_blocks(C, M)
-        U = prop.basis.transform
-        Bn = prop.rotated_initial * (U.conj().T @ Cn @ U).T
-        Ba = prop.rotated_initial * (U.conj().T @ Ca @ U).T
-    else:
-        Bn = _lowrank_B(prop, terms[0])
-        Ba = _lowrank_B(prop, terms[1])
+    phases = _phase_parts(prop.basis.eigenvalues, times)
 
     def series(B):
         if B is None:
             return np.zeros_like(times)
-        vals = _contract(B, Z)
+        vals = _contract(B, phases)
         # tr(chi * commutator) is purely imaginary; the real residual is noise
         residual = np.abs(vals.real).max(initial=0.0)
         scale = max(np.abs(vals.imag).max(initial=0.0), 1.0)
@@ -253,8 +306,16 @@ def heat_current(
             raise ValueError(f"current has spurious real trace component {residual:.3e}")
         return -0.5 * vals.imag
 
-    normal = series(Bn)
-    anomalous = series(Ba)
+    # one 2M x 2M B alive at a time
+    if use_dense:
+        Cn, Ca = _split_blocks(C, M)
+        del C
+        U = prop.basis.transform
+        normal = series(prop.rotated_initial * (U.conj().T @ Cn @ U).T)
+        anomalous = series(prop.rotated_initial * (U.conj().T @ Ca @ U).T)
+    else:
+        normal = series(_lowrank_B(prop, terms[0]))
+        anomalous = series(_lowrank_B(prop, terms[1]))
     return CurrentTrace(
         times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
     )
@@ -304,8 +365,8 @@ def make_reduced_propagator(h: np.ndarray, occupations0: np.ndarray) -> ReducedP
         raise ValueError(f"particle block not Hermitian: residual {res:.3e}")
     # h Hermitian implies h^T = conj(h), also Hermitian
     E, W = np.linalg.eigh(np.conj(h))
-    G0 = np.diag(np.asarray(occupations0, dtype=float))
-    return ReducedPropagator(eigenvalues=E, transform=W, rotated_initial=W.conj().T @ G0 @ W)
+    occ = np.asarray(occupations0, dtype=float)
+    return ReducedPropagator(eigenvalues=E, transform=W, rotated_initial=(W.conj().T * occ) @ W)
 
 
 def reduced_heat_current(

@@ -87,10 +87,17 @@ def _prepare_bath(config: ValveConfig) -> BathRealization:
     return bath
 
 
-def simulate_trace(config: ValveConfig, times: np.ndarray) -> CurrentTrace:
-    """Cold-bath current trace for one realization, exact or RWA per config."""
+def simulate_trace(
+    config: ValveConfig, times: np.ndarray, bath: BathRealization | None = None
+) -> CurrentTrace:
+    """Cold-bath current trace for one realization, exact or RWA per config.
+
+    ``bath`` is the realization drawn from ``config`` (internal couplings
+    folded in); it is sampled here when not given.
+    """
     times = np.asarray(times, dtype=float)
-    bath = _prepare_bath(config)
+    if bath is None:
+        bath = _prepare_bath(config)
     if config.rwa:
         H = build_hamiltonian(config, bath)
         occ0 = np.zeros(config.modes)
@@ -196,7 +203,7 @@ def run_trace(config: ValveConfig, times) -> list[TraceRecord]:
     """Full current trace with the perturbative anomalous-current overlay."""
     times = np.asarray(times, dtype=float)
     bath = _prepare_bath(config)
-    trace = simulate_trace(config, times)
+    trace = simulate_trace(config, times, bath=bath)
     mean_g_sq = config.gamma**2 / (3 * config.bath_size)
     pert = analytics.anomalous_current_discrete(
         bath.frequencies[COLD_BATH - 1],

@@ -98,12 +98,20 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class QuasiparticleBasis:
-    """Eigenbasis of a Nambu matrix: H = U diag(eigenvalues) U^dag."""
+    """Eigenbasis of a Nambu matrix: H = U diag(eigenvalues) U^dag.
+
+    ``paired`` marks a real transform of Bogoliubov form
+    [[u, v J], [v, u J]] (J reverses column order), with the negative
+    energies in the first M columns.  Such a basis comes from the SVD path
+    of ``diagonalize``; it lets a diagonal initial state be rotated from
+    M x M blocks (see ``evolution.make_propagator``).
+    """
 
     modes: int
     eigenvalues: np.ndarray
     transform: np.ndarray
     const_offset: float = 0.0
+    paired: bool = False
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -148,13 +156,82 @@ def build_nambu(
     return NambuMatrix(modes=M, data=data, const_offset=const_offset)
 
 
-def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
-    """Hermitian eigendecomposition with eigenvalues sorted ascending.
+def _majorana_block(H: NambuMatrix) -> np.ndarray | None:
+    """K = h + Delta if H is real with exact Nambu block structure, else None.
 
-    The particle-hole pairing of the spectrum (every eigenvalue comes with
-    its negative) is verified, not enforced, so construction bugs surface
-    here rather than propagating.
+    O(M^2): h symmetric, Delta antisymmetric, lower blocks -Delta and -h.
     """
+    if not np.isrealobj(H.data):
+        return None
+    M = H.modes
+    h, delta = H.particle_block, H.anomalous_block
+    if not (
+        np.array_equal(h, h.T)
+        and np.array_equal(delta, -delta.T)
+        and np.array_equal(H.data[M:, :M], -delta)
+        and np.array_equal(H.data[M:, M:], -h)
+    ):
+        return None
+    return h + delta
+
+
+def _probe_residuals(H: np.ndarray, evals: np.ndarray, U: np.ndarray) -> tuple[float, float]:
+    """Relative residuals of H = U diag(evals) U^T and U^T U = 1 on one probe.
+
+    A fixed pseudo-random vector makes both checks O(M^2) matrix-vector work.
+    """
+    v = np.random.default_rng(0x5EED).standard_normal(H.shape[0])
+    norm = np.linalg.norm(v)
+    w = U.T @ v
+    scale = max(np.abs(evals).max(initial=0.0), 1.0) * norm
+    recon = np.linalg.norm(H @ v - U @ (evals * w)) / scale
+    ortho = np.linalg.norm(U @ w - v) / norm
+    return float(recon), float(ortho)
+
+
+def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real Nambu matrix from the SVD K = P diag(s) Q^T.
+
+    W = [[1, 1], [1, -1]]/sqrt(2) maps H to [[0, K^T], [K, 0]] (the Majorana
+    form), whose eigenvectors are [q; +-p]/sqrt(2) with energies +-s.
+    """
+    try:
+        P, s, Qt = np.linalg.svd(K)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"SVD failed on {K.shape} Majorana block: {exc}") from exc
+    lo = (Qt.T - P) / 2
+    hi = (Qt.T + P) / 2
+    U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
+    return np.concatenate([-s, s[::-1]]), U
+
+
+def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
+    """Eigendecomposition with eigenvalues sorted ascending.
+
+    A real H with exact Nambu block structure (h symmetric, Delta
+    antisymmetric; this covers every valve configuration with real
+    couplings) is solved as the M x M SVD of K = h + Delta.  Its spectrum
+    is particle-hole paired by construction, so instead the result is
+    probed: H v = U diag(E) U^T v and U^T U v = v for one fixed vector v,
+    each to SPECTRAL_TOL.  Any other H (complex, or real but breaking the
+    block structure) takes the 2M x 2M Hermitian ``eigh``, whose
+    particle-hole pairing of the spectrum (every eigenvalue comes with its
+    negative) is verified, not enforced.  Either way construction bugs
+    raise ValueError here rather than propagating.
+    """
+    K = _majorana_block(H)
+    if K is not None:
+        evals, U = _diagonalize_svd(K)
+        recon, ortho = _probe_residuals(H.data, evals, U)
+        if recon > SPECTRAL_TOL or ortho > SPECTRAL_TOL:
+            raise ValueError(
+                f"SVD quasiparticle basis failed its probe: reconstruction residual "
+                f"{recon:.3e}, orthogonality residual {ortho:.3e}"
+            )
+        return QuasiparticleBasis(
+            modes=H.modes, eigenvalues=evals, transform=U,
+            const_offset=H.const_offset, paired=True,
+        )
     try:
         evals, U = np.linalg.eigh(H.data)
     except np.linalg.LinAlgError as exc:

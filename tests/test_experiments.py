@@ -125,6 +125,23 @@ class TestRunTrace:
         assert records[0].pert_anomalous == 0.0
         assert records[0].bath_size == 8
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_samples_the_bath_once(self, monkeypatch, rwa):
+        import heatvalve.experiments as experiments
+
+        calls = []
+
+        def counting(config):
+            calls.append(config.seed)
+            return sample_bath(config)
+
+        monkeypatch.setattr(experiments, "sample_bath", counting)
+        cfg = template(bath_size=6, gamma=0.2, rwa=rwa)
+        times = np.linspace(0, 10, 21)
+        records = run_trace(cfg, times)
+        assert calls == [cfg.seed]
+        assert [r.total for r in records] == list(simulate_trace(cfg, times).total)
+
     def test_overlay_tracks_anomalous_current(self):
         # desk-scale version of the transient-formula comparison
         cfg = template(bath_size=300, gamma=0.1, seed=9)
