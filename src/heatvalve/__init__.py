@@ -30,13 +30,10 @@ from .valve import (
 from .evolution import (
     CurrentTrace,
     Propagator,
-    ReducedPropagator,
     evolve,
     expectation_series,
     heat_current,
     make_propagator,
-    make_reduced_propagator,
-    reduced_heat_current,
     steady_state_estimate,
 )
 from .analytics import (

@@ -2,15 +2,18 @@
 
 The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}
 is evaluated by phase rotation in the eigenbasis: one O(M^3)
-eigendecomposition up front (an M x M SVD for real Hamiltonians, the
-2M x 2M eigh otherwise; see ``nambu.diagonalize``), then O(M^2) work per
-time point.  A diagonal chi(0) is rotated into that basis from M x M
-blocks when the basis is a paired SVD basis, by one scaled product
+eigendecomposition up front (an M x M SVD for real Hamiltonians, exact or
+RWA, the 2M x 2M eigh otherwise; see ``nambu.diagonalize``), then O(M^2)
+work per time point.  A diagonal chi(0) is rotated into that basis from
+M x M blocks when the basis is a paired SVD basis, by one scaled product
 otherwise.  Heat currents d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H])
-are evaluated as a low-rank contraction in the eigenbasis, which never
-rebuilds the full chi(t); a dense evaluation path is retained for
-cross-checking.  Particle-conserving (RWA) instances can instead be
-evolved with the reduced M x M propagator.
+are contracted in the eigenbasis without rebuilding chi(t).  This rests on
+one structural assumption: the commutator lives on the rows and columns of
+the few non-bath modes the bath couples to (the central particle and hole
+of the valve), so it is a sum of at most four rank-1 terms written down
+from H.  An H that couples bath levels to each other breaks it and is
+refused with ValueError; fold such couplings in with
+``valve.apply_internal_couplings`` first.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ from .nambu import (
     QuasiparticleBasis,
     diagonalize,
 )
-
-# Below this dimension the dense contraction path is always cheap enough.
-_DENSE_DIM = 600
-
 
 @dataclass(frozen=True)
 class Propagator:
@@ -120,10 +119,6 @@ def evolve(prop: Propagator, t: float) -> CorrelationMatrix:
     return CorrelationMatrix(modes=prop.modes, data=data)
 
 
-def _phase_matrix(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * np.multiply.outer(eigenvalues, times))
-
-
 def _phase_parts(eigenvalues: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts X, Y of the phases z_j(t) = exp(-i E_j t)."""
     arg = np.multiply.outer(eigenvalues, times)
@@ -147,6 +142,44 @@ def _contract(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return re + 1j * im
 
 
+def _contract_paired(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_contract`` for a paired basis, E = [-s, s[::-1]], from M x M blocks.
+
+    With c = cos(st) and S = sin(st) the phases are c + iS on the negative
+    side and c - iS on the reversed positive side.  Indexing the four blocks
+    of B by singular value (B12 = B[:M, M:][:, ::-1] and so on) gives
+    Re = c.(B11 + B12 + B21 + B22) c + S.(B11 - B12 - B21 + B22) S and
+    Im = S.G c with G = (B11 + B12 - B21 - B22) + (B12 - B11 - B21 + B22)^T:
+    three M x M products per time point instead of two 2M x 2M ones.  Both
+    are linear in B, so a complex B is contracted exactly as well.
+    """
+    c, S = phases
+    M = len(c)
+    B11 = B[:M, :M]
+    B12 = B[:M, M:][:, ::-1]
+    B21 = B[M:, :M][::-1]
+    B22 = B[M:, M:][::-1, ::-1]
+    # each sum of blocks in place in one M x M array, at most two alive
+    G = B11 + B12
+    G -= B21
+    G -= B22
+    GT = B12 - B11
+    GT -= B21
+    GT += B22
+    G += GT.T
+    del GT
+    im = np.einsum("jt,jt->t", S, G @ c)
+    A = np.add(B11, B12, out=G)
+    A += B21
+    A += B22
+    re = np.einsum("jt,jt->t", c, A @ c)
+    np.subtract(B11, B12, out=A)
+    A -= B21
+    A += B22
+    re += np.einsum("jt,jt->t", S, A @ S)
+    return re + 1j * im
+
+
 def _trace_series(prop: Propagator, C: np.ndarray, times: np.ndarray) -> np.ndarray:
     """tr(chi(t) C) for all times, via the dense eigenbasis contraction."""
     U = prop.basis.transform
@@ -164,64 +197,49 @@ def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
     return -0.5 * vals.real + O.const_offset
 
 
-def _block_masks(M: int, idx: np.ndarray, r: int):
-    """Split vector entries at positions idx into same-block / cross-block wrt index r."""
-    same = (idx < M) == (r < M)
-    return same, ~same
+def _commutator_terms(H: NambuMatrix, d: np.ndarray):
+    """Rank-1 terms of C = [diag(d), H], C_ij = (d_i - d_j) H_ij.
 
-
-def _lowrank_terms(C: np.ndarray, M: int):
-    """Decompose a sparse commutator into rank-1 terms u e_r^T / e_r v^T.
-
-    Returns (normal_terms, anomalous_terms) where each term is
-    ("col", r, vec) meaning vec e_r^T, or ("row", r, vec) meaning e_r vec^T,
-    with vec masked to the same-block (normal) or cross-block (anomalous)
-    entries.  Returns None if the nonzeros are not covered by a few
-    rows/columns.
+    The bath is the set of modes with d != 0.  C vanishes between two
+    non-bath modes, and between two bath modes once intra-bath couplings are
+    folded into the levels; the latter is checked.  Then
+    C = sum_r (C[:, r] e_r^T + e_r C[r, :]) over the non-bath modes r that H
+    couples to the bath: in the valve the central particle and hole, so the
+    rank is at most 4.  Entries in r's own particle or hole block are
+    normal, the rest anomalous.  Returns (normal, anomalous) lists of
+    ("col", r, vec) for vec e_r^T and ("row", r, vec) for e_r vec^T; all-zero
+    terms are dropped, so a vanishing part is exactly zero.
     """
-    nz_i, nz_j = np.nonzero(C)
-    if len(nz_i) == 0:
-        return [], []
-    counts = np.bincount(nz_i, minlength=2 * M) + np.bincount(nz_j, minlength=2 * M)
-    cover = set(np.nonzero(counts > 4)[0])
-    if not cover or len(cover) > 8:
-        return None
-    covered = np.isin(nz_i, list(cover)) | np.isin(nz_j, list(cover))
-    if not covered.all():
-        return None
+    M = H.modes
+    bath = np.flatnonzero(d)
+    other = np.flatnonzero(d == 0)
+    i, j = np.nonzero(H.data[np.ix_(bath, bath)])
+    if np.any(d[bath[i]] != d[bath[j]]):
+        raise ValueError(
+            "[H_bath, H] couples bath modes to each other; fold intra-bath "
+            "couplings into the bath levels first (apply_internal_couplings)"
+        )
+    touched = other[
+        H.data[np.ix_(bath, other)].any(axis=0) | H.data[np.ix_(other, bath)].any(axis=1)
+    ]
+    particle = np.arange(2 * M) < M
     normal, anomalous = [], []
-    cover_arr = np.array(sorted(cover))
-    for r in cover_arr:
-        col = C[:, r].copy()
-        idx = np.nonzero(col)[0]
-        if len(idx):
-            same, cross = _block_masks(M, idx, r)
-            for mask, out in ((same, normal), (cross, anomalous)):
-                if mask.any():
-                    v = np.zeros_like(col)
-                    v[idx[mask]] = col[idx[mask]]
-                    out.append(("col", int(r), v))
-        row = C[r, :].copy()
-        row[cover_arr] = 0.0  # already counted by the column terms
-        idx = np.nonzero(row)[0]
-        if len(idx):
-            same, cross = _block_masks(M, idx, r)
-            for mask, out in ((same, normal), (cross, anomalous)):
-                if mask.any():
-                    v = np.zeros_like(row)
-                    v[idx[mask]] = row[idx[mask]]
-                    out.append(("row", int(r), v))
+    for r in touched:
+        same = particle == (r < M)
+        for kind, vec in (("col", d * H.data[:, r]), ("row", -d * H.data[r, :])):
+            for mask, out in ((same, normal), (~same, anomalous)):
+                part = np.where(mask, vec, 0)
+                if part.any():
+                    out.append((kind, int(r), part))
     return normal, anomalous
 
 
-def _lowrank_B(prop: Propagator, terms) -> np.ndarray | None:
+def _lowrank_B(prop: Propagator, terms) -> np.ndarray:
     """B = chi~ * (U^dag C U)^T for a sum of rank-1 terms of C.
 
     The k terms give (U^dag C U)^T = L R with L = [b_1 ... b_k] (2M x k) and
     R = [a_1 ... a_k]^T (k x 2M): one product, then one in-place multiply.
     """
-    if not terms:
-        return None
     U = prop.basis.transform
     chi_rot = prop.rotated_initial
     dtype = np.result_type(U, chi_rot, *(vec for _, _, vec in terms))
@@ -239,27 +257,19 @@ def _lowrank_B(prop: Propagator, terms) -> np.ndarray | None:
     return B
 
 
-def _split_blocks(C: np.ndarray, M: int):
-    """Mask a 2M x 2M matrix into (particle+hole diagonal blocks, cross blocks)."""
-    Cn = np.zeros_like(C)
-    Cn[:M, :M] = C[:M, :M]
-    Cn[M:, M:] = C[M:, M:]
-    return Cn, C - Cn
-
-
 def heat_current(
-    prop: Propagator,
-    H: NambuMatrix,
-    H_bath: NambuMatrix,
-    times,
-    method: str = "auto",
+    prop: Propagator, H: NambuMatrix, H_bath: NambuMatrix, times
 ) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
-    The normal part collects the particle-conserving cross-correlators,
-    the anomalous part the pairing ones; the split is the block structure
-    of the commutator.  ``method`` is "auto", "lowrank" or "dense"; dense
-    is the O(M^3)-per-setup cross-check path.
+    H_bath must be diagonal.  The commutator is then assumed to live on the
+    rows and columns of the few non-bath modes that H couples to the bath
+    (see ``_commutator_terms``): true for the valve once intra-bath
+    couplings are folded in, and checked, so an H that couples bath levels
+    to each other raises ValueError instead of giving a wrong current.  The
+    normal part collects the particle-conserving cross-correlators, the
+    anomalous part the pairing ones.  Each part is contracted over the time
+    grid at O(M^2) per point, from M x M blocks when the basis is paired.
     """
     times = np.asarray(times, dtype=float)
     M = prop.modes
@@ -276,29 +286,19 @@ def heat_current(
         raise ValueError(
             "H_bath must be diagonal in the mode basis (bath-restricted free Hamiltonian)"
         )
-    # [H_bath, H] elementwise for diagonal H_bath
-    C = np.subtract.outer(d, d).astype(H.data.dtype, copy=False)
-    C *= H.data
+    normal_terms, anomalous_terms = _commutator_terms(H, d)
 
-    if method not in ("auto", "lowrank", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and 2 * M <= _DENSE_DIM)
-    terms = None
-    if not use_dense:
-        terms = _lowrank_terms(C, M)
-        if terms is not None:
-            del C
-        else:
-            if method == "lowrank":
-                raise ValueError("commutator structure not low-rank; use method='dense'")
-            use_dense = True
+    E = prop.basis.eigenvalues
+    if prop.basis.paired:
+        # E = [-s, s[::-1]]: the negative half fixes every phase
+        phases, contract = _phase_parts(E[:M], times), _contract_paired
+    else:
+        phases, contract = _phase_parts(E, times), _contract
 
-    phases = _phase_parts(prop.basis.eigenvalues, times)
-
-    def series(B):
-        if B is None:
+    def series(terms):
+        if not terms:
             return np.zeros_like(times)
-        vals = _contract(B, phases)
+        vals = contract(_lowrank_B(prop, terms), phases)
         # tr(chi * commutator) is purely imaginary; the real residual is noise
         residual = np.abs(vals.real).max(initial=0.0)
         scale = max(np.abs(vals.imag).max(initial=0.0), 1.0)
@@ -307,19 +307,11 @@ def heat_current(
         return -0.5 * vals.imag
 
     # one 2M x 2M B alive at a time
-    if use_dense:
-        Cn, Ca = _split_blocks(C, M)
-        del C
-        U = prop.basis.transform
-        normal = series(prop.rotated_initial * (U.conj().T @ Cn @ U).T)
-        anomalous = series(prop.rotated_initial * (U.conj().T @ Ca @ U).T)
-    else:
-        normal = series(_lowrank_B(prop, terms[0]))
-        anomalous = series(_lowrank_B(prop, terms[1]))
+    normal = series(normal_terms)
+    anomalous = series(anomalous_terms)
     return CurrentTrace(
         times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
     )
-
 
 def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:
     """Mean and standard deviation of the total current inside a time window."""
@@ -332,60 +324,3 @@ def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[flo
         raise ValueError(f"only {n} samples inside window [{lo}, {hi}]; need >= 10")
     vals = trace.total[mask]
     return float(vals.mean()), float(vals.std())
-
-
-@dataclass(frozen=True)
-class ReducedPropagator:
-    """Particle-conserving (M x M) propagator for RWA instances.
-
-    The full Nambu matrix of a particle-conserving Hamiltonian is block
-    diagonal with the two blocks differing only by a sign, so it suffices
-    to evolve G_ij = <a_i^dag a_j> with the M x M particle block h:
-    G(t) = e^{i h^T t} G(0) e^{-i h^T t}.
-    """
-
-    eigenvalues: np.ndarray       # spectrum of h^T (= spectrum of h)
-    transform: np.ndarray         # W with h^T = W diag(E) W^dag
-    rotated_initial: np.ndarray   # W^dag G(0) W
-
-    def __post_init__(self):
-        for arr in (self.eigenvalues, self.transform, self.rotated_initial):
-            arr.setflags(write=False)
-
-    @property
-    def modes(self) -> int:
-        return len(self.eigenvalues)
-
-
-def make_reduced_propagator(h: np.ndarray, occupations0: np.ndarray) -> ReducedPropagator:
-    """Reduced propagator from the particle block and initial occupations."""
-    h = np.asarray(h)
-    res = np.abs(h - h.conj().T).max() / max(np.abs(h).max(), 1.0)
-    if res > 1e-12:
-        raise ValueError(f"particle block not Hermitian: residual {res:.3e}")
-    # h Hermitian implies h^T = conj(h), also Hermitian
-    E, W = np.linalg.eigh(np.conj(h))
-    occ = np.asarray(occupations0, dtype=float)
-    return ReducedPropagator(eigenvalues=E, transform=W, rotated_initial=(W.conj().T * occ) @ W)
-
-
-def reduced_heat_current(
-    rprop: ReducedPropagator, h: np.ndarray, bath_diag: np.ndarray, times
-) -> np.ndarray:
-    """d<H_bath>/dt = i tr(G(t) [D, h^T]) with D = diag(bath_diag)."""
-    times = np.asarray(times, dtype=float)
-    d = np.asarray(bath_diag, dtype=float)
-    if len(d) != rprop.modes:
-        raise ValueError(f"bath_diag length {len(d)} != M={rprop.modes}")
-    C = 1j * (d[:, None] - d[None, :]) * h.T
-    W = rprop.transform
-    Ct = W.conj().T @ C @ W
-    B = rprop.rotated_initial * Ct.T
-    # G(t) = W e^{iEt} G~ e^{-iEt} W^dag, so tr(G(t)C) picks up conj phases
-    Z = _phase_matrix(rprop.eigenvalues, times)
-    vals = np.einsum("jt,jt->t", Z.conj(), B @ Z)
-    residual = np.abs(vals.imag).max(initial=0.0)
-    scale = max(np.abs(vals.real).max(initial=0.0), 1.0)
-    if residual > SPECTRAL_TOL * scale * 100:
-        raise ValueError(f"reduced current has spurious imaginary part {residual:.3e}")
-    return vals.real

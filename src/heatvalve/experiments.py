@@ -19,8 +19,6 @@ from .evolution import (
     CurrentTrace,
     heat_current,
     make_propagator,
-    make_reduced_propagator,
-    reduced_heat_current,
     steady_state_estimate,
 )
 from .valve import (
@@ -98,17 +96,6 @@ def simulate_trace(
     times = np.asarray(times, dtype=float)
     if bath is None:
         bath = _prepare_bath(config)
-    if config.rwa:
-        H = build_hamiltonian(config, bath)
-        occ0 = np.zeros(config.modes)
-        occ0[config.bath_slice(1)] = analytics.occupation(bath.frequencies[0], config.t_hot)
-        occ0[config.bath_slice(2)] = analytics.occupation(bath.frequencies[1], config.t_cold)
-        d = np.zeros(config.modes)
-        d[config.bath_slice(COLD_BATH)] = bath.frequencies[COLD_BATH - 1]
-        rprop = make_reduced_propagator(H.particle_block, occ0)
-        total = reduced_heat_current(rprop, H.particle_block, d, times)
-        zero = np.zeros_like(total)
-        return CurrentTrace(times=times, total=total, normal=total.copy(), anomalous=zero)
     H = build_hamiltonian(config, bath)
     prop = make_propagator(H, initial_correlation(config, bath))
     return heat_current(prop, H, bath_hamiltonian(config, bath, COLD_BATH), times)

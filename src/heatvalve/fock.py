@@ -16,8 +16,13 @@ import numpy as np
 from scipy import sparse
 
 from .nambu import NambuMatrix
-from .valve import BathRealization, ValveConfig, build_hamiltonian, bath_hamiltonian
-from .analytics import occupation
+from .valve import (
+    BathRealization,
+    ValveConfig,
+    bath_hamiltonian,
+    build_hamiltonian,
+    thermal_occupations,
+)
 
 MAX_MODES = 12
 
@@ -76,11 +81,8 @@ def lift(O: NambuMatrix) -> FockOperator:
 def thermal_state(config: ValveConfig, bath: BathRealization) -> np.ndarray:
     """Product density matrix: thermal bath modes, empty central mode."""
     _check_cap(config.modes)
-    occ = np.zeros(config.modes)
-    occ[config.bath_slice(1)] = occupation(bath.frequencies[0], config.t_hot)
-    occ[config.bath_slice(2)] = occupation(bath.frequencies[1], config.t_cold)
     diag = np.ones(1)
-    for f in occ:
+    for f in thermal_occupations(config, bath):
         diag = np.kron(diag, np.array([1 - f, f]))
     return np.diag(diag)
 

@@ -32,6 +32,12 @@ def ph_swap(modes: int) -> np.ndarray:
     return X
 
 
+def _ph_transpose(A: np.ndarray) -> np.ndarray:
+    """ph_swap(M) @ A.T @ ph_swap(M), by swapping blocks instead of multiplying."""
+    M = A.shape[0] // 2
+    return np.roll(A.T, (M, M), axis=(0, 1))
+
+
 def _hermiticity_residual(A: np.ndarray) -> float:
     scale = max(np.abs(A).max(), 1.0)
     return float(np.abs(A - A.conj().T).max() / scale)
@@ -61,9 +67,8 @@ class NambuMatrix:
         res = _hermiticity_residual(self.data)
         if res > tol:
             raise ValueError(f"matrix is not Hermitian: residual {res:.3e}")
-        X = ph_swap(self.modes)
         scale = max(np.abs(self.data).max(), 1.0)
-        ph = np.abs(self.data + X @ self.data.T @ X).max() / scale
+        ph = np.abs(self.data + _ph_transpose(self.data)).max() / scale
         if ph > tol:
             raise ValueError(f"particle-hole symmetry violated: residual {ph:.3e}")
 
@@ -90,8 +95,7 @@ class CorrelationMatrix:
         tr = self.data.trace()
         if abs(tr - self.modes) > tol * self.modes:
             raise ValueError(f"trace {tr} != M = {self.modes}")
-        X = ph_swap(self.modes)
-        ph = np.abs(self.data + X @ self.data.T @ X - np.eye(2 * self.modes)).max()
+        ph = np.abs(self.data + _ph_transpose(self.data) - np.eye(2 * self.modes)).max()
         if ph > tol:
             raise ValueError(f"particle-hole constraint violated: residual {ph:.3e}")
 
@@ -194,13 +198,23 @@ def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     W = [[1, 1], [1, -1]]/sqrt(2) maps H to [[0, K^T], [K, 0]] (the Majorana
     form), whose eigenvectors are [q; +-p]/sqrt(2) with energies +-s.
+    Without pairing (RWA) K is symmetric, and K = V diag(l) V^T is already
+    an SVD with s = |l|, Q = V and P = V sign(l); eigh finds it several
+    times faster than the general SVD.
     """
     try:
-        P, s, Qt = np.linalg.svd(K)
+        if np.array_equal(K, K.T):
+            lam, V = np.linalg.eigh(K)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            s, Q = np.abs(lam[order]), V[:, order]
+            P = Q * np.where(lam[order] < 0, -1.0, 1.0)
+        else:
+            P, s, Qt = np.linalg.svd(K)
+            Q = Qt.T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed on {K.shape} Majorana block: {exc}") from exc
-    lo = (Qt.T - P) / 2
-    hi = (Qt.T + P) / 2
+    lo = (Q - P) / 2
+    hi = (Q + P) / 2
     U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
     return np.concatenate([-s, s[::-1]]), U
 
@@ -210,7 +224,8 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
 
     A real H with exact Nambu block structure (h symmetric, Delta
     antisymmetric; this covers every valve configuration with real
-    couplings) is solved as the M x M SVD of K = h + Delta.  Its spectrum
+    couplings, exact or RWA) is solved as the M x M SVD of K = h + Delta,
+    found by eigh when Delta = 0.  Its spectrum
     is particle-hole paired by construction, so instead the result is
     probed: H v = U diag(E) U^T v and U^T U v = v for one fixed vector v,
     each to SPECTRAL_TOL.  Any other H (complex, or real but breaking the

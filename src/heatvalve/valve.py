@@ -214,11 +214,17 @@ def bath_hamiltonian(config: ValveConfig, bath: BathRealization, which_bath: int
     return build_nambu(np.diag(diag))
 
 
+def thermal_occupations(config: ValveConfig, bath: BathRealization) -> np.ndarray:
+    """Initial mode occupations: thermal bath levels, empty central mode."""
+    occ = np.zeros(config.modes)
+    for which_bath in (1, 2):
+        occ[config.bath_slice(which_bath)] = occupation(
+            bath.frequencies[which_bath - 1], config.bath_temperature(which_bath)
+        )
+    return occ
+
+
 def initial_correlation(config: ValveConfig, bath: BathRealization) -> CorrelationMatrix:
-    """Diagonal chi(0): thermal bath occupations, empty central mode."""
-    M = config.modes
-    occ = np.zeros(M)
-    occ[config.bath_slice(1)] = occupation(bath.frequencies[0], config.t_hot)
-    occ[config.bath_slice(2)] = occupation(bath.frequencies[1], config.t_cold)
-    data = np.diag(np.concatenate([1 - occ, occ]))
-    return CorrelationMatrix(modes=M, data=data)
+    """Diagonal chi(0) of the thermal initial state."""
+    occ = thermal_occupations(config, bath)
+    return CorrelationMatrix(modes=config.modes, data=np.diag(np.concatenate([1 - occ, occ])))

@@ -4,7 +4,10 @@ from scipy.linalg import expm
 
 from heatvalve import (
     CurrentTrace,
+    InternalCouplingSpec,
+    Propagator,
     ValveConfig,
+    apply_internal_couplings,
     bath_hamiltonian,
     build_hamiltonian,
     build_nambu,
@@ -14,12 +17,11 @@ from heatvalve import (
     heat_current,
     initial_correlation,
     make_propagator,
-    make_reduced_propagator,
-    reduced_heat_current,
+    observable_rate,
     sample_bath,
     steady_state_estimate,
 )
-from heatvalve.analytics import occupation
+from heatvalve.nambu import NambuMatrix
 
 from conftest import random_correlation, random_nambu
 
@@ -29,9 +31,38 @@ def valve_setup(**kw):
     base.update(kw)
     cfg = ValveConfig(**base)
     bath = sample_bath(cfg)
+    if cfg.internal_coupling is not None:
+        bath = apply_internal_couplings(cfg, bath)
     H = build_hamiltonian(cfg, bath)
     chi0 = initial_correlation(cfg, bath)
     return cfg, bath, H, chi0
+
+
+def complex_internal_coupling(bath_size, scale=0.2, seed=8):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        A = rng.normal(size=(bath_size, bath_size)) + 1j * rng.normal(size=(bath_size, bath_size))
+        mats.append(scale * (A + A.conj().T) / (2 * np.sqrt(bath_size)))
+    return InternalCouplingSpec(matrices=tuple(mats))
+
+
+def block_parts(H: NambuMatrix) -> tuple[NambuMatrix, NambuMatrix]:
+    """H with its pairing blocks zeroed, and H with only its pairing blocks."""
+    M = H.modes
+    normal = H.data.copy()
+    normal[:M, M:] = 0.0
+    normal[M:, :M] = 0.0
+    return (NambuMatrix(modes=M, data=normal),
+            NambuMatrix(modes=M, data=H.data - normal))
+
+
+def dense_current(prop, H, Hb, times):
+    """(normal, anomalous) from chi(t) rebuilt densely at every time."""
+    Hn, Ha = block_parts(H)
+    chis = [evolve(prop, t) for t in times]
+    return (np.array([observable_rate(Hb, Hn, chi) for chi in chis]),
+            np.array([observable_rate(Hb, Ha, chi) for chi in chis]))
 
 
 class TestEvolve:
@@ -129,14 +160,24 @@ class TestHeatCurrent:
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_lowrank_equals_dense(self):
-        cfg, bath, H, chi0 = valve_setup(bath_size=25)
-        prop = make_propagator(H, chi0)
-        Hb = bath_hamiltonian(cfg, bath, 2)
-        times = np.linspace(0, 30, 121)
-        lr = heat_current(prop, H, Hb, times, method="lowrank")
-        dn = heat_current(prop, H, Hb, times, method="dense")
-        for name in ("total", "normal", "anomalous"):
-            assert np.abs(getattr(lr, name) - getattr(dn, name)).max() < 1e-13
+        cases = [
+            dict(bath_size=25),
+            dict(bath_size=25, rwa=True, t_cold=0.3),
+            dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)),
+            dict(bath_size=6, internal_coupling=complex_internal_coupling(6)),
+        ]
+        times = np.linspace(0, 30, 61)
+        for kw in cases:
+            cfg, bath, H, chi0 = valve_setup(**kw)
+            prop = make_propagator(H, chi0)
+            assert prop.basis.paired == np.isrealobj(H.data)
+            Hb = bath_hamiltonian(cfg, bath, 2)
+            got = heat_current(prop, H, Hb, times)
+            normal, anomalous = dense_current(prop, H, Hb, times)
+            assert np.abs(got.normal - normal).max() < 1e-13
+            assert np.abs(got.anomalous - anomalous).max() < 1e-13
+            if cfg.rwa:
+                assert np.abs(got.anomalous).max() == 0.0
 
     def test_matches_finite_difference_of_bath_energy(self):
         cfg, bath, H, chi0 = valve_setup()
@@ -164,38 +205,32 @@ class TestHeatCurrent:
         d = rng.uniform(0.1, 2.0, size=8)
         Hb = build_nambu(np.diag(d))
         prop = make_propagator(H, chi0)
-        with pytest.raises(ValueError, match="low-rank"):
-            heat_current(prop, H, Hb, [1.0], method="lowrank")
-        # the auto path must fall back to dense and still work
-        heat_current(prop, H, Hb, [1.0], method="auto")
+        with pytest.raises(ValueError, match="apply_internal_couplings"):
+            heat_current(prop, H, Hb, [1.0])
 
-    def test_unknown_method(self):
+    def test_refuses_unfolded_internal_couplings(self):
         cfg, bath, H, chi0 = valve_setup()
-        prop = make_propagator(H, chi0)
-        with pytest.raises(ValueError, match="method"):
-            heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), [0.0], method="fast")
+        sl = cfg.bath_slice(2)
+        h = H.particle_block.copy()
+        h[sl, sl] += np.full((cfg.bath_size, cfg.bath_size), 0.05)
+        H_unfolded = build_nambu(h, H.anomalous_block)
+        prop = make_propagator(H_unfolded, chi0)
+        with pytest.raises(ValueError, match="apply_internal_couplings"):
+            heat_current(prop, H_unfolded, bath_hamiltonian(cfg, bath, 2), [1.0])
 
-
-class TestReducedPropagator:
-    def test_matches_full_representation_for_rwa(self):
-        cfg, bath, H, chi0 = valve_setup(bath_size=30, rwa=True, t_cold=0.3)
-        prop = make_propagator(H, chi0)
+    def test_spurious_real_part_is_refused(self):
+        cfg, bath, H, chi0 = valve_setup()
         Hb = bath_hamiltonian(cfg, bath, 2)
-        times = np.linspace(0, 40, 201)
-        full = heat_current(prop, H, Hb, times).total
-
-        occ0 = np.zeros(cfg.modes)
-        occ0[cfg.bath_slice(1)] = occupation(bath.frequencies[0], cfg.t_hot)
-        occ0[cfg.bath_slice(2)] = occupation(bath.frequencies[1], cfg.t_cold)
-        d = np.zeros(cfg.modes)
-        d[cfg.bath_slice(2)] = bath.frequencies[1]
-        rprop = make_reduced_propagator(H.particle_block, occ0)
-        reduced = reduced_heat_current(rprop, H.particle_block, d, times)
-        assert np.abs(full - reduced).max() < 1e-10
-
-    def test_rejects_non_hermitian_block(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            make_reduced_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        Hc = NambuMatrix(modes=H.modes, data=H.data.astype(complex))
+        skew = np.random.default_rng(9).normal(scale=0.1, size=(2 * cfg.modes,) * 2)
+        for ham in (H, Hc):
+            prop = make_propagator(ham, chi0)
+            assert prop.basis.paired == (ham is H)
+            heat_current(prop, ham, Hb, [0.5, 3.0])
+            # a non-Hermitian chi gives tr(chi [H_bath, H]) a real part
+            bad = Propagator(basis=prop.basis, rotated_initial=prop.rotated_initial + skew)
+            with pytest.raises(ValueError, match="spurious real"):
+                heat_current(bad, ham, Hb, [0.5, 3.0])
 
 
 class TestSteadyStateEstimate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatvalve import ValveConfig
+from heatvalve import ValveConfig, fock
 from heatvalve.experiments import (
     SweepRecord,
     derive_seed,
@@ -22,6 +22,7 @@ from heatvalve import (
     weak_coupling_current,
     UniformBathSpec,
 )
+from heatvalve.nambu import NambuMatrix
 
 FAST = dict(window=(20.0, 30.0), time_step=0.5)
 
@@ -52,13 +53,23 @@ class TestSimulateTrace:
     def test_reduced_rwa_matches_full_representation(self):
         cfg = template(bath_size=40, gamma=0.4, rwa=True, seed=3)
         times = np.linspace(0, 30, 151)
-        trace = simulate_trace(cfg, times)  # reduced M x M path
+        trace = simulate_trace(cfg, times)  # M x M SVD of the particle block
 
         bath = sample_bath(cfg)
         H = build_hamiltonian(cfg, bath)
-        prop = make_propagator(H, initial_correlation(cfg, bath))
-        full = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+        H_full = NambuMatrix(modes=H.modes, data=H.data.astype(complex))  # 2M x 2M eigh
+        prop = make_propagator(H_full, initial_correlation(cfg, bath))
+        assert not prop.basis.paired
+        full = heat_current(prop, H_full, bath_hamiltonian(cfg, bath, 2), times)
         assert np.abs(trace.total - full.total).max() < 1e-10
+        assert np.abs(trace.anomalous).max() == 0.0
+
+    def test_rwa_matches_fock_oracle(self):
+        cfg = template(bath_size=4, gamma=0.6, rwa=True, t_cold=0.3, seed=12)
+        times = np.linspace(0, 20, 81)
+        trace = simulate_trace(cfg, times)
+        dev = np.abs(trace.total - fock.exact_current(cfg, sample_bath(cfg), times))
+        assert dev.max() < 1e-9
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_exact_kind_splits_current(self):

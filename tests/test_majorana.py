@@ -17,9 +17,11 @@ from heatvalve import (
     build_hamiltonian,
     build_nambu,
     diagonalize,
+    evolve,
     heat_current,
     initial_correlation,
     make_propagator,
+    observable_rate,
     sample_bath,
 )
 from heatvalve import fock, nambu
@@ -47,6 +49,7 @@ VALVES = [
     for dist in CouplingDistribution
 ] + [
     pytest.param(dict(gamma=0.0), id="gamma0"),
+    pytest.param(dict(gamma=0.3, rwa=True), id="rwa"),
     pytest.param(dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=0.2)),
                  id="random_hermitian"),
 ]
@@ -75,33 +78,34 @@ class TestValveHamiltonians:
         cfg, bath, H, chi0 = valve(**kw)
         Hb = bath_hamiltonian(cfg, bath, 2)
         prop = make_propagator(H, chi0)
-        dense = heat_current(prop, H, Hb, TIMES, method="dense")
+        got = heat_current(prop, H, Hb, TIMES)
         ref_H = as_complex(H)
-        ref = heat_current(make_propagator(ref_H, chi0), ref_H, Hb, TIMES, method="dense")
-        for method in ("lowrank", "dense"):
-            got = heat_current(prop, H, Hb, TIMES, method=method)
-            for name in ("total", "normal", "anomalous"):
-                assert np.abs(getattr(got, name) - getattr(dense, name)).max() < 1e-13
-                assert np.abs(getattr(got, name) - getattr(ref, name)).max() < 1e-13
+        ref = heat_current(make_propagator(ref_H, chi0), ref_H, Hb, TIMES)
+        dense = np.array([observable_rate(Hb, H, evolve(prop, t)) for t in TIMES])
+        assert np.abs(got.total - dense).max() < 1e-13
+        for name in ("total", "normal", "anomalous"):
+            assert np.abs(getattr(got, name) - getattr(ref, name)).max() < 1e-13
 
 
 def test_exact_degeneracies_and_zero_modes():
-    # repeated levels, a zero level and pairing only inside a degenerate pair
-    h = np.diag([0.5, 0.5, 0.0, 1.2, 1.2])
-    delta = np.zeros((5, 5))
-    delta[0, 1] = 0.3
-    H = build_nambu(h, delta)
-    basis = diagonalize(H)
-    ref = diagonalize(as_complex(H))
-    assert basis.paired
-    U, E = basis.transform, basis.eigenvalues
-    assert np.abs(E - ref.eigenvalues).max() < 1e-14
-    assert np.abs((U * E) @ U.T - H.data).max() < 1e-14
-    assert np.abs(U.T @ U - np.eye(10)).max() < 1e-14
-    occ = np.array([0.9, 0.2, 0.5, 0.0, 1.0])
-    chi0 = CorrelationMatrix(modes=5, data=np.diag(np.concatenate([1 - occ, occ])))
-    prop = make_propagator(H, chi0)
-    assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
+    # repeated levels, a zero level, a +-level pair, and pairing only inside
+    # a degenerate pair; without the pairing K is symmetric (eigh branch)
+    for pairing in (0.3, 0.0):
+        h = np.diag([0.5, 0.5, 0.0, 1.2, -1.2])
+        delta = np.zeros((5, 5))
+        delta[0, 1] = pairing
+        H = build_nambu(h, delta)
+        basis = diagonalize(H)
+        ref = diagonalize(as_complex(H))
+        assert basis.paired
+        U, E = basis.transform, basis.eigenvalues
+        assert np.abs(E - ref.eigenvalues).max() < 1e-14
+        assert np.abs((U * E) @ U.T - H.data).max() < 1e-14
+        assert np.abs(U.T @ U - np.eye(10)).max() < 1e-14
+        occ = np.array([0.9, 0.2, 0.5, 0.0, 1.0])
+        chi0 = CorrelationMatrix(modes=5, data=np.diag(np.concatenate([1 - occ, occ])))
+        prop = make_propagator(H, chi0)
+        assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
 def test_non_physical_diagonal_state_uses_dense_rotation():

@@ -8,7 +8,7 @@ from heatvalve import (
     expectation,
     observable_rate,
 )
-from heatvalve.nambu import ph_swap
+from heatvalve.nambu import NambuMatrix, _ph_transpose, ph_swap
 
 from conftest import random_correlation, random_nambu
 
@@ -146,3 +146,27 @@ def test_correlation_validate_catches_bad_trace():
 def test_ph_swap_is_involution():
     X = ph_swap(4)
     assert np.array_equal(X @ X, np.eye(8))
+
+
+def test_ph_transpose_equals_ph_swap_products():
+    rng = np.random.default_rng(11)
+    for modes in (1, 3, 8):
+        A = rng.normal(size=(2 * modes,) * 2) + 1j * rng.normal(size=(2 * modes,) * 2)
+        X = ph_swap(modes)
+        assert np.array_equal(_ph_transpose(A), X @ A.T @ X)
+
+
+def test_particle_hole_broken_matrices_are_rejected():
+    X = ph_swap(2)
+    H = build_nambu(np.array([[0.4, 0.1], [0.1, 0.9]]), np.array([[0.0, 0.3], [0.0, 0.0]]))
+    data = H.data.copy()
+    data[2:, 2:] *= 1.5  # hole block no longer -h^T
+    broken_H = NambuMatrix(modes=2, data=data)
+    assert np.abs(data + X @ data.T @ X).max() > 0.1
+    with pytest.raises(ValueError, match="particle-hole"):
+        broken_H.validate()
+    # Hermitian, trace M and spectrum in [0, 1], but hole occupations swapped
+    chi = np.diag([0.7, 0.4, 0.6, 0.3])
+    assert np.abs(chi + X @ chi.T @ X - np.eye(4)).max() > 0.1
+    with pytest.raises(ValueError, match="particle-hole"):
+        CorrelationMatrix(modes=2, data=chi).validate()
