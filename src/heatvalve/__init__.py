@@ -23,6 +23,7 @@ from .valve import (
     ValveConfig,
     apply_internal_couplings,
     bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     initial_correlation,
     sample_bath,

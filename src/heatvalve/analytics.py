@@ -204,6 +204,6 @@ def empirical_gamma(
     couplings are diagonalized away).
     """
     frequencies = np.asarray(frequencies, dtype=float)
-    couplings = np.asarray(couplings, dtype=float)
+    couplings = np.asarray(couplings)
     mask = np.abs(frequencies - omega) < halfwidth
     return float(2 * np.pi * np.sum(np.abs(couplings[mask]) ** 2) / (2 * halfwidth))

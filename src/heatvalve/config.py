@@ -49,6 +49,20 @@ def _require(cfg: dict, key: str, types, pred=None, what: str = ""):
     return val
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _merge(cfg: dict, overrides: dict) -> dict:
+    """cfg updated by overrides, refusing keys the schema does not know."""
+    unknown = set(overrides) - _KNOWN_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
+    out = dict(cfg)
+    out.update(overrides)
+    return out
+
+
 def load_config(path) -> dict:
     """Read and validate a YAML experiment config; returns a plain dict."""
     path = Path(path)
@@ -60,12 +74,12 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
+    cfg = _merge(_DEFAULTS, raw)
+    _validate(cfg)
+    return cfg
 
+
+def _validate(cfg: dict) -> None:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -91,7 +105,7 @@ def load_config(path) -> dict:
     if (
         not isinstance(window, (list, tuple))
         or len(window) != 2
-        or not all(isinstance(v, (int, float)) for v in window)
+        or not all(_is_number(v) for v in window)
         or window[0] >= window[1]
     ):
         raise ConfigError("config key 'window' must be [t_lo, t_hi] with t_lo < t_hi")
@@ -102,13 +116,13 @@ def load_config(path) -> dict:
         if (
             not isinstance(grid, list)
             or not grid
-            or not all(isinstance(v, (int, float)) and v >= 0 for v in grid)
+            or not all(_is_number(v) and v >= 0 for v in grid)
         ):
             raise ConfigError("config key 'gamma_grid' must be a nonempty list of floats >= 0")
     if cfg["bath_sizes"] is not None:
         sizes = cfg["bath_sizes"]
         if not isinstance(sizes, list) or not all(
-            isinstance(v, int) and v >= 1 for v in sizes
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes
         ):
             raise ConfigError("config key 'bath_sizes' must be a list of ints >= 1")
     ic = cfg["internal_coupling"]
@@ -121,20 +135,20 @@ def load_config(path) -> dict:
             raise ConfigError(
                 f"config key 'internal_coupling.generator' unknown: {gen!r}"
             )
-        if not isinstance(scale, (int, float)) or scale < 0:
+        if not _is_number(scale) or scale < 0:
             raise ConfigError("config key 'internal_coupling.scale' must be a float >= 0")
     full = cfg["full"]
     if full is not None and not isinstance(full, dict):
         raise ConfigError("config key 'full' must be a mapping of overrides")
-    return cfg
 
 
 def apply_full_preset(cfg: dict) -> dict:
-    """Apply the figure-scale override section, if any."""
-    out = dict(cfg)
-    if cfg.get("full"):
-        out.update(cfg["full"])
-        out["full"] = None
+    """Apply the figure-scale override section, if any, and revalidate."""
+    if not cfg.get("full"):
+        return dict(cfg)
+    out = _merge(cfg, cfg["full"])
+    out["full"] = None
+    _validate(out)
     return out
 
 

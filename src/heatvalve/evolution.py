@@ -7,13 +7,16 @@ RWA, the 2M x 2M eigh otherwise; see ``nambu.diagonalize``), then O(M^2)
 work per time point.  A diagonal chi(0) is rotated into that basis from
 M x M blocks when the basis is a paired SVD basis, by one scaled product
 otherwise.  Heat currents d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H])
-are contracted in the eigenbasis without rebuilding chi(t).  This rests on
+are contracted in the eigenbasis without rebuilding chi(t); H_bath enters
+as the vector of its mode energies (``valve.bath_levels``).  This rests on
 one structural assumption: the commutator lives on the rows and columns of
 the few non-bath modes the bath couples to (the central particle and hole
-of the valve), so it is a sum of at most four rank-1 terms written down
-from H.  An H that couples bath levels to each other breaks it and is
-refused with ValueError; fold such couplings in with
-``valve.apply_internal_couplings`` first.
+of the valve), so it is one product of a 2M x 4 and a 4 x 2M matrix
+written down from H.  An H that couples bath levels to each other breaks
+it and is refused with ValueError; fold such couplings in with
+``valve.apply_internal_couplings`` first.  Every basis carries an exactly
+paired spectrum E = [-s, s[::-1]] (see ``nambu.diagonalize``), so every
+contraction runs over M x M blocks on the phases of its negative half.
 """
 
 from __future__ import annotations
@@ -129,25 +132,12 @@ def _phase_parts(eigenvalues: np.ndarray, times: np.ndarray) -> tuple[np.ndarray
 
 
 def _contract(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for every time column of z = X + iY."""
-    X, Y = phases
-    if not np.isrealobj(B):
-        Z = X + 1j * Y
-        return np.einsum("jt,jt->t", Z, B @ Z.conj())
-    # real B: z (B conj z) = X.BX + Y.BY + i (Y.BX - X.BY), all real arithmetic
-    BX = B @ X
-    BY = B @ Y
-    re = np.einsum("jt,jt->t", X, BX) + np.einsum("jt,jt->t", Y, BY)
-    im = np.einsum("jt,jt->t", Y, BX) - np.einsum("jt,jt->t", X, BY)
-    return re + 1j * im
+    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for a paired spectrum E = [-s, s[::-1]].
 
-
-def _contract_paired(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``_contract`` for a paired basis, E = [-s, s[::-1]], from M x M blocks.
-
-    With c = cos(st) and S = sin(st) the phases are c + iS on the negative
-    side and c - iS on the reversed positive side.  Indexing the four blocks
-    of B by singular value (B12 = B[:M, M:][:, ::-1] and so on) gives
+    ``phases`` are the parts c = cos(st) and S = sin(st) of the negative
+    half E[:M]; the phases are c + iS there and c - iS on the reversed
+    positive side.  Indexing the four blocks of B by singular value
+    (B12 = B[:M, M:][:, ::-1] and so on) gives
     Re = c.(B11 + B12 + B21 + B22) c + S.(B11 - B12 - B21 + B22) S and
     Im = S.G c with G = (B11 + B12 - B21 - B22) + (B12 - B11 - B21 + B22)^T:
     three M x M products per time point instead of two 2M x 2M ones.  Both
@@ -185,7 +175,7 @@ def _trace_series(prop: Propagator, C: np.ndarray, times: np.ndarray) -> np.ndar
     U = prop.basis.transform
     Ct = U.conj().T @ C @ U
     B = prop.rotated_initial * Ct.T
-    return _contract(B, _phase_parts(prop.basis.eigenvalues, times))
+    return _contract(B, _phase_parts(prop.basis.eigenvalues[: prop.modes], times))
 
 
 def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
@@ -197,18 +187,18 @@ def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
     return -0.5 * vals.real + O.const_offset
 
 
-def _commutator_terms(H: NambuMatrix, d: np.ndarray):
-    """Rank-1 terms of C = [diag(d), H], C_ij = (d_i - d_j) H_ij.
+def _commutator_factors(H: NambuMatrix, d: np.ndarray):
+    """Factors of C = [diag(d), H], C_ij = (d_i - d_j) H_ij, by part.
 
     The bath is the set of modes with d != 0.  C vanishes between two
     non-bath modes, and between two bath modes once intra-bath couplings are
     folded into the levels; the latter is checked.  Then
-    C = sum_r (C[:, r] e_r^T + e_r C[r, :]) over the non-bath modes r that H
-    couples to the bath: in the valve the central particle and hole, so the
-    rank is at most 4.  Entries in r's own particle or hole block are
-    normal, the rest anomalous.  Returns (normal, anomalous) lists of
-    ("col", r, vec) for vec e_r^T and ("row", r, vec) for e_r vec^T; all-zero
-    terms are dropped, so a vanishing part is exactly zero.
+    C = col E_r^T + E_r row with E_r = I[:, r], col = C[:, r] and
+    row = C[r, :], over the non-bath modes r that H couples to the bath: in
+    the valve the central particle and hole, so the rank is at most 4.
+    Entries in r's own particle or hole block are normal, the rest
+    anomalous.  Returns r and the (col, row) pairs of the normal and the
+    anomalous part.
     """
     M = H.modes
     bath = np.flatnonzero(d)
@@ -219,86 +209,65 @@ def _commutator_terms(H: NambuMatrix, d: np.ndarray):
             "[H_bath, H] couples bath modes to each other; fold intra-bath "
             "couplings into the bath levels first (apply_internal_couplings)"
         )
-    touched = other[
+    r = other[
         H.data[np.ix_(bath, other)].any(axis=0) | H.data[np.ix_(other, bath)].any(axis=1)
     ]
-    particle = np.arange(2 * M) < M
-    normal, anomalous = [], []
-    for r in touched:
-        same = particle == (r < M)
-        for kind, vec in (("col", d * H.data[:, r]), ("row", -d * H.data[r, :])):
-            for mask, out in ((same, normal), (~same, anomalous)):
-                part = np.where(mask, vec, 0)
-                if part.any():
-                    out.append((kind, int(r), part))
-    return normal, anomalous
+    col = d[:, None] * H.data[:, r]
+    row = -H.data[r, :] * d
+    same = (np.arange(2 * M) < M)[:, None] == (r < M)
+    normal = (np.where(same, col, 0), np.where(same.T, row, 0))
+    anomalous = (np.where(same, 0, col), np.where(same.T, 0, row))
+    return r, normal, anomalous
 
 
-def _lowrank_B(prop: Propagator, terms) -> np.ndarray:
-    """B = chi~ * (U^dag C U)^T for a sum of rank-1 terms of C.
+def _lowrank_B(prop: Propagator, r, col, row) -> np.ndarray:
+    """B = chi~ * (U^dag C U)^T for C = col E_r^T + E_r row.
 
-    The k terms give (U^dag C U)^T = L R with L = [b_1 ... b_k] (2M x k) and
-    R = [a_1 ... a_k]^T (k x 2M): one product, then one in-place multiply.
+    (U^dag C U)^T = L R with L = [U[r, :]^T, (row U)^T] (2M x 2k) and
+    R = [(U^dag col)^T; conj(U[r, :])] (2k x 2M): one product, then one
+    in-place multiply.
     """
     U = prop.basis.transform
     chi_rot = prop.rotated_initial
-    dtype = np.result_type(U, chi_rot, *(vec for _, _, vec in terms))
-    L = np.empty((U.shape[0], len(terms)), dtype=dtype)
-    R = np.empty((len(terms), U.shape[0]), dtype=dtype)
-    for i, (kind, r, vec) in enumerate(terms):
-        if kind == "col":  # C term: vec e_r^T
-            R[i] = U.conj().T @ vec
-            L[:, i] = U[r, :]
-        else:  # C term: e_r vec^T
-            R[i] = np.conj(U[r, :])
-            L[:, i] = vec @ U
+    L = np.concatenate(
+        [U[r, :].T, (row @ U).T], axis=1, dtype=np.result_type(U, row, chi_rot)
+    )
+    R = np.concatenate([col.T @ U.conj(), U[r, :].conj()])
     B = L @ R
     B *= chi_rot
     return B
 
 
-def heat_current(
-    prop: Propagator, H: NambuMatrix, H_bath: NambuMatrix, times
-) -> CurrentTrace:
+def heat_current(prop: Propagator, H: NambuMatrix, levels, times) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
-    H_bath must be diagonal.  The commutator is then assumed to live on the
-    rows and columns of the few non-bath modes that H couples to the bath
-    (see ``_commutator_terms``): true for the valve once intra-bath
-    couplings are folded in, and checked, so an H that couples bath levels
-    to each other raises ValueError instead of giving a wrong current.  The
-    normal part collects the particle-conserving cross-correlators, the
-    anomalous part the pairing ones.  Each part is contracted over the time
-    grid at O(M^2) per point, from M x M blocks when the basis is paired.
+    ``levels`` holds the M mode energies of H_bath, zero off the measured
+    bath (``valve.bath_levels``); in Nambu form H_bath = diag(levels,
+    -levels).  The commutator is then assumed to live on the rows and
+    columns of the few non-bath modes that H couples to the bath (see
+    ``_commutator_factors``): true for the valve once intra-bath couplings
+    are folded in, and checked, so an H that couples bath levels to each
+    other raises ValueError instead of giving a wrong current.  The normal
+    part collects the particle-conserving cross-correlators, the anomalous
+    part the pairing ones; a part with no entries is exactly zero.  Each
+    part is contracted over the time grid from M x M blocks, at O(M^2) per
+    point.
     """
     times = np.asarray(times, dtype=float)
     M = prop.modes
-    if H.modes != M or H_bath.modes != M:
-        raise ValueError(
-            f"mode mismatch: propagator M={M}, H M={H.modes}, H_bath M={H_bath.modes}"
-        )
-    d = np.diagonal(H_bath.data)
-    if np.count_nonzero(H_bath.data) == np.count_nonzero(d):
-        diag_residual = 0.0
-    else:
-        diag_residual = np.abs(H_bath.data - np.diag(d)).max()
-    if diag_residual > 1e-12 * max(np.abs(d).max(), 1.0):
-        raise ValueError(
-            "H_bath must be diagonal in the mode basis (bath-restricted free Hamiltonian)"
-        )
-    normal_terms, anomalous_terms = _commutator_terms(H, d)
+    if H.modes != M:
+        raise ValueError(f"mode mismatch: propagator M={M}, H M={H.modes}")
+    levels = np.asarray(levels)
+    if levels.shape != (M,):
+        raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
+    r, normal, anomalous = _commutator_factors(H, np.concatenate([levels, -levels]))
+    phases = _phase_parts(prop.basis.eigenvalues[:M], times)
 
-    E = prop.basis.eigenvalues
-    if prop.basis.paired:
-        # E = [-s, s[::-1]]: the negative half fixes every phase
-        phases, contract = _phase_parts(E[:M], times), _contract_paired
-    else:
-        phases, contract = _phase_parts(E, times), _contract
-
-    def series(terms):
-        if not terms:
+    def series(col, row):
+        if not (col.any() or row.any()):
+            # B is exactly zero (RWA anomalous part, gamma = 0): skip the 2M x 2M work
             return np.zeros_like(times)
-        vals = contract(_lowrank_B(prop, terms), phases)
+        vals = _contract(_lowrank_B(prop, r, col, row), phases)
         # tr(chi * commutator) is purely imaginary; the real residual is noise
         residual = np.abs(vals.real).max(initial=0.0)
         scale = max(np.abs(vals.imag).max(initial=0.0), 1.0)
@@ -307,8 +276,8 @@ def heat_current(
         return -0.5 * vals.imag
 
     # one 2M x 2M B alive at a time
-    normal = series(normal_terms)
-    anomalous = series(anomalous_terms)
+    normal = series(*normal)
+    anomalous = series(*anomalous)
     return CurrentTrace(
         times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
     )

@@ -26,7 +26,7 @@ from .valve import (
     CouplingDistribution,
     ValveConfig,
     apply_internal_couplings,
-    bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     initial_correlation,
     sample_bath,
@@ -98,7 +98,7 @@ def simulate_trace(
         bath = _prepare_bath(config)
     H = build_hamiltonian(config, bath)
     prop = make_propagator(H, initial_correlation(config, bath))
-    return heat_current(prop, H, bath_hamiltonian(config, bath, COLD_BATH), times)
+    return heat_current(prop, H, bath_levels(config, bath, COLD_BATH), times)
 
 
 def _steady_state_job(config: ValveConfig, window, time_step) -> float:

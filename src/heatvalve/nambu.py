@@ -104,6 +104,9 @@ class CorrelationMatrix:
 class QuasiparticleBasis:
     """Eigenbasis of a Nambu matrix: H = U diag(eigenvalues) U^dag.
 
+    The spectrum is exactly particle-hole paired, eigenvalues[j] ==
+    -eigenvalues[2M - 1 - j], on either path of ``diagonalize``, so the
+    negative half E[:M] fixes every phase of the time evolution.
     ``paired`` marks a real transform of Bogoliubov form
     [[u, v J], [v, u J]] (J reverses column order), with the negative
     energies in the first M columns.  Such a basis comes from the SVD path
@@ -231,8 +234,10 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
     each to SPECTRAL_TOL.  Any other H (complex, or real but breaking the
     block structure) takes the 2M x 2M Hermitian ``eigh``, whose
     particle-hole pairing of the spectrum (every eigenvalue comes with its
-    negative) is verified, not enforced.  Either way construction bugs
-    raise ValueError here rather than propagating.
+    negative) is verified to SPECTRAL_TOL and then made exact: the basis
+    stores (E - E[::-1]) / 2, so both paths return E = [-s, s[::-1]].
+    Either way construction bugs raise ValueError here rather than
+    propagating.
     """
     K = _majorana_block(H)
     if K is not None:
@@ -260,7 +265,8 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
             f"spectrum not particle-hole symmetric: pairing residual {pairing:.3e}"
         )
     return QuasiparticleBasis(
-        modes=H.modes, eigenvalues=evals, transform=U, const_offset=H.const_offset
+        modes=H.modes, eigenvalues=(evals - evals[::-1]) / 2, transform=U,
+        const_offset=H.const_offset,
     )
 
 

@@ -206,12 +206,16 @@ def build_hamiltonian(config: ValveConfig, bath: BathRealization) -> NambuMatrix
     return build_nambu(h, delta)
 
 
+def bath_levels(config: ValveConfig, bath: BathRealization, which_bath: int) -> np.ndarray:
+    """Mode energies of one bath's free Hamiltonian, zero off that bath (length M)."""
+    levels = np.zeros(config.modes)
+    levels[config.bath_slice(which_bath)] = bath.frequencies[which_bath - 1]
+    return levels
+
+
 def bath_hamiltonian(config: ValveConfig, bath: BathRealization, which_bath: int) -> NambuMatrix:
     """Diagonal Nambu matrix of one bath's free Hamiltonian."""
-    sl = config.bath_slice(which_bath)
-    diag = np.zeros(config.modes)
-    diag[sl] = bath.frequencies[which_bath - 1]
-    return build_nambu(np.diag(diag))
+    return build_nambu(np.diag(bath_levels(config, bath, which_bath)))
 
 
 def thermal_occupations(config: ValveConfig, bath: BathRealization) -> np.ndarray:

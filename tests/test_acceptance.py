@@ -17,6 +17,7 @@ from heatvalve import (
     ValveConfig,
     apply_internal_couplings,
     bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     build_nambu,
     empirical_gamma,
@@ -145,7 +146,7 @@ def test_criterion_5_rwa_structure(criterion_report):
     H = build_hamiltonian(cfg, bath)
     prop = make_propagator(H, initial_correlation(cfg, bath))
     times = np.linspace(0.0, 50.0, 251)
-    trace = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+    trace = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
     anom_max = float(np.abs(trace.anomalous).max())
     number_op = build_nambu(np.eye(cfg.modes))
     n_series = expectation_series(prop, number_op, times)
@@ -220,7 +221,7 @@ def test_criterion_7_conservation_and_structure(criterion_report):
             worst["ph"] = max(
                 worst["ph"], float(np.abs(chi.data + X @ chi.data.T @ X - eye).max())
             )
-            current = heat_current(prop, H, Hb, [t]).total[0]
+            current = heat_current(prop, H, bath_levels(cfg, bath, 2), [t]).total[0]
             fd = (
                 expectation(Hb, evolve(prop, t + dt))
                 - expectation(Hb, evolve(prop, t - dt))

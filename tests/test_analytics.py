@@ -205,3 +205,11 @@ class TestEmpiricalGamma:
 
     def test_empty_window(self):
         assert empirical_gamma(np.array([0.1]), np.array([1.0]), 1.0) == 0.0
+
+    def test_complex_couplings_count_by_modulus(self):
+        # internal couplings with complex matrices rotate the couplings complex
+        freqs = np.array([0.95, 1.02, 1.05, 1.4])
+        g = np.array([0.1j, 0.1, (0.03 - 0.04j), 0.2j])
+        want = empirical_gamma(freqs, np.abs(g), 1.0)
+        assert empirical_gamma(freqs, g, 1.0) == pytest.approx(want, rel=1e-15)
+        assert want == pytest.approx(2 * np.pi * 0.0225 / 0.2, rel=1e-12)

@@ -141,5 +141,17 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
 
+    def test_invalid_full_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma_grid: [0.1]\nfull: {kind: bogus, bogus_key: 3}\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--full", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "bogus_key" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_boolean_bath_size(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma: 0.2\nbath_sizes: [true, 2]\n")
+        assert main(["trace", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "bath_sizes" in capsys.readouterr().err
+
     def test_fock_check_passes(self, capsys):
         assert main(["fock-check", "--n", "2", "--gamma", "0.3"]) == EXIT_OK

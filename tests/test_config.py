@@ -98,6 +98,29 @@ def test_full_preset_overrides(tmp_path):
     assert full["realizations"] == 10
 
 
+def test_full_preset_rejects_unknown_key(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "full: {realizations: 10, bogus_key: 3}\n"))
+    with pytest.raises(ConfigError, match="bogus_key"):
+        apply_full_preset(cfg)
+
+
+def test_full_preset_rejects_invalid_value(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "full: {kind: bogus}\n"))
+    with pytest.raises(ConfigError, match="kind"):
+        apply_full_preset(cfg)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("bath_sizes: [true, 2]", "bath_sizes"),
+    ("gamma_grid: [true]", "gamma_grid"),
+    ("window: [false, true]", "window"),
+    ("internal_coupling: {scale: true}", "internal_coupling.scale"),
+])
+def test_booleans_rejected_as_numbers(tmp_path, line, key):
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, BASE + line + "\n"))
+
+
 def test_make_valve_config(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "coupling_dist: equal\nt_cold: 0.5\n"))
     vc = make_valve_config(cfg, gamma=0.25, rwa=True, bath_size=7)

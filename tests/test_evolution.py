@@ -9,6 +9,7 @@ from heatvalve import (
     ValveConfig,
     apply_internal_couplings,
     bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     build_nambu,
     evolve,
@@ -130,33 +131,40 @@ class TestEvolve:
 class TestExpectationSeries:
     def test_matches_pointwise_expectation(self):
         cfg, bath, H, chi0 = valve_setup()
-        prop = make_propagator(H, chi0)
-        O = bath_hamiltonian(cfg, bath, 2)
+        rng = np.random.default_rng(10)
+        cases = [
+            (H, chi0, bath_hamiltonian(cfg, bath, 2)),  # real H: SVD basis
+            # complex H and state: eigh basis and a complex contraction
+            (random_nambu(rng, 7), random_correlation(rng, 7), random_nambu(rng, 7)),
+        ]
         times = np.array([0.0, 1.5, 6.0, 12.25])
-        series = expectation_series(prop, O, times)
-        for i, t in enumerate(times):
-            assert series[i] == pytest.approx(
-                expectation(O, evolve(prop, t)), abs=1e-12
-            )
+        for H, chi0, O in cases:
+            prop = make_propagator(H, chi0)
+            assert prop.basis.paired == np.isrealobj(H.data)
+            series = expectation_series(prop, O, times)
+            for i, t in enumerate(times):
+                assert series[i] == pytest.approx(
+                    expectation(O, evolve(prop, t)), abs=1e-12
+                )
 
 
 class TestHeatCurrent:
     def test_zero_coupling_zero_current(self):
         cfg, bath, H, chi0 = valve_setup(gamma=0.0)
         prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), np.linspace(0, 20, 30))
+        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), np.linspace(0, 20, 30))
         assert np.abs(trace.total).max() == 0.0
 
     def test_starts_at_zero_for_uncorrelated_state(self):
         cfg, bath, H, chi0 = valve_setup()
         prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), [0.0])
+        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), [0.0])
         assert abs(trace.total[0]) < 1e-12
 
     def test_rwa_anomalous_identically_zero(self):
         cfg, bath, H, chi0 = valve_setup(rwa=True)
         prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), np.linspace(0, 20, 101))
+        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_lowrank_equals_dense(self):
@@ -171,13 +179,23 @@ class TestHeatCurrent:
             cfg, bath, H, chi0 = valve_setup(**kw)
             prop = make_propagator(H, chi0)
             assert prop.basis.paired == np.isrealobj(H.data)
-            Hb = bath_hamiltonian(cfg, bath, 2)
-            got = heat_current(prop, H, Hb, times)
-            normal, anomalous = dense_current(prop, H, Hb, times)
+            got = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+            normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
             assert np.abs(got.normal - normal).max() < 1e-13
             assert np.abs(got.anomalous - anomalous).max() < 1e-13
             if cfg.rwa:
                 assert np.abs(got.anomalous).max() == 0.0
+
+    def test_complex_state_on_real_basis(self):
+        cfg, bath, H, _ = valve_setup()
+        chi0 = random_correlation(np.random.default_rng(7), cfg.modes)
+        prop = make_propagator(H, chi0)
+        assert prop.basis.paired and not np.isrealobj(prop.rotated_initial)
+        times = np.linspace(0, 10, 21)
+        got = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+        normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+        assert np.abs(got.normal - normal).max() < 1e-13
+        assert np.abs(got.anomalous - anomalous).max() < 1e-13
 
     def test_matches_finite_difference_of_bath_energy(self):
         cfg, bath, H, chi0 = valve_setup()
@@ -185,28 +203,30 @@ class TestHeatCurrent:
         Hb = bath_hamiltonian(cfg, bath, 2)
         dt = 1e-4
         for t0 in (0.5, 7.3, 18.0):
-            current = heat_current(prop, H, Hb, [t0]).total[0]
+            current = heat_current(prop, H, bath_levels(cfg, bath, 2), [t0]).total[0]
             fd = (
                 expectation(Hb, evolve(prop, t0 + dt))
                 - expectation(Hb, evolve(prop, t0 - dt))
             ) / (2 * dt)
             assert current == pytest.approx(fd, abs=1e-6)
 
-    def test_rejects_nondiagonal_bath_operator(self):
+    def test_rejects_wrong_length_levels(self):
         cfg, bath, H, chi0 = valve_setup()
         prop = make_propagator(H, chi0)
-        with pytest.raises(ValueError, match="diagonal"):
-            heat_current(prop, H, H, [0.0, 1.0])
+        levels = bath_levels(cfg, bath, 2)
+        nambu_diagonal = np.concatenate([levels, -levels])
+        for bad in (levels[:-1], np.append(levels, 0.5), nambu_diagonal, np.diag(levels)):
+            with pytest.raises(ValueError, match="shape"):
+                heat_current(prop, H, bad, [0.0, 1.0])
 
     def test_lowrank_refuses_dense_commutator(self):
         rng = np.random.default_rng(6)
         H = random_nambu(rng, 8)
         chi0 = random_correlation(rng, 8)
-        d = rng.uniform(0.1, 2.0, size=8)
-        Hb = build_nambu(np.diag(d))
+        levels = rng.uniform(0.1, 2.0, size=8)
         prop = make_propagator(H, chi0)
         with pytest.raises(ValueError, match="apply_internal_couplings"):
-            heat_current(prop, H, Hb, [1.0])
+            heat_current(prop, H, levels, [1.0])
 
     def test_refuses_unfolded_internal_couplings(self):
         cfg, bath, H, chi0 = valve_setup()
@@ -216,21 +236,21 @@ class TestHeatCurrent:
         H_unfolded = build_nambu(h, H.anomalous_block)
         prop = make_propagator(H_unfolded, chi0)
         with pytest.raises(ValueError, match="apply_internal_couplings"):
-            heat_current(prop, H_unfolded, bath_hamiltonian(cfg, bath, 2), [1.0])
+            heat_current(prop, H_unfolded, bath_levels(cfg, bath, 2), [1.0])
 
     def test_spurious_real_part_is_refused(self):
         cfg, bath, H, chi0 = valve_setup()
-        Hb = bath_hamiltonian(cfg, bath, 2)
+        levels = bath_levels(cfg, bath, 2)
         Hc = NambuMatrix(modes=H.modes, data=H.data.astype(complex))
         skew = np.random.default_rng(9).normal(scale=0.1, size=(2 * cfg.modes,) * 2)
         for ham in (H, Hc):
             prop = make_propagator(ham, chi0)
             assert prop.basis.paired == (ham is H)
-            heat_current(prop, ham, Hb, [0.5, 3.0])
+            heat_current(prop, ham, levels, [0.5, 3.0])
             # a non-Hermitian chi gives tr(chi [H_bath, H]) a real part
             bad = Propagator(basis=prop.basis, rotated_initial=prop.rotated_initial + skew)
             with pytest.raises(ValueError, match="spurious real"):
-                heat_current(bad, ham, Hb, [0.5, 3.0])
+                heat_current(bad, ham, levels, [0.5, 3.0])
 
 
 class TestSteadyStateEstimate:

@@ -11,7 +11,7 @@ from heatvalve.experiments import (
     simulate_trace,
 )
 from heatvalve import (
-    bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     heat_current,
     initial_correlation,
@@ -60,7 +60,7 @@ class TestSimulateTrace:
         H_full = NambuMatrix(modes=H.modes, data=H.data.astype(complex))  # 2M x 2M eigh
         prop = make_propagator(H_full, initial_correlation(cfg, bath))
         assert not prop.basis.paired
-        full = heat_current(prop, H_full, bath_hamiltonian(cfg, bath, 2), times)
+        full = heat_current(prop, H_full, bath_levels(cfg, bath, 2), times)
         assert np.abs(trace.total - full.total).max() < 1e-10
         assert np.abs(trace.anomalous).max() == 0.0
 

@@ -3,7 +3,7 @@ import pytest
 
 from heatvalve import (
     ValveConfig,
-    bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     build_nambu,
     initial_correlation,
@@ -95,7 +95,7 @@ class TestExactCurrent:
         times = np.linspace(0, 20, 81)
         H = build_hamiltonian(cfg, bath)
         prop = make_propagator(H, initial_correlation(cfg, bath))
-        trace = heat_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
         dev = np.abs(trace.total - exact_current(cfg, bath, times)).max()
         assert dev < 1e-9
 

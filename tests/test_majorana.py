@@ -14,6 +14,7 @@ from heatvalve import (
     ValveConfig,
     apply_internal_couplings,
     bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     build_nambu,
     diagonalize,
@@ -76,11 +77,12 @@ class TestValveHamiltonians:
 
     def test_heat_current_matches_dense_and_eigh_paths(self, kw):
         cfg, bath, H, chi0 = valve(**kw)
-        Hb = bath_hamiltonian(cfg, bath, 2)
+        levels = bath_levels(cfg, bath, 2)
         prop = make_propagator(H, chi0)
-        got = heat_current(prop, H, Hb, TIMES)
+        got = heat_current(prop, H, levels, TIMES)
         ref_H = as_complex(H)
-        ref = heat_current(make_propagator(ref_H, chi0), ref_H, Hb, TIMES)
+        ref = heat_current(make_propagator(ref_H, chi0), ref_H, levels, TIMES)
+        Hb = bath_hamiltonian(cfg, bath, 2)
         dense = np.array([observable_rate(Hb, H, evolve(prop, t)) for t in TIMES])
         assert np.abs(got.total - dense).max() < 1e-13
         for name in ("total", "normal", "anomalous"):

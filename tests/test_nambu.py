@@ -68,6 +68,16 @@ class TestDiagonalize:
         ev = diagonalize(random_nambu(rng, 5)).eigenvalues
         assert np.abs(ev + ev[::-1]).max() < 1e-10
 
+    def test_eigh_spectrum_is_paired_exactly(self):
+        # complex pairing takes the 2M eigh path; its spectrum is stored paired
+        H = random_nambu(np.random.default_rng(3), 6)
+        basis = diagonalize(H)
+        ev = basis.eigenvalues
+        assert not basis.paired
+        assert np.array_equal(ev, -ev[::-1])
+        assert np.all(np.diff(ev) >= 0)
+        assert np.abs(ev - np.linalg.eigvalsh(H.data)).max() < 1e-12
+
 
 class TestExpectation:
     def test_empty_mode_number_operator(self):

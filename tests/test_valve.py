@@ -10,6 +10,7 @@ from heatvalve import (
     ValveConfig,
     apply_internal_couplings,
     bath_hamiltonian,
+    bath_levels,
     build_hamiltonian,
     build_nambu,
     diagonalize,
@@ -146,6 +147,17 @@ class TestBuildHamiltonian:
 
 
 class TestBathHamiltonian:
+    def test_levels_are_the_nambu_diagonal(self):
+        cfg = make_config()
+        bath = sample_bath(cfg)
+        for a in (1, 2):
+            levels = bath_levels(cfg, bath, a)
+            assert levels.shape == (cfg.modes,)
+            assert np.array_equal(levels[cfg.bath_slice(a)], bath.frequencies[a - 1])
+            assert np.count_nonzero(levels) == np.count_nonzero(bath.frequencies[a - 1])
+            Hb = bath_hamiltonian(cfg, bath, a).data
+            assert np.array_equal(Hb, np.diag(np.concatenate([levels, -levels])))
+
     def test_supported_only_on_selected_bath(self):
         cfg = make_config()
         bath = sample_bath(cfg)
