@@ -214,6 +214,17 @@ def cmd_fock_check(args) -> int:
     return EXIT_OK if dev < 1e-9 else EXIT_NUMERICAL
 
 
+def _fock_bath_size(text: str) -> int:
+    n = int(text)
+    top = (fock.MAX_MODES - 1) // 2
+    if not 1 <= n <= top:
+        raise argparse.ArgumentTypeError(
+            f"bath size must be in 1..{top} (the Fock oracle holds M = 2N+1 <= "
+            f"{fock.MAX_MODES} modes), got {n}"
+        )
+    return n
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", required=True, help="output directory")
@@ -261,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # debug command, intentionally undocumented in the top-level help
     p = sub.add_parser("fock-check")
-    p.add_argument("--n", type=int, default=2, help="bath size (M = 2N+1 <= 12)")
+    p.add_argument("--n", type=_fock_bath_size, default=2,
+                   help=f"bath size (M = 2N+1 <= {fock.MAX_MODES})")
     p.add_argument("--gamma", type=float, default=0.3)
     p.add_argument("--rwa", action="store_true")
     p.add_argument("--seed", type=int, default=0)

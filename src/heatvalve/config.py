@@ -8,6 +8,7 @@ from pathlib import Path
 
 import yaml
 
+from .evolution import MIN_WINDOW_SAMPLES, window_sample_count
 from .valve import CouplingDistribution, InternalCouplingSpec, ValveConfig
 
 SCHEMA_VERSION = 1
@@ -109,6 +110,12 @@ def _validate(cfg: dict) -> None:
         or window[0] >= window[1]
     ):
         raise ConfigError("config key 'window' must be [t_lo, t_hi] with t_lo < t_hi")
+    samples = window_sample_count(window, cfg["time_step"])
+    if samples < MIN_WINDOW_SAMPLES:
+        raise ConfigError(
+            f"config key 'window' holds {samples} samples at time_step "
+            f"{cfg['time_step']}; need >= {MIN_WINDOW_SAMPLES}"
+        )
     if cfg["gamma"] is not None:
         _require(cfg, "gamma", (int, float), lambda v: v >= 0, "must be >= 0")
     if cfg["gamma_grid"] is not None:
@@ -129,6 +136,11 @@ def _validate(cfg: dict) -> None:
     if ic is not None:
         if not isinstance(ic, dict):
             raise ConfigError("config key 'internal_coupling' must be a mapping")
+        unknown = set(ic) - {"generator", "scale"}
+        if unknown:
+            raise ConfigError(
+                f"unknown config key 'internal_coupling.{sorted(map(str, unknown))[0]}'"
+            )
         gen = ic.get("generator", "random_hermitian")
         scale = ic.get("scale", 0.1)
         if gen != "random_hermitian":

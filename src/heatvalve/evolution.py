@@ -201,17 +201,30 @@ def _commutator_factors(H: NambuMatrix, d: np.ndarray):
     anomalous part.
     """
     M = H.modes
+    # bath blocks are read as slice views, one per run of consecutive bath
+    # modes, and counted in place instead of copied out
     bath = np.flatnonzero(d)
-    other = np.flatnonzero(d == 0)
-    i, j = np.nonzero(H.data[np.ix_(bath, bath)])
-    if np.any(d[bath[i]] != d[bath[j]]):
-        raise ValueError(
-            "[H_bath, H] couples bath modes to each other; fold intra-bath "
-            "couplings into the bath levels first (apply_internal_couplings)"
-        )
-    r = other[
-        H.data[np.ix_(bath, other)].any(axis=0) | H.data[np.ix_(other, bath)].any(axis=1)
+    runs = [
+        slice(run[0], run[-1] + 1)
+        for run in np.split(bath, np.flatnonzero(np.diff(bath) != 1) + 1)
+        if len(run)
     ]
+    inner = sum(np.count_nonzero(H.data[a, b]) for a in runs for b in runs)
+    if inner != np.count_nonzero(np.diagonal(H.data)[bath]):
+        # couplings inside the bath commute with H_bath only between equal levels
+        for a in runs:
+            for b in runs:
+                i, j = np.nonzero(H.data[a, b])
+                if np.any(d[i + a.start] != d[j + b.start]):
+                    raise ValueError(
+                        "[H_bath, H] couples bath modes to each other; fold intra-bath "
+                        "couplings into the bath levels first (apply_internal_couplings)"
+                    )
+    touched = np.zeros(2 * M, dtype=bool)
+    for a in runs:
+        touched |= H.data[a].any(axis=0)
+        touched |= H.data[:, a].any(axis=1)
+    r = np.flatnonzero(touched & (d == 0))
     col = d[:, None] * H.data[:, r]
     row = -H.data[r, :] * d
     same = (np.arange(2 * M) < M)[:, None] == (r < M)
@@ -282,14 +295,33 @@ def heat_current(prop: Propagator, H: NambuMatrix, levels, times) -> CurrentTrac
         times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
     )
 
+MIN_WINDOW_SAMPLES = 10
+
+
+def window_times(window, time_step) -> np.ndarray:
+    """The time grid of a steady-state window: t_lo, t_lo + dt, ... through t_hi."""
+    return np.arange(window[0], window[1] + time_step / 2, time_step)
+
+
+def _in_window(times: np.ndarray, window) -> np.ndarray:
+    return (times >= window[0]) & (times <= window[1])
+
+
+def window_sample_count(window, time_step) -> int:
+    """Samples of ``window_times`` that ``steady_state_estimate`` averages over."""
+    return int(np.count_nonzero(_in_window(window_times(window, time_step), window)))
+
+
 def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:
     """Mean and standard deviation of the total current inside a time window."""
     lo, hi = window
-    mask = (trace.times >= lo) & (trace.times <= hi)
+    mask = _in_window(trace.times, window)
     n = int(mask.sum())
     if n == 0:
         raise ValueError(f"no trace samples inside window [{lo}, {hi}]")
-    if n < 10:
-        raise ValueError(f"only {n} samples inside window [{lo}, {hi}]; need >= 10")
+    if n < MIN_WINDOW_SAMPLES:
+        raise ValueError(
+            f"only {n} samples inside window [{lo}, {hi}]; need >= {MIN_WINDOW_SAMPLES}"
+        )
     vals = trace.total[mask]
     return float(vals.mean()), float(vals.std())

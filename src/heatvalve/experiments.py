@@ -20,6 +20,7 @@ from .evolution import (
     heat_current,
     make_propagator,
     steady_state_estimate,
+    window_times,
 )
 from .valve import (
     BathRealization,
@@ -102,8 +103,7 @@ def simulate_trace(
 
 
 def _steady_state_job(config: ValveConfig, window, time_step) -> float:
-    times = np.arange(window[0], window[1] + time_step / 2, time_step)
-    trace = simulate_trace(config, times)
+    trace = simulate_trace(config, window_times(window, time_step))
     mean, _ = steady_state_estimate(trace, window)
     return mean
 

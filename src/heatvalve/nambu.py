@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 # Construction-time structural tolerance and accumulated-floating-error
 # tolerance for spectral / round-trip checks.
@@ -196,6 +197,104 @@ def _probe_residuals(H: np.ndarray, evals: np.ndarray, U: np.ndarray) -> tuple[f
     return float(recon), float(ortho)
 
 
+def _arrow_column(K: np.ndarray) -> int | None:
+    """The column c that holds every off-diagonal nonzero of K, else None."""
+    offdiag = np.count_nonzero(K, axis=0) - (np.diagonal(K) != 0)
+    c = int(np.argmax(offdiag))
+    if offdiag[c] == 0 or offdiag.sum() != offdiag[c]:
+        return None
+    return c
+
+
+def _broken_arrow_svd(K: np.ndarray, c: int):
+    """SVD K = P diag(s) Q^T, s descending, of a diagonal plus column c.
+
+    K^T = diag(d) + e_c z^T with z = K[:, c] and d_c = 0, and
+    K^T = S A for S = diag(sign d) and the broken arrow A = diag(|d|) +
+    e_c z^T, whose squared singular values are the eigenvalues of
+    diag(|d|^2) + z z^T (Gu & Eisenstat 1995).  LAPACK ``dlasd4`` finds
+    each root s_i of the secular equation together with |d| - s_i and
+    |d| + s_i, both to full relative accuracy.  Löwner's formula then
+    recomputes z from the roots, which keeps the vectors orthogonal, and
+    v_i ~ z_j / (d_j^2 - s_i^2), u_i ~ [-1 at c, |d_j| z_j / (d_j^2 - s_i^2)]
+    in closed form, with P = V and Q = S U.  Every difference of squares is
+    formed as a product, never as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``,
+    a coupling |z_j| <= tol is deflated: s = |d_j| with unit vectors.
+    Returns None, and the caller falls back to the dense SVD, when
+    |z_c| <= tol, when two coupled levels |d| (0 included) lie within tol,
+    or when ``dlasd4`` fails.
+    """
+    M = K.shape[0]
+    z = K[:, c].copy()
+    d = np.diagonal(K).copy()
+    d[c] = 0.0
+    tol = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(z).max())
+    if abs(z[c]) <= tol:
+        return None
+    # sorted order: c, then the coupled modes by |d|, then the deflated ones
+    live = np.flatnonzero(np.abs(z) > tol)
+    live = live[live != c]
+    perm = np.concatenate(
+        [[c], live[np.argsort(np.abs(d[live]), kind="stable")], np.flatnonzero(np.abs(z) <= tol)]
+    )
+    k = 1 + len(live)
+    ds, zs = np.abs(d[perm]), z[perm]
+    sign = np.where(d[perm] < 0, -1.0, 1.0)
+    if np.any(np.diff(ds[:k]) <= tol):
+        return None
+    rho = float(zs[:k] @ zs[:k])
+    zn = zs[:k] / np.sqrt(rho)
+
+    # D2[i, j] = ds_j^2 - s_i^2 = (ds_j - s_i)(ds_j + s_i), roots ascending
+    D2 = np.empty((M, M))
+    sig = np.empty(k)
+    for i in range(k):
+        delta, sig[i], work, info = lapack.dlasd4(i, ds[:k], zn, rho)
+        if info != 0:
+            return None
+        np.multiply(delta, work, out=D2[i, :k])
+    D2[:k, k:] = 1.0
+    D2[k:] = 1.0
+    # Löwner: z_j^2 = prod_i (ds_j^2 - s_i^2) / prod_{m != j} (ds_j^2 - ds_m^2),
+    # root i < k - 1 over pole m = i for i < j and m = i + 1 for i >= j, so
+    # that by interlacing every ratio lies in (0, 1); root k - 1 left over
+    row, col = np.ogrid[: k - 1, :k]
+    dm = np.where(row < col, ds[: k - 1, None], ds[1:k, None])
+    den = ds[:k] + dm
+    np.subtract(ds[:k], dm, out=dm)
+    dm *= den
+    del den
+    np.divide(D2[: k - 1, :k], dm, out=dm)
+    zhat = np.zeros(M)
+    zhat[:k] = np.copysign(np.sqrt(np.abs(dm.prod(axis=0) * D2[k - 1, :k])), zs[:k])
+    del dm
+
+    V = np.divide(zhat, D2, out=D2)
+    U = V * ds
+    U[:, 0] = -1.0
+    U *= sign
+    deflated = (np.arange(k, M), np.arange(k, M))
+    for X in (V, U):
+        X[k:] = 0.0
+        X[deflated] = 1.0
+        X /= np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+    U[deflated] = sign[k:]
+    # the rows of V and U are the vectors over the sorted modes; P and Q
+    # hold them as columns by descending s, over the modes in their order
+    s = np.concatenate([sig, ds[k:]])
+    order = np.argsort(-s, kind="stable")
+    rows = np.argsort(perm)
+    V[:] = V[order]
+    P = np.ascontiguousarray(V.T)
+    del V
+    P = P[rows]
+    U[:] = U[order]
+    Q = np.ascontiguousarray(U.T)
+    del U
+    Q = Q[rows]
+    return s[order], P, Q
+
+
 def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a real Nambu matrix from the SVD K = P diag(s) Q^T.
 
@@ -203,7 +302,10 @@ def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     form), whose eigenvectors are [q; +-p]/sqrt(2) with energies +-s.
     Without pairing (RWA) K is symmetric, and K = V diag(l) V^T is already
     an SVD with s = |l|, Q = V and P = V sign(l); eigh finds it several
-    times faster than the general SVD.
+    times faster than the general SVD.  The exact valve's K is diag(levels)
+    plus the central column, a broken arrow, solved in O(M^2) by
+    ``_broken_arrow_svd``; the general ``np.linalg.svd`` takes every other
+    K and the broken arrows that solver declines.
     """
     try:
         if np.array_equal(K, K.T):
@@ -212,8 +314,13 @@ def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s, Q = np.abs(lam[order]), V[:, order]
             P = Q * np.where(lam[order] < 0, -1.0, 1.0)
         else:
-            P, s, Qt = np.linalg.svd(K)
-            Q = Qt.T
+            c = _arrow_column(K)
+            found = None if c is None else _broken_arrow_svd(K, c)
+            if found is None:
+                P, s, Qt = np.linalg.svd(K)
+                Q = Qt.T
+            else:
+                s, P, Q = found
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed on {K.shape} Majorana block: {exc}") from exc
     lo = (Q - P) / 2
@@ -227,15 +334,19 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
 
     A real H with exact Nambu block structure (h symmetric, Delta
     antisymmetric; this covers every valve configuration with real
-    couplings, exact or RWA) is solved as the M x M SVD of K = h + Delta,
-    found by eigh when Delta = 0.  Its spectrum
-    is particle-hole paired by construction, so instead the result is
-    probed: H v = U diag(E) U^T v and U^T U v = v for one fixed vector v,
-    each to SPECTRAL_TOL.  Any other H (complex, or real but breaking the
-    block structure) takes the 2M x 2M Hermitian ``eigh``, whose
-    particle-hole pairing of the spectrum (every eigenvalue comes with its
-    negative) is verified to SPECTRAL_TOL and then made exact: the basis
-    stores (E - E[::-1]) / 2, so both paths return E = [-s, s[::-1]].
+    couplings, exact or RWA) is solved as the M x M SVD of K = h + Delta:
+    by eigh when Delta = 0 (RWA), in O(M^2) by the broken-arrow secular
+    solver when K is a diagonal plus one column (the exact valve, internal
+    couplings folded in), by the dense SVD otherwise or when that solver
+    declines (coincident or zero levels).  The path follows from K alone.
+    Its spectrum is particle-hole paired by construction, so instead the
+    result of every SVD path is probed: H v = U diag(E) U^T v and
+    U^T U v = v for one fixed vector v, each to SPECTRAL_TOL.  Any other H
+    (complex, or real but breaking the block structure) takes the 2M x 2M
+    Hermitian ``eigh``, whose particle-hole pairing of the spectrum (every
+    eigenvalue comes with its negative) is verified to SPECTRAL_TOL and
+    then made exact: the basis stores (E - E[::-1]) / 2, so every path
+    returns E = [-s, s[::-1]].
     Either way construction bugs raise ValueError here rather than
     propagating.
     """

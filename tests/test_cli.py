@@ -155,3 +155,29 @@ class TestExitCodes:
 
     def test_fock_check_passes(self, capsys):
         assert main(["fock-check", "--n", "2", "--gamma", "0.3"]) == EXIT_OK
+
+    @pytest.mark.parametrize("n", ["6", "0"])
+    def test_fock_check_refuses_bath_beyond_oracle(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fock-check", "--n", n])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--n" in err and "numerical failure" not in err
+
+    def test_unknown_internal_coupling_key(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "gamma_grid: [0.2]\ninternal_coupling: {generator: random_hermitian, scal: 5.0}\n",
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "internal_coupling.scal" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_window_with_too_few_samples(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", window="[20, 21]")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "window" in err and "numerical failure" not in err
+        assert not out.exists()

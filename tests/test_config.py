@@ -1,5 +1,6 @@
 import textwrap
 
+import numpy as np
 import pytest
 
 from heatvalve.config import (
@@ -8,6 +9,13 @@ from heatvalve.config import (
     config_hash,
     load_config,
     make_valve_config,
+)
+from heatvalve.evolution import (
+    MIN_WINDOW_SAMPLES,
+    CurrentTrace,
+    steady_state_estimate,
+    window_sample_count,
+    window_times,
 )
 from heatvalve.valve import CouplingDistribution
 
@@ -88,6 +96,44 @@ def test_internal_coupling_section(tmp_path):
 def test_internal_coupling_bad_generator(tmp_path):
     with pytest.raises(ConfigError, match="generator"):
         load_config(write(tmp_path, BASE + "internal_coupling: {generator: banded}\n"))
+
+
+def test_internal_coupling_rejects_unknown_key(tmp_path):
+    # a misspelt key used to run silently with the default scale
+    with pytest.raises(ConfigError, match="internal_coupling.scal"):
+        load_config(write(
+            tmp_path, BASE + "internal_coupling: {generator: random_hermitian, scal: 5.0}\n"
+        ))
+
+
+@pytest.mark.parametrize("window,ok", [
+    ("[0, 4.5]", True),   # 0, 0.5, ..., 4.5: exactly 10 samples
+    ("[0, 4.0]", False),  # 9 samples
+    ("[20, 20.2]", False),
+])
+def test_window_needs_enough_samples(tmp_path, window, ok):
+    text = BASE + f"time_step: 0.5\nwindow: {window}\n"
+    if ok:
+        load_config(write(tmp_path, text))
+    else:
+        with pytest.raises(ConfigError, match="window.*samples"):
+            load_config(write(tmp_path, text))
+
+
+def test_window_check_agrees_with_steady_state_estimate():
+    # the config check and the estimate count the same grid
+    for lo, hi, dt in [(20, 20.2, 0.05), (20, 20.45, 0.05), (20, 20.5, 0.05),
+                       (0.1, 0.55, 0.05), (0.1, 1.0, 0.1), (3, 3.3, 0.0333)]:
+        times = window_times((lo, hi), dt)
+        trace = CurrentTrace(times=times, total=np.zeros_like(times),
+                             normal=np.zeros_like(times), anomalous=np.zeros_like(times))
+        enough = window_sample_count((lo, hi), dt) >= MIN_WINDOW_SAMPLES
+        try:
+            steady_state_estimate(trace, (lo, hi))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == enough, (lo, hi, dt)
 
 
 def test_full_preset_overrides(tmp_path):

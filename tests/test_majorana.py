@@ -1,13 +1,16 @@
 """The M x M SVD path of diagonalize against the 2M x 2M eigh path.
 
 A complex copy of a real Nambu matrix takes the eigh path, which serves as
-the reference throughout.
+the reference throughout.  Each valve below also names the solver that its
+K = h + Delta must take: ``arrow`` (LAPACK dlasd4 on the broken arrow),
+``svd`` (the dense fallback) or ``eigh`` (symmetric K).
 """
 
 import numpy as np
 import pytest
 
 from heatvalve import (
+    BathRealization,
     CorrelationMatrix,
     CouplingDistribution,
     InternalCouplingSpec,
@@ -37,30 +40,80 @@ def as_complex(H: NambuMatrix) -> NambuMatrix:
                        const_offset=H.const_offset)
 
 
-def valve(bath_size=40, **kw):
+def valve(bath_size=40, edit=None, **kw):
+    """A valve realization; ``edit(freqs, couplings)`` may change the bath in place."""
     cfg = ValveConfig(bath_size=bath_size, t_hot=1.0, t_cold=0.0, seed=11, **kw)
     bath = sample_bath(cfg)
     if cfg.internal_coupling is not None:
         bath = apply_internal_couplings(cfg, bath)
+    if edit is not None:
+        freqs, g = bath.frequencies.copy(), bath.couplings.copy()
+        edit(freqs, g)
+        bath = BathRealization(frequencies=freqs, couplings=g, transformed=bath.transformed)
     return cfg, bath, build_hamiltonian(cfg, bath), initial_correlation(cfg, bath)
 
 
+def zero_coupling(freqs, g):
+    g[1, 2] = 0.0  # deflated: the level is its own singular value
+
+
+def coincident_levels(freqs, g):
+    freqs[1, 3] = freqs[0, 1]
+
+
+def zero_level(freqs, g):
+    freqs[0, 0] = 0.0  # coincides with the pole at 0 of the central column
+
+
+# scale 1 shifts some levels below 0 (checked in test_negative_levels_present)
+NEGATIVE = dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=1.0))
+
 VALVES = [
-    pytest.param(dict(gamma=0.3, coupling_dist=dist), id=dist.value)
+    pytest.param(dict(gamma=0.3, coupling_dist=dist), "arrow", id=dist.value)
     for dist in CouplingDistribution
 ] + [
-    pytest.param(dict(gamma=0.0), id="gamma0"),
-    pytest.param(dict(gamma=0.3, rwa=True), id="rwa"),
+    pytest.param(dict(gamma=0.0), "eigh", id="gamma0"),
+    pytest.param(dict(gamma=0.3, rwa=True), "eigh", id="rwa"),
     pytest.param(dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=0.2)),
-                 id="random_hermitian"),
+                 "arrow", id="random_hermitian"),
+    pytest.param(NEGATIVE, "arrow", id="negative_levels"),
+    pytest.param(dict(gamma=0.3, edit=zero_coupling), "arrow", id="zero_coupling"),
+    pytest.param(dict(gamma=0.3, edit=coincident_levels), "svd", id="coincident_levels"),
+    pytest.param(dict(gamma=0.3, edit=zero_level), "svd", id="zero_level"),
 ]
 
 
-@pytest.mark.parametrize("kw", VALVES)
-class TestValveHamiltonians:
-    def test_svd_basis_matches_eigh(self, kw):
-        cfg, bath, H, _ = valve(**kw)
+def solvers_called(monkeypatch, H, path):
+    """diagonalize(H) with the dense SVD refused unless ``path`` is svd."""
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense SVD called")
+
+    with monkeypatch.context() as m:
+        m.setattr(nambu.lapack, "dlasd4", counting("dlasd4", nambu.lapack.dlasd4))
+        m.setattr(np.linalg, "svd", counting("svd", np.linalg.svd) if path == "svd" else refused)
         basis = diagonalize(H)
+    return basis, set(calls)
+
+
+def test_negative_levels_present():
+    _, bath, _, _ = valve(**NEGATIVE)
+    assert (bath.frequencies < 0).any()
+
+
+@pytest.mark.parametrize("kw,path", VALVES)
+class TestValveHamiltonians:
+    def test_svd_basis_matches_eigh(self, kw, path, monkeypatch):
+        cfg, bath, H, _ = valve(**kw)
+        basis, calls = solvers_called(monkeypatch, H, path)
+        assert calls == {"arrow": {"dlasd4"}, "svd": {"svd"}, "eigh": set()}[path]
         ref = diagonalize(as_complex(H))
         assert basis.paired and not ref.paired
         U, E = basis.transform, basis.eigenvalues
@@ -69,13 +122,13 @@ class TestValveHamiltonians:
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
         assert np.abs(U.T @ U - np.eye(2 * cfg.modes)).max() < 1e-13
 
-    def test_rotated_initial_state_matches_dense_rotation(self, kw):
+    def test_rotated_initial_state_matches_dense_rotation(self, kw, path):
         _, _, H, chi0 = valve(**kw)
         prop = make_propagator(H, chi0)
         U = prop.basis.transform
         assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
-    def test_heat_current_matches_dense_and_eigh_paths(self, kw):
+    def test_heat_current_matches_dense_and_eigh_paths(self, kw, path):
         cfg, bath, H, chi0 = valve(**kw)
         levels = bath_levels(cfg, bath, 2)
         prop = make_propagator(H, chi0)
@@ -87,6 +140,24 @@ class TestValveHamiltonians:
         assert np.abs(got.total - dense).max() < 1e-13
         for name in ("total", "normal", "anomalous"):
             assert np.abs(getattr(got, name) - getattr(ref, name)).max() < 1e-13
+
+
+@pytest.mark.parametrize("kw", [
+    dict(gamma=0.2),
+    dict(gamma=0.2, internal_coupling=InternalCouplingSpec(scale=0.1)),
+], ids=["uniform", "random_hermitian"])
+def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
+    # Löwner denominators formed as d_k^2 - d_j^2 instead of as products
+    # reach 1.7e-12 here
+    cfg, bath, H, _ = valve(bath_size=450, **kw)
+    basis, calls = solvers_called(monkeypatch, H, "arrow")
+    assert calls == {"dlasd4"}
+    U, E = basis.transform, basis.eigenvalues
+    M = cfg.modes
+    s = np.linalg.svd(H.particle_block + H.anomalous_block, compute_uv=False)
+    assert np.abs(E[M:][::-1] - s).max() < 1e-13
+    assert np.abs((U * E) @ U.T - H.data).max() <= 1e-13
+    assert np.abs(U.T @ U - np.eye(2 * M)).max() <= 1e-13
 
 
 def test_exact_degeneracies_and_zero_modes():
@@ -141,6 +212,16 @@ class TestFallbacks:
         assert diagonalize(H).paired
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
+        assert dev.max() < 1e-9
+
+    @pytest.mark.parametrize("kw", [dict(gamma=0.6, edit=zero_coupling), NEGATIVE],
+                             ids=["zero_coupling", "negative_levels"])
+    def test_broken_arrow_matches_fock(self, kw, monkeypatch):
+        cfg, bath, H, _ = valve(bath_size=4, **kw)
+        assert solvers_called(monkeypatch, H, "arrow")[1] == {"dlasd4"}
+        times = np.linspace(0.0, 20.0, 81)
+        got = simulate_trace(cfg, times, bath=bath).total
+        dev = np.abs(got - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
 
     def test_symmetric_pairing_block_is_not_taken_as_majorana(self):
