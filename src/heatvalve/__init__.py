@@ -8,6 +8,7 @@ formulas, and a brute-force Fock-space oracle for verification.
 __version__ = "0.1.0"
 
 from .nambu import (
+    Arrow,
     CorrelationMatrix,
     NambuMatrix,
     QuasiparticleBasis,
@@ -24,13 +25,16 @@ from .valve import (
     apply_internal_couplings,
     bath_hamiltonian,
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     initial_correlation,
     sample_bath,
+    thermal_occupations,
 )
 from .evolution import (
     CurrentTrace,
     Propagator,
+    arrow_propagator,
     evolve,
     expectation_series,
     heat_current,

@@ -214,15 +214,16 @@ def cmd_fock_check(args) -> int:
     return EXIT_OK if dev < 1e-9 else EXIT_NUMERICAL
 
 
-def _fock_bath_size(text: str) -> int:
-    n = int(text)
-    top = (fock.MAX_MODES - 1) // 2
-    if not 1 <= n <= top:
-        raise argparse.ArgumentTypeError(
-            f"bath size must be in 1..{top} (the Fock oracle holds M = 2N+1 <= "
-            f"{fock.MAX_MODES} modes), got {n}"
-        )
-    return n
+def _in_range(kind, lo, hi):
+    """argparse type: ``kind(text)`` within [lo, hi], else a usage error (exit 2)."""
+
+    def parse(text: str):
+        x = kind(text)
+        if not lo <= x <= hi:
+            raise argparse.ArgumentTypeError(f"{x} is outside [{lo}, {hi}]")
+        return x
+
+    return parse
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -243,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"heatvalve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    non_negative = _in_range(float, 0.0, np.inf)
 
     p = sub.add_parser("sweep", help="steady-state current vs coupling strength")
     _add_run_flags(p)
@@ -261,20 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
         "fermi", "weak", "landauer", "transmission", "selfenergy", "anomalous",
     ])
     p.add_argument("--x", type=float, default=1.0, help="fermi argument beta*omega")
-    p.add_argument("--gamma", type=float, default=0.1, help="coupling scale gamma/omega0")
-    p.add_argument("--n", type=int, default=1200, help="bath size")
-    p.add_argument("--t1", type=float, default=1.0, help="hot bath temperature")
-    p.add_argument("--t2", type=float, default=0.0, help="cold bath temperature")
+    p.add_argument("--gamma", type=non_negative, default=0.1,
+                   help="coupling scale gamma/omega0")
+    p.add_argument("--n", type=_in_range(int, 1, np.inf), default=1200, help="bath size")
+    p.add_argument("--t1", type=non_negative, default=1.0, help="hot bath temperature")
+    p.add_argument("--t2", type=non_negative, default=0.0, help="cold bath temperature")
     p.add_argument("--omega", type=float, default=1.0, help="evaluation frequency")
-    p.add_argument("--temp", type=float, default=0.0, help="bath temperature (anomalous)")
+    p.add_argument("--temp", type=non_negative, default=0.0,
+                   help="bath temperature (anomalous)")
     p.add_argument("--t", type=float, default=1.0, help="time (anomalous)")
     p.set_defaults(func=cmd_oracle)
 
     # debug command, intentionally undocumented in the top-level help
     p = sub.add_parser("fock-check")
-    p.add_argument("--n", type=_fock_bath_size, default=2,
+    p.add_argument("--n", type=_in_range(int, 1, (fock.MAX_MODES - 1) // 2), default=2,
                    help=f"bath size (M = 2N+1 <= {fock.MAX_MODES})")
-    p.add_argument("--gamma", type=float, default=0.3)
+    p.add_argument("--gamma", type=non_negative, default=0.3)
     p.add_argument("--rwa", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fock_check)

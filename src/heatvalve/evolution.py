@@ -2,21 +2,20 @@
 
 The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}
 is evaluated by phase rotation in the eigenbasis: one O(M^3)
-eigendecomposition up front (an M x M SVD for real Hamiltonians, exact or
-RWA, the 2M x 2M eigh otherwise; see ``nambu.diagonalize``), then O(M^2)
-work per time point.  A diagonal chi(0) is rotated into that basis from
-M x M blocks when the basis is a paired SVD basis, by one scaled product
-otherwise.  Heat currents d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H])
-are contracted in the eigenbasis without rebuilding chi(t); H_bath enters
-as the vector of its mode energies (``valve.bath_levels``).  This rests on
-one structural assumption: the commutator lives on the rows and columns of
-the few non-bath modes the bath couples to (the central particle and hole
-of the valve), so it is one product of a 2M x 4 and a 4 x 2M matrix
-written down from H.  An H that couples bath levels to each other breaks
-it and is refused with ValueError; fold such couplings in with
-``valve.apply_internal_couplings`` first.  Every basis carries an exactly
-paired spectrum E = [-s, s[::-1]] (see ``nambu.diagonalize``), so every
-contraction runs over M x M blocks on the phases of its negative half.
+eigendecomposition up front, then O(M^2) work per time point.  A valve
+realization runs from its arrow alone (``arrow_propagator``): the M x M SVD
+K = P diag(s) Q^T of ``nambu.arrow_svd`` gives the eigenbasis, and the
+thermal product state, given as its occupation vector, is rotated into it
+from P and Q.  ``make_propagator`` is the general route, the 2M x 2M eigh
+of a dense H and the dense rotation of any chi(0).  Heat currents
+d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) are contracted in the
+eigenbasis without rebuilding chi(t); H_bath enters as the vector of its
+mode energies (``valve.bath_levels``).  In the arrow the bath couples only
+to the central mode, so the commutator lives on the rows and columns of the
+central particle and hole: one product of a 2M x 4 and a 4 x 2M matrix,
+written down from the central column.  Every basis carries the spectrum
+E = [-s, s[::-1]], so every contraction runs over M x M blocks on the
+phases of its negative half.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ import numpy as np
 
 from .nambu import (
     SPECTRAL_TOL,
-    STRUCT_TOL,
+    Arrow,
     CorrelationMatrix,
     NambuMatrix,
     QuasiparticleBasis,
+    arrow_svd,
     diagonalize,
 )
 
@@ -68,49 +68,51 @@ class CurrentTrace:
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
-def _rotate_paired_diagonal(U: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """U^T diag(a, b) U for a paired basis and a + b = 1, from M x M blocks.
+def arrow_propagator(arrow: Arrow, occupations) -> Propagator:
+    """Eigenbasis and rotated thermal state of an arrow, with no 2M x 2M input.
 
-    With K = P S Q^T the first M columns of U are [Q - P; Q + P]/2.  For
-    e = a - b and X = Q^T diag(e) P the rotated state has blocks
+    W = [[1, 1], [1, -1]]/sqrt(2) maps H to the Majorana form
+    [[0, K^T], [K, 0]], whose eigenvectors for K = P diag(s) Q^T are
+    [q; +-p]/sqrt(2) with energies +-s: U = [[lo, hi J], [hi, lo J]] with
+    lo = (Q - P)/2, hi = (Q + P)/2 and J reversing column order.  The
+    product state with mode occupations n, chi(0) = diag(1 - n, n), then
+    rotates through X = Q^T diag(1 - 2n) P alone: U^T chi(0) U has blocks
     1/2 - (X + X^T)/4 (negative energies), 1/2 + (X + X^T)/4 (positive) and
     (X - X^T)/4 between them, the positive side in reversed order.  One
     M^3 product instead of one (2M)^3 product.
     """
-    M = len(diag) // 2
-    Q = U[:M, :M] + U[M:, :M]
-    P = U[M:, :M] - U[:M, :M]
-    X = (Q.T * (diag[:M] - diag[M:])) @ P
-    del Q, P
+    occupations = np.asarray(occupations, dtype=float)
+    if occupations.shape != (arrow.modes,):
+        raise ValueError(
+            f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
+        )
+    s, P, Q = arrow_svd(arrow)
+    X = (Q.T * (1 - 2 * occupations)) @ P
+    lo = (Q - P) / 2
+    hi = (Q + P) / 2
+    del P, Q
+    U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
+    del lo, hi
     S = X + X.T
     A = X - X.T
     del X
     S /= 4
     A /= 4
     rotated = np.block([[-S, A[:, ::-1]], [A.T[::-1, :], S[::-1, ::-1]]])
-    rotated[np.diag_indices(2 * M)] += 0.5
-    return rotated
+    rotated[np.diag_indices(2 * arrow.modes)] += 0.5
+    basis = QuasiparticleBasis(
+        modes=arrow.modes, eigenvalues=np.concatenate([-s, s[::-1]]), transform=U
+    )
+    return Propagator(basis=basis, rotated_initial=rotated)
 
 
 def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
+    """Eigenbasis of a dense H (``nambu.diagonalize``) and U^dag chi(0) U."""
     if H.modes != chi0.modes:
         raise ValueError(f"mode mismatch: H M={H.modes}, chi0 M={chi0.modes}")
-    M = H.modes
     basis = diagonalize(H)
     U = basis.transform
-    diag = np.diagonal(chi0.data)
-    if np.count_nonzero(chi0.data) != np.count_nonzero(diag):
-        rotated = U.conj().T @ chi0.data @ U
-    elif (
-        basis.paired
-        and np.isrealobj(diag)
-        and np.abs(diag[:M] + diag[M:] - 1.0).max() <= STRUCT_TOL
-    ):
-        rotated = _rotate_paired_diagonal(U, diag)
-    else:
-        # diagonal initial state: one matmul instead of two
-        rotated = (U.conj().T * diag) @ U
-    return Propagator(basis=basis, rotated_initial=rotated)
+    return Propagator(basis=basis, rotated_initial=U.conj().T @ chi0.data @ U)
 
 
 def evolve(prop: Propagator, t: float) -> CorrelationMatrix:
@@ -132,7 +134,7 @@ def _phase_parts(eigenvalues: np.ndarray, times: np.ndarray) -> tuple[np.ndarray
 
 
 def _contract(B: np.ndarray, phases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for a paired spectrum E = [-s, s[::-1]].
+    """sum_{jk} B_jk z_j(t) conj(z_k(t)) for a spectrum E = [-s, s[::-1]].
 
     ``phases`` are the parts c = cos(st) and S = sin(st) of the negative
     half E[:M]; the phases are c + iS there and c - iS on the reversed
@@ -187,50 +189,26 @@ def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
     return -0.5 * vals.real + O.const_offset
 
 
-def _commutator_factors(H: NambuMatrix, d: np.ndarray):
+def _commutator_factors(arrow: Arrow, levels: np.ndarray):
     """Factors of C = [diag(d), H], C_ij = (d_i - d_j) H_ij, by part.
 
-    The bath is the set of modes with d != 0.  C vanishes between two
-    non-bath modes, and between two bath modes once intra-bath couplings are
-    folded into the levels; the latter is checked.  Then
+    d = [levels, -levels] vanishes on the central particle and hole
+    r = (c, c + M), and H couples every other mode only to them, so
     C = col E_r^T + E_r row with E_r = I[:, r], col = C[:, r] and
-    row = C[r, :], over the non-bath modes r that H couples to the bath: in
-    the valve the central particle and hole, so the rank is at most 4.
-    Entries in r's own particle or hole block are normal, the rest
-    anomalous.  Returns r and the (col, row) pairs of the normal and the
-    anomalous part.
+    row = C[r, :] = -col^T.  With w = levels * g the columns are
+    H[:, c] = [g, -g] and H[:, c + M] = [g, -g] (pairing halves zero under
+    the RWA): the normal part, in r's own particle or hole block, has
+    col = [[w, 0], [0, w]], and the anomalous part col = [[0, w], [w, 0]]
+    with pairing, zero without.  Returns r and the (col, row) pairs.
     """
-    M = H.modes
-    # bath blocks are read as slice views, one per run of consecutive bath
-    # modes, and counted in place instead of copied out
-    bath = np.flatnonzero(d)
-    runs = [
-        slice(run[0], run[-1] + 1)
-        for run in np.split(bath, np.flatnonzero(np.diff(bath) != 1) + 1)
-        if len(run)
-    ]
-    inner = sum(np.count_nonzero(H.data[a, b]) for a in runs for b in runs)
-    if inner != np.count_nonzero(np.diagonal(H.data)[bath]):
-        # couplings inside the bath commute with H_bath only between equal levels
-        for a in runs:
-            for b in runs:
-                i, j = np.nonzero(H.data[a, b])
-                if np.any(d[i + a.start] != d[j + b.start]):
-                    raise ValueError(
-                        "[H_bath, H] couples bath modes to each other; fold intra-bath "
-                        "couplings into the bath levels first (apply_internal_couplings)"
-                    )
-    touched = np.zeros(2 * M, dtype=bool)
-    for a in runs:
-        touched |= H.data[a].any(axis=0)
-        touched |= H.data[:, a].any(axis=1)
-    r = np.flatnonzero(touched & (d == 0))
-    col = d[:, None] * H.data[:, r]
-    row = -H.data[r, :] * d
-    same = (np.arange(2 * M) < M)[:, None] == (r < M)
-    normal = (np.where(same, col, 0), np.where(same.T, row, 0))
-    anomalous = (np.where(same, 0, col), np.where(same.T, 0, row))
-    return r, normal, anomalous
+    M, c = arrow.modes, arrow.center
+    w = levels * arrow.couplings
+    normal = np.zeros((2 * M, 2))
+    normal[:M, 0] = normal[M:, 1] = w
+    anomalous = np.zeros((2 * M, 2))
+    if not arrow.rwa:
+        anomalous[M:, 0] = anomalous[:M, 1] = w
+    return [c, c + M], (normal, -normal.T), (anomalous, -anomalous.T)
 
 
 def _lowrank_B(prop: Propagator, r, col, row) -> np.ndarray:
@@ -251,34 +229,31 @@ def _lowrank_B(prop: Propagator, r, col, row) -> np.ndarray:
     return B
 
 
-def heat_current(prop: Propagator, H: NambuMatrix, levels, times) -> CurrentTrace:
+def heat_current(prop: Propagator, arrow: Arrow, levels, times) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
-    ``levels`` holds the M mode energies of H_bath, zero off the measured
-    bath (``valve.bath_levels``); in Nambu form H_bath = diag(levels,
-    -levels).  The commutator is then assumed to live on the rows and
-    columns of the few non-bath modes that H couples to the bath (see
-    ``_commutator_factors``): true for the valve once intra-bath couplings
-    are folded in, and checked, so an H that couples bath levels to each
-    other raises ValueError instead of giving a wrong current.  The normal
-    part collects the particle-conserving cross-correlators, the anomalous
-    part the pairing ones; a part with no entries is exactly zero.  Each
-    part is contracted over the time grid from M x M blocks, at O(M^2) per
-    point.
+    H is the arrow's Hamiltonian, ``levels`` the M mode energies of H_bath,
+    zero off the measured bath (``valve.bath_levels``); in Nambu form
+    H_bath = diag(levels, -levels).  The commutator is written down from the
+    arrow's central column (``_commutator_factors``).  The normal part
+    collects the particle-conserving cross-correlators, the anomalous part
+    the pairing ones; a part with no entries (RWA anomalous, gamma = 0) is
+    exactly zero.  Each part is contracted over the time grid from M x M
+    blocks, at O(M^2) per point.
     """
     times = np.asarray(times, dtype=float)
     M = prop.modes
-    if H.modes != M:
-        raise ValueError(f"mode mismatch: propagator M={M}, H M={H.modes}")
+    if arrow.modes != M:
+        raise ValueError(f"mode mismatch: propagator M={M}, arrow M={arrow.modes}")
     levels = np.asarray(levels)
     if levels.shape != (M,):
         raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
-    r, normal, anomalous = _commutator_factors(H, np.concatenate([levels, -levels]))
+    r, normal, anomalous = _commutator_factors(arrow, levels)
     phases = _phase_parts(prop.basis.eigenvalues[:M], times)
 
     def series(col, row):
-        if not (col.any() or row.any()):
-            # B is exactly zero (RWA anomalous part, gamma = 0): skip the 2M x 2M work
+        if not col.any():
+            # B is exactly zero: skip the 2M x 2M work
             return np.zeros_like(times)
         vals = _contract(_lowrank_B(prop, r, col, row), phases)
         # tr(chi * commutator) is purely imaginary; the real residual is noise
@@ -298,18 +273,19 @@ def heat_current(prop: Propagator, H: NambuMatrix, levels, times) -> CurrentTrac
 MIN_WINDOW_SAMPLES = 10
 
 
-def window_times(window, time_step) -> np.ndarray:
-    """The time grid of a steady-state window: t_lo, t_lo + dt, ... through t_hi."""
-    return np.arange(window[0], window[1] + time_step / 2, time_step)
-
-
 def _in_window(times: np.ndarray, window) -> np.ndarray:
     return (times >= window[0]) & (times <= window[1])
 
 
+def window_times(window, time_step) -> np.ndarray:
+    """The time grid of a steady-state window: t_lo, t_lo + dt, ... inside it."""
+    times = np.arange(window[0], window[1] + time_step / 2, time_step)
+    return times[_in_window(times, window)]
+
+
 def window_sample_count(window, time_step) -> int:
     """Samples of ``window_times`` that ``steady_state_estimate`` averages over."""
-    return int(np.count_nonzero(_in_window(window_times(window, time_step), window)))
+    return len(window_times(window, time_step))
 
 
 def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:

@@ -17,8 +17,8 @@ from . import analytics
 from .analytics import UniformBathSpec
 from .evolution import (
     CurrentTrace,
+    arrow_propagator,
     heat_current,
-    make_propagator,
     steady_state_estimate,
     window_times,
 )
@@ -28,9 +28,9 @@ from .valve import (
     ValveConfig,
     apply_internal_couplings,
     bath_levels,
-    build_hamiltonian,
-    initial_correlation,
+    build_arrow,
     sample_bath,
+    thermal_occupations,
 )
 
 DEFAULT_WINDOW = (20.0, 50.0)
@@ -97,9 +97,9 @@ def simulate_trace(
     times = np.asarray(times, dtype=float)
     if bath is None:
         bath = _prepare_bath(config)
-    H = build_hamiltonian(config, bath)
-    prop = make_propagator(H, initial_correlation(config, bath))
-    return heat_current(prop, H, bath_levels(config, bath, COLD_BATH), times)
+    arrow = build_arrow(config, bath)
+    prop = arrow_propagator(arrow, thermal_occupations(config, bath))
+    return heat_current(prop, arrow, bath_levels(config, bath, COLD_BATH), times)
 
 
 def _steady_state_job(config: ValveConfig, window, time_step) -> float:

@@ -10,6 +10,12 @@ where h is the Hermitian particle block and Delta the antisymmetric pairing
 block.  The operator itself is (1/2) A^dag O A + const_offset.  All
 observables follow from the single-particle correlation matrix
 chi_ij = <A_i A_j^dag>.
+
+A real operator whose modes couple only through one central mode (the heat
+valve) is carried instead by its ``Arrow``: the M x M matrix K = h + Delta,
+a diagonal plus the central column (and row), whose SVD ``arrow_svd``
+gives the Nambu eigenbasis in the Majorana form.  The dense 2M x 2M matrix
+and its ``diagonalize`` stay as the general route and the reference.
 """
 
 from __future__ import annotations
@@ -105,25 +111,57 @@ class CorrelationMatrix:
 class QuasiparticleBasis:
     """Eigenbasis of a Nambu matrix: H = U diag(eigenvalues) U^dag.
 
-    The spectrum is exactly particle-hole paired, eigenvalues[j] ==
-    -eigenvalues[2M - 1 - j], on either path of ``diagonalize``, so the
-    negative half E[:M] fixes every phase of the time evolution.
-    ``paired`` marks a real transform of Bogoliubov form
-    [[u, v J], [v, u J]] (J reverses column order), with the negative
-    energies in the first M columns.  Such a basis comes from the SVD path
-    of ``diagonalize``; it lets a diagonal initial state be rotated from
-    M x M blocks (see ``evolution.make_propagator``).
+    The spectrum is exactly particle-hole symmetric, eigenvalues[j] ==
+    -eigenvalues[2M - 1 - j], so the negative half E[:M] fixes every phase
+    of the time evolution.
     """
 
     modes: int
     eigenvalues: np.ndarray
     transform: np.ndarray
-    const_offset: float = 0.0
-    paired: bool = False
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.transform.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class Arrow:
+    """K = h + Delta of a real quadratic Hamiltonian coupled through one mode.
+
+    Every mode j has its level levels[j] and couples, with the real
+    strength couplings[j], only to the central mode c (levels[c] is the
+    central level, couplings[c] = 0).  The couplings hop, g_j (a_j^dag a_c +
+    h.c.), and unless ``rwa`` also pair, g_j (a_j^dag a_c^dag + h.c.).  So
+    K = diag(levels) + g e_c^T + e_c g^T, a symmetric arrowhead, under the
+    RWA, and K = diag(levels) + 2 g e_c^T, a broken arrow, with pairing.
+    """
+
+    levels: np.ndarray
+    couplings: np.ndarray
+    center: int
+    rwa: bool
+
+    def __post_init__(self):
+        self.levels.setflags(write=False)
+        self.couplings.setflags(write=False)
+
+    @property
+    def modes(self) -> int:
+        return len(self.levels)
+
+    @property
+    def column(self) -> np.ndarray:
+        """K[:, c] off the diagonal: g under the RWA, 2g with pairing."""
+        return self.couplings if self.rwa else 2 * self.couplings
+
+    def matrix(self) -> np.ndarray:
+        """K as a dense M x M array."""
+        K = np.diag(self.levels)
+        K[:, self.center] += self.column
+        if self.rwa:
+            K[self.center] += self.couplings
+        return K
 
 
 def build_nambu(
@@ -164,69 +202,48 @@ def build_nambu(
     return NambuMatrix(modes=M, data=data, const_offset=const_offset)
 
 
-def _majorana_block(H: NambuMatrix) -> np.ndarray | None:
-    """K = h + Delta if H is real with exact Nambu block structure, else None.
+def _probe_residuals(arrow: Arrow, s, P, Q) -> tuple[float, float]:
+    """Relative residuals of K = P diag(s) Q^T and P^T P = Q^T Q = 1 on one probe.
 
-    O(M^2): h symmetric, Delta antisymmetric, lower blocks -Delta and -h.
+    A fixed pseudo-random vector makes the checks O(M^2) matrix-vector work;
+    K v itself is O(M) from the arrow.
     """
-    if not np.isrealobj(H.data):
-        return None
-    M = H.modes
-    h, delta = H.particle_block, H.anomalous_block
-    if not (
-        np.array_equal(h, h.T)
-        and np.array_equal(delta, -delta.T)
-        and np.array_equal(H.data[M:, :M], -delta)
-        and np.array_equal(H.data[M:, M:], -h)
-    ):
-        return None
-    return h + delta
-
-
-def _probe_residuals(H: np.ndarray, evals: np.ndarray, U: np.ndarray) -> tuple[float, float]:
-    """Relative residuals of H = U diag(evals) U^T and U^T U = 1 on one probe.
-
-    A fixed pseudo-random vector makes both checks O(M^2) matrix-vector work.
-    """
-    v = np.random.default_rng(0x5EED).standard_normal(H.shape[0])
+    v = np.random.default_rng(0x5EED).standard_normal(arrow.modes)
     norm = np.linalg.norm(v)
-    w = U.T @ v
-    scale = max(np.abs(evals).max(initial=0.0), 1.0) * norm
-    recon = np.linalg.norm(H @ v - U @ (evals * w)) / scale
-    ortho = np.linalg.norm(U @ w - v) / norm
+    c = arrow.center
+    Kv = arrow.levels * v + arrow.column * v[c]
+    if arrow.rwa:
+        Kv[c] += arrow.couplings @ v
+    w = Q.T @ v
+    scale = max(s.max(initial=0.0), 1.0) * norm
+    recon = np.linalg.norm(Kv - P @ (s * w)) / scale
+    ortho = max(np.linalg.norm(Q @ w - v), np.linalg.norm(P @ (P.T @ v) - v)) / norm
     return float(recon), float(ortho)
 
 
-def _arrow_column(K: np.ndarray) -> int | None:
-    """The column c that holds every off-diagonal nonzero of K, else None."""
-    offdiag = np.count_nonzero(K, axis=0) - (np.diagonal(K) != 0)
-    c = int(np.argmax(offdiag))
-    if offdiag[c] == 0 or offdiag.sum() != offdiag[c]:
-        return None
-    return c
+def _broken_arrow_svd(arrow: Arrow):
+    """SVD K = P diag(s) Q^T, s descending, of an arrow with pairing.
 
-
-def _broken_arrow_svd(K: np.ndarray, c: int):
-    """SVD K = P diag(s) Q^T, s descending, of a diagonal plus column c.
-
-    K^T = diag(d) + e_c z^T with z = K[:, c] and d_c = 0, and
-    K^T = S A for S = diag(sign d) and the broken arrow A = diag(|d|) +
-    e_c z^T, whose squared singular values are the eigenvalues of
-    diag(|d|^2) + z z^T (Gu & Eisenstat 1995).  LAPACK ``dlasd4`` finds
-    each root s_i of the secular equation together with |d| - s_i and
-    |d| + s_i, both to full relative accuracy.  Löwner's formula then
-    recomputes z from the roots, which keeps the vectors orthogonal, and
-    v_i ~ z_j / (d_j^2 - s_i^2), u_i ~ [-1 at c, |d_j| z_j / (d_j^2 - s_i^2)]
-    in closed form, with P = V and Q = S U.  Every difference of squares is
-    formed as a product, never as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``,
-    a coupling |z_j| <= tol is deflated: s = |d_j| with unit vectors.
-    Returns None, and the caller falls back to the dense SVD, when
-    |z_c| <= tol, when two coupled levels |d| (0 included) lie within tol,
-    or when ``dlasd4`` fails.
+    K^T = diag(d) + e_c z^T with z = K[:, c] (the central level at c) and
+    d = levels but d_c = 0, and K^T = S A for S = diag(sign d) and the
+    broken arrow A = diag(|d|) + e_c z^T, whose squared singular values
+    are the eigenvalues of diag(|d|^2) + z z^T (Gu & Eisenstat 1995).
+    LAPACK ``dlasd4`` finds each root s_i of the secular equation together
+    with |d| - s_i and |d| + s_i, both to full relative accuracy.  Löwner's
+    formula then recomputes z from the roots, which keeps the vectors
+    orthogonal, and v_i ~ z_j / (d_j^2 - s_i^2),
+    u_i ~ [-1 at c, |d_j| z_j / (d_j^2 - s_i^2)] in closed form, with
+    P = V and Q = S U.  Every difference of squares is formed as a product,
+    never as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``, a coupling
+    |z_j| <= tol is deflated: s = |d_j| with unit vectors.  Returns None,
+    and the caller falls back to the dense SVD, when |z_c| <= tol, when two
+    coupled levels |d| (0 included) lie within tol, or when ``dlasd4``
+    fails.
     """
-    M = K.shape[0]
-    z = K[:, c].copy()
-    d = np.diagonal(K).copy()
+    M, c = arrow.modes, arrow.center
+    z = arrow.column.copy()
+    z[c] = arrow.levels[c]
+    d = arrow.levels.copy()
     d[c] = 0.0
     tol = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(z).max())
     if abs(z[c]) <= tol:
@@ -295,74 +312,51 @@ def _broken_arrow_svd(K: np.ndarray, c: int):
     return s[order], P, Q
 
 
-def _diagonalize_svd(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real Nambu matrix from the SVD K = P diag(s) Q^T.
+def arrow_svd(arrow: Arrow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD K = P diag(s) Q^T, s descending, of an arrow's K = h + Delta.
 
-    W = [[1, 1], [1, -1]]/sqrt(2) maps H to [[0, K^T], [K, 0]] (the Majorana
-    form), whose eigenvectors are [q; +-p]/sqrt(2) with energies +-s.
-    Without pairing (RWA) K is symmetric, and K = V diag(l) V^T is already
-    an SVD with s = |l|, Q = V and P = V sign(l); eigh finds it several
-    times faster than the general SVD.  The exact valve's K is diag(levels)
-    plus the central column, a broken arrow, solved in O(M^2) by
-    ``_broken_arrow_svd``; the general ``np.linalg.svd`` takes every other
-    K and the broken arrows that solver declines.
+    Without pairing (RWA, or no coupling) K is symmetric, and
+    K = V diag(l) V^T is already an SVD with s = |l|, Q = V and
+    P = V sign(l); eigh finds it several times faster than the general SVD.
+    With pairing K is a broken arrow, solved in O(M^2) by
+    ``_broken_arrow_svd``; the dense ``np.linalg.svd`` takes the arrows that
+    solver declines (coincident or zero levels).  Every result is probed:
+    K v = P diag(s) Q^T v, P^T P v = v and Q^T Q v = v for one fixed vector
+    v, each to SPECTRAL_TOL, or ValueError.
     """
     try:
-        if np.array_equal(K, K.T):
-            lam, V = np.linalg.eigh(K)
+        if arrow.rwa or not arrow.couplings.any():
+            lam, V = np.linalg.eigh(arrow.matrix())
             order = np.argsort(-np.abs(lam), kind="stable")
             s, Q = np.abs(lam[order]), V[:, order]
             P = Q * np.where(lam[order] < 0, -1.0, 1.0)
         else:
-            c = _arrow_column(K)
-            found = None if c is None else _broken_arrow_svd(K, c)
+            found = _broken_arrow_svd(arrow)
             if found is None:
-                P, s, Qt = np.linalg.svd(K)
+                P, s, Qt = np.linalg.svd(arrow.matrix())
                 Q = Qt.T
             else:
                 s, P, Q = found
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"SVD failed on {K.shape} Majorana block: {exc}") from exc
-    lo = (Q - P) / 2
-    hi = (Q + P) / 2
-    U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
-    return np.concatenate([-s, s[::-1]]), U
+        raise np.linalg.LinAlgError(f"SVD failed on {arrow.modes}-mode arrow: {exc}") from exc
+    recon, ortho = _probe_residuals(arrow, s, P, Q)
+    if recon > SPECTRAL_TOL or ortho > SPECTRAL_TOL:
+        raise ValueError(
+            f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "
+            f"orthogonality residual {ortho:.3e}"
+        )
+    return s, P, Q
 
 
 def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
-    """Eigendecomposition with eigenvalues sorted ascending.
+    """Eigendecomposition by the 2M x 2M Hermitian eigh, eigenvalues ascending.
 
-    A real H with exact Nambu block structure (h symmetric, Delta
-    antisymmetric; this covers every valve configuration with real
-    couplings, exact or RWA) is solved as the M x M SVD of K = h + Delta:
-    by eigh when Delta = 0 (RWA), in O(M^2) by the broken-arrow secular
-    solver when K is a diagonal plus one column (the exact valve, internal
-    couplings folded in), by the dense SVD otherwise or when that solver
-    declines (coincident or zero levels).  The path follows from K alone.
-    Its spectrum is particle-hole paired by construction, so instead the
-    result of every SVD path is probed: H v = U diag(E) U^T v and
-    U^T U v = v for one fixed vector v, each to SPECTRAL_TOL.  Any other H
-    (complex, or real but breaking the block structure) takes the 2M x 2M
-    Hermitian ``eigh``, whose particle-hole pairing of the spectrum (every
-    eigenvalue comes with its negative) is verified to SPECTRAL_TOL and
-    then made exact: the basis stores (E - E[::-1]) / 2, so every path
-    returns E = [-s, s[::-1]].
-    Either way construction bugs raise ValueError here rather than
-    propagating.
+    The particle-hole pairing of the spectrum (every eigenvalue comes with
+    its negative) is verified to SPECTRAL_TOL, so construction bugs raise
+    ValueError here rather than propagating, and then made exact: the
+    basis stores (E - E[::-1]) / 2.  This is the general route and the
+    tests' reference; a valve is solved from its arrow (``arrow_svd``).
     """
-    K = _majorana_block(H)
-    if K is not None:
-        evals, U = _diagonalize_svd(K)
-        recon, ortho = _probe_residuals(H.data, evals, U)
-        if recon > SPECTRAL_TOL or ortho > SPECTRAL_TOL:
-            raise ValueError(
-                f"SVD quasiparticle basis failed its probe: reconstruction residual "
-                f"{recon:.3e}, orthogonality residual {ortho:.3e}"
-            )
-        return QuasiparticleBasis(
-            modes=H.modes, eigenvalues=evals, transform=U,
-            const_offset=H.const_offset, paired=True,
-        )
     try:
         evals, U = np.linalg.eigh(H.data)
     except np.linalg.LinAlgError as exc:
@@ -376,8 +370,7 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
             f"spectrum not particle-hole symmetric: pairing residual {pairing:.3e}"
         )
     return QuasiparticleBasis(
-        modes=H.modes, eigenvalues=(evals - evals[::-1]) / 2, transform=U,
-        const_offset=H.const_offset,
+        modes=H.modes, eigenvalues=(evals - evals[::-1]) / 2, transform=U
     )
 
 

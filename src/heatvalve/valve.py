@@ -5,7 +5,11 @@ level of frequency omega0 = 1.  Mode ordering everywhere is
 (bath-1 modes, central mode, bath-2 modes), so M = 2N + 1 and the central
 index is N.  Couplings of the central level to every bath mode carry both
 the particle-conserving hopping and, unless the rotating-wave approximation
-is requested, the particle-non-conserving pairing terms.
+is requested, the particle-non-conserving pairing terms.  The engine takes
+a realization as its arrow (``build_arrow``) and its initial state as the
+occupation vector (``thermal_occupations``); ``build_hamiltonian`` and
+``initial_correlation`` give the dense 2M x 2M forms, the references for
+the Fock oracle and the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytics import occupation
-from .nambu import STRUCT_TOL, CorrelationMatrix, NambuMatrix, build_nambu
+from .nambu import STRUCT_TOL, Arrow, CorrelationMatrix, NambuMatrix, build_nambu
 
 
 class CouplingDistribution(str, enum.Enum):
@@ -111,7 +115,7 @@ class ValveConfig:
 
 @dataclass(frozen=True)
 class BathRealization:
-    """Sampled level frequencies and central-level couplings, per bath."""
+    """Sampled level frequencies and real central-level couplings, per bath."""
 
     frequencies: np.ndarray  # shape (2, N)
     couplings: np.ndarray    # shape (2, N)
@@ -120,6 +124,11 @@ class BathRealization:
     def __post_init__(self):
         if self.frequencies.shape != self.couplings.shape or self.frequencies.ndim != 2:
             raise ValueError("frequencies and couplings must both be (2, N) arrays")
+        if np.iscomplexobj(self.couplings):
+            raise ValueError(
+                "couplings must be real; fold complex phases into the modes "
+                "(apply_internal_couplings)"
+            )
         self.frequencies.setflags(write=False)
         self.couplings.setflags(write=False)
 
@@ -159,8 +168,11 @@ def apply_internal_couplings(
 
     Diagonalizing diag(w_ak) + coupling matrix per bath gives new level
     frequencies (the eigenvalues) and unitarily rotated couplings
-    g_aj -> sum_k conj(U_kj) g_ak; the couplings' sum of squares is
-    preserved.  Transformed frequencies may leave the [0, 2*omega0] band.
+    g_aj -> |sum_k conj(U_kj) g_ak|: each new mode's eigenvector phase,
+    arbitrary in eigh anyway, is chosen so that its coupling is real and
+    non-negative, which keeps a complex coupling matrix on the real valve.
+    The couplings' sum of squares is preserved.  Transformed frequencies may
+    leave the [0, 2*omega0] band.
     """
     if spec is None:
         spec = config.internal_coupling
@@ -170,38 +182,47 @@ def apply_internal_couplings(
     rng = np.random.default_rng([config.seed, 0x1C])
     matrices = spec.realize(config.bath_size, rng)
     new_freqs = np.empty_like(bath.frequencies)
-    new_g = np.empty_like(bath.couplings, dtype=np.result_type(*matrices, bath.couplings))
+    new_g = np.empty_like(bath.couplings)
     for a in range(2):
         h_bath = np.diag(bath.frequencies[a]) + matrices[a]
         evals, U = np.linalg.eigh(h_bath)
         new_freqs[a] = evals
-        new_g[a] = U.conj().T @ bath.couplings[a]
+        new_g[a] = np.abs(U.conj().T @ bath.couplings[a])
     return BathRealization(frequencies=new_freqs, couplings=new_g, transformed=True)
 
 
-def build_hamiltonian(config: ValveConfig, bath: BathRealization) -> NambuMatrix:
-    """Total valve Hamiltonian in Nambu form (exact or RWA per config)."""
+def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:
+    """The valve's K = h + Delta: bath levels and omega0, central couplings."""
     if bath.bath_size != config.bath_size:
         raise ValueError(
             f"bath realization N={bath.bath_size} != config N={config.bath_size}"
         )
-    M, c = config.modes, config.center
-    diag = np.empty(M)
-    diag[config.bath_slice(1)] = bath.frequencies[0]
-    diag[c] = config.omega0
-    diag[config.bath_slice(2)] = bath.frequencies[1]
-    h = np.diag(diag).astype(np.result_type(bath.couplings, float))
-    h[config.bath_slice(1), c] = bath.couplings[0]
-    h[config.bath_slice(2), c] = bath.couplings[1]
-    h[c, :] = h[:, c].conj()
-    h[c, c] = config.omega0
-    if config.rwa:
-        delta = None
-    else:
+    M = config.modes
+    levels = np.empty(M)
+    couplings = np.zeros(M)
+    for which_bath in (1, 2):
+        levels[config.bath_slice(which_bath)] = bath.frequencies[which_bath - 1]
+        couplings[config.bath_slice(which_bath)] = bath.couplings[which_bath - 1]
+    levels[config.center] = config.omega0
+    return Arrow(levels=levels, couplings=couplings, center=config.center, rwa=config.rwa)
+
+
+def build_hamiltonian(config: ValveConfig, bath: BathRealization) -> NambuMatrix:
+    """Total valve Hamiltonian in Nambu form, built from ``build_arrow``.
+
+    The dense 2M x 2M reference for the Fock oracle and the tests; the
+    engine itself runs from the arrow.
+    """
+    arrow = build_arrow(config, bath)
+    c, g = arrow.center, arrow.couplings
+    h = np.diag(arrow.levels)
+    h[:, c] += g
+    h[c] += g
+    delta = None
+    if not arrow.rwa:
         # g * (a^dag d^dag + d a) corresponds to Delta[bath, center] = g.
         delta = np.zeros_like(h)
-        delta[config.bath_slice(1), c] = bath.couplings[0]
-        delta[config.bath_slice(2), c] = bath.couplings[1]
+        delta[:, c] = g
         delta = delta - delta.T
     return build_nambu(h, delta)
 
@@ -229,6 +250,6 @@ def thermal_occupations(config: ValveConfig, bath: BathRealization) -> np.ndarra
 
 
 def initial_correlation(config: ValveConfig, bath: BathRealization) -> CorrelationMatrix:
-    """Diagonal chi(0) of the thermal initial state."""
+    """Diagonal chi(0) of the thermal initial state, as a dense 2M x 2M matrix."""
     occ = thermal_occupations(config, bath)
     return CorrelationMatrix(modes=config.modes, data=np.diag(np.concatenate([1 - occ, occ])))

@@ -16,8 +16,10 @@ from heatvalve import (
     InternalCouplingSpec,
     ValveConfig,
     apply_internal_couplings,
+    arrow_propagator,
     bath_hamiltonian,
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     build_nambu,
     empirical_gamma,
@@ -26,9 +28,9 @@ from heatvalve import (
     expectation_series,
     heat_current,
     initial_correlation,
-    make_propagator,
     sample_bath,
     steady_state_estimate,
+    thermal_occupations,
     weak_coupling_current,
 )
 from heatvalve import fock
@@ -143,10 +145,10 @@ def test_criterion_5_rwa_structure(criterion_report):
         bath_size=100, gamma=0.3, t_hot=1.0, t_cold=0.2, rwa=True, seed=505
     )
     bath = sample_bath(cfg)
-    H = build_hamiltonian(cfg, bath)
-    prop = make_propagator(H, initial_correlation(cfg, bath))
+    arrow = build_arrow(cfg, bath)
+    prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
     times = np.linspace(0.0, 50.0, 251)
-    trace = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+    trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
     anom_max = float(np.abs(trace.anomalous).max())
     number_op = build_nambu(np.eye(cfg.modes))
     n_series = expectation_series(prop, number_op, times)
@@ -197,9 +199,11 @@ def test_criterion_7_conservation_and_structure(criterion_report):
         bath = sample_bath(cfg)
         if cfg.internal_coupling is not None:
             bath = apply_internal_couplings(cfg, bath)
+        arrow = build_arrow(cfg, bath)
+        prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
+        # dense references
         H = build_hamiltonian(cfg, bath)
         chi0 = initial_correlation(cfg, bath)
-        prop = make_propagator(H, chi0)
         Hb = bath_hamiltonian(cfg, bath, 2)
         e0 = expectation(H, chi0)
         spec0 = np.linalg.eigvalsh(chi0.data)
@@ -221,7 +225,7 @@ def test_criterion_7_conservation_and_structure(criterion_report):
             worst["ph"] = max(
                 worst["ph"], float(np.abs(chi.data + X @ chi.data.T @ X - eye).max())
             )
-            current = heat_current(prop, H, bath_levels(cfg, bath, 2), [t]).total[0]
+            current = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [t]).total[0]
             fd = (
                 expectation(Hb, evolve(prop, t + dt))
                 - expectation(Hb, evolve(prop, t - dt))

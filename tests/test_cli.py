@@ -181,3 +181,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "window" in err and "numerical failure" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "landauer", "--n", "0"],
+    ["oracle", "weak", "--gamma", "-0.5"],
+    ["oracle", "landauer", "--t1", "-1"],
+    ["oracle", "landauer", "--t2", "-0.1"],
+    ["oracle", "anomalous", "--temp", "-1"],
+    ["fock-check", "--gamma", "-1"],
+], ids=["n", "gamma", "t1", "t2", "temp", "fock-check-gamma"])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "outside" in err

@@ -8,8 +8,10 @@ from heatvalve import (
     Propagator,
     ValveConfig,
     apply_internal_couplings,
+    arrow_propagator,
     bath_hamiltonian,
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     build_nambu,
     evolve,
@@ -21,7 +23,9 @@ from heatvalve import (
     observable_rate,
     sample_bath,
     steady_state_estimate,
+    thermal_occupations,
 )
+from heatvalve.evolution import window_sample_count, window_times
 from heatvalve.nambu import NambuMatrix
 
 from conftest import random_correlation, random_nambu
@@ -37,6 +41,14 @@ def valve_setup(**kw):
     H = build_hamiltonian(cfg, bath)
     chi0 = initial_correlation(cfg, bath)
     return cfg, bath, H, chi0
+
+
+def arrow_setup(**kw):
+    """A valve's arrow and propagator, as ``simulate_trace`` builds them."""
+    cfg, bath, H, chi0 = valve_setup(**kw)
+    arrow = build_arrow(cfg, bath)
+    prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
+    return cfg, bath, arrow, prop
 
 
 def complex_internal_coupling(bath_size, scale=0.2, seed=8):
@@ -130,17 +142,16 @@ class TestEvolve:
 
 class TestExpectationSeries:
     def test_matches_pointwise_expectation(self):
-        cfg, bath, H, chi0 = valve_setup()
+        cfg, bath, _, prop = arrow_setup()
         rng = np.random.default_rng(10)
         cases = [
-            (H, chi0, bath_hamiltonian(cfg, bath, 2)),  # real H: SVD basis
-            # complex H and state: eigh basis and a complex contraction
-            (random_nambu(rng, 7), random_correlation(rng, 7), random_nambu(rng, 7)),
+            (prop, bath_hamiltonian(cfg, bath, 2)),  # the valve's arrow basis
+            # complex H and state: a complex basis and contraction
+            (make_propagator(random_nambu(rng, 7), random_correlation(rng, 7)),
+             random_nambu(rng, 7)),
         ]
         times = np.array([0.0, 1.5, 6.0, 12.25])
-        for H, chi0, O in cases:
-            prop = make_propagator(H, chi0)
-            assert prop.basis.paired == np.isrealobj(H.data)
+        for prop, O in cases:
             series = expectation_series(prop, O, times)
             for i, t in enumerate(times):
                 assert series[i] == pytest.approx(
@@ -150,21 +161,18 @@ class TestExpectationSeries:
 
 class TestHeatCurrent:
     def test_zero_coupling_zero_current(self):
-        cfg, bath, H, chi0 = valve_setup(gamma=0.0)
-        prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), np.linspace(0, 20, 30))
+        cfg, bath, arrow, prop = arrow_setup(gamma=0.0)
+        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), np.linspace(0, 20, 30))
         assert np.abs(trace.total).max() == 0.0
 
     def test_starts_at_zero_for_uncorrelated_state(self):
-        cfg, bath, H, chi0 = valve_setup()
-        prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), [0.0])
+        cfg, bath, arrow, prop = arrow_setup()
+        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [0.0])
         assert abs(trace.total[0]) < 1e-12
 
     def test_rwa_anomalous_identically_zero(self):
-        cfg, bath, H, chi0 = valve_setup(rwa=True)
-        prop = make_propagator(H, chi0)
-        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
+        cfg, bath, arrow, prop = arrow_setup(rwa=True)
+        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_lowrank_equals_dense(self):
@@ -176,10 +184,9 @@ class TestHeatCurrent:
         ]
         times = np.linspace(0, 30, 61)
         for kw in cases:
-            cfg, bath, H, chi0 = valve_setup(**kw)
-            prop = make_propagator(H, chi0)
-            assert prop.basis.paired == np.isrealobj(H.data)
-            got = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+            cfg, bath, arrow, prop = arrow_setup(**kw)
+            got = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
+            H = build_hamiltonian(cfg, bath)
             normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
             assert np.abs(got.normal - normal).max() < 1e-13
             assert np.abs(got.anomalous - anomalous).max() < 1e-13
@@ -190,20 +197,19 @@ class TestHeatCurrent:
         cfg, bath, H, _ = valve_setup()
         chi0 = random_correlation(np.random.default_rng(7), cfg.modes)
         prop = make_propagator(H, chi0)
-        assert prop.basis.paired and not np.isrealobj(prop.rotated_initial)
+        assert np.isrealobj(prop.basis.transform) and not np.isrealobj(prop.rotated_initial)
         times = np.linspace(0, 10, 21)
-        got = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+        got = heat_current(prop, build_arrow(cfg, bath), bath_levels(cfg, bath, 2), times)
         normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
         assert np.abs(got.normal - normal).max() < 1e-13
         assert np.abs(got.anomalous - anomalous).max() < 1e-13
 
     def test_matches_finite_difference_of_bath_energy(self):
-        cfg, bath, H, chi0 = valve_setup()
-        prop = make_propagator(H, chi0)
+        cfg, bath, arrow, prop = arrow_setup()
         Hb = bath_hamiltonian(cfg, bath, 2)
         dt = 1e-4
         for t0 in (0.5, 7.3, 18.0):
-            current = heat_current(prop, H, bath_levels(cfg, bath, 2), [t0]).total[0]
+            current = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [t0]).total[0]
             fd = (
                 expectation(Hb, evolve(prop, t0 + dt))
                 - expectation(Hb, evolve(prop, t0 - dt))
@@ -211,46 +217,28 @@ class TestHeatCurrent:
             assert current == pytest.approx(fd, abs=1e-6)
 
     def test_rejects_wrong_length_levels(self):
-        cfg, bath, H, chi0 = valve_setup()
-        prop = make_propagator(H, chi0)
+        cfg, bath, arrow, prop = arrow_setup()
         levels = bath_levels(cfg, bath, 2)
         nambu_diagonal = np.concatenate([levels, -levels])
         for bad in (levels[:-1], np.append(levels, 0.5), nambu_diagonal, np.diag(levels)):
             with pytest.raises(ValueError, match="shape"):
-                heat_current(prop, H, bad, [0.0, 1.0])
-
-    def test_lowrank_refuses_dense_commutator(self):
-        rng = np.random.default_rng(6)
-        H = random_nambu(rng, 8)
-        chi0 = random_correlation(rng, 8)
-        levels = rng.uniform(0.1, 2.0, size=8)
-        prop = make_propagator(H, chi0)
-        with pytest.raises(ValueError, match="apply_internal_couplings"):
-            heat_current(prop, H, levels, [1.0])
-
-    def test_refuses_unfolded_internal_couplings(self):
-        cfg, bath, H, chi0 = valve_setup()
-        sl = cfg.bath_slice(2)
-        h = H.particle_block.copy()
-        h[sl, sl] += np.full((cfg.bath_size, cfg.bath_size), 0.05)
-        H_unfolded = build_nambu(h, H.anomalous_block)
-        prop = make_propagator(H_unfolded, chi0)
-        with pytest.raises(ValueError, match="apply_internal_couplings"):
-            heat_current(prop, H_unfolded, bath_levels(cfg, bath, 2), [1.0])
+                heat_current(prop, arrow, bad, [0.0, 1.0])
 
     def test_spurious_real_part_is_refused(self):
         cfg, bath, H, chi0 = valve_setup()
+        arrow = build_arrow(cfg, bath)
         levels = bath_levels(cfg, bath, 2)
         Hc = NambuMatrix(modes=H.modes, data=H.data.astype(complex))
         skew = np.random.default_rng(9).normal(scale=0.1, size=(2 * cfg.modes,) * 2)
-        for ham in (H, Hc):
-            prop = make_propagator(ham, chi0)
-            assert prop.basis.paired == (ham is H)
-            heat_current(prop, ham, levels, [0.5, 3.0])
+        # the arrow's real basis and a complex eigh basis
+        props = [arrow_propagator(arrow, thermal_occupations(cfg, bath)),
+                 make_propagator(Hc, chi0)]
+        for prop in props:
+            heat_current(prop, arrow, levels, [0.5, 3.0])
             # a non-Hermitian chi gives tr(chi [H_bath, H]) a real part
             bad = Propagator(basis=prop.basis, rotated_initial=prop.rotated_initial + skew)
             with pytest.raises(ValueError, match="spurious real"):
-                heat_current(bad, ham, levels, [0.5, 3.0])
+                heat_current(bad, arrow, levels, [0.5, 3.0])
 
 
 class TestSteadyStateEstimate:
@@ -287,6 +275,13 @@ class TestSteadyStateEstimate:
         times = np.linspace(0, 50, 26)
         with pytest.raises(ValueError, match="samples"):
             steady_state_estimate(self._trace(times, np.zeros(26)), window=(40, 50))
+
+
+def test_window_times_are_the_averaged_samples():
+    # np.arange overshoots: its 601st point is 50.000000000000426
+    times = window_times((20.0, 50.0), 0.05)
+    assert len(times) == 600 == window_sample_count((20.0, 50.0), 0.05)
+    assert times[0] == 20.0 and times[-1] <= 50.0
 
 
 def test_current_trace_consistency_enforced():

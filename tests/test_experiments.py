@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heatvalve import ValveConfig, fock
+import heatvalve
+from heatvalve import InternalCouplingSpec, ValveConfig, evolution, experiments, fock, nambu, valve
 from heatvalve.experiments import (
     SweepRecord,
     derive_seed,
@@ -12,6 +13,7 @@ from heatvalve.experiments import (
 )
 from heatvalve import (
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     heat_current,
     initial_correlation,
@@ -53,14 +55,13 @@ class TestSimulateTrace:
     def test_reduced_rwa_matches_full_representation(self):
         cfg = template(bath_size=40, gamma=0.4, rwa=True, seed=3)
         times = np.linspace(0, 30, 151)
-        trace = simulate_trace(cfg, times)  # M x M SVD of the particle block
+        trace = simulate_trace(cfg, times)  # M x M eigh of the arrowhead
 
         bath = sample_bath(cfg)
         H = build_hamiltonian(cfg, bath)
         H_full = NambuMatrix(modes=H.modes, data=H.data.astype(complex))  # 2M x 2M eigh
         prop = make_propagator(H_full, initial_correlation(cfg, bath))
-        assert not prop.basis.paired
-        full = heat_current(prop, H_full, bath_levels(cfg, bath, 2), times)
+        full = heat_current(prop, build_arrow(cfg, bath), bath_levels(cfg, bath, 2), times)
         assert np.abs(trace.total - full.total).max() < 1e-10
         assert np.abs(trace.anomalous).max() == 0.0
 
@@ -71,6 +72,32 @@ class TestSimulateTrace:
         dev = np.abs(trace.total - fock.exact_current(cfg, sample_bath(cfg), times))
         assert dev.max() < 1e-9
         assert np.abs(trace.anomalous).max() == 0.0
+
+    @pytest.mark.parametrize("kw", [
+        dict(gamma=0.4),
+        dict(gamma=0.4, rwa=True),
+        dict(gamma=0.0),
+        dict(gamma=0.4, internal_coupling=InternalCouplingSpec(scale=0.3)),
+        dict(gamma=0.4, internal_coupling=InternalCouplingSpec(matrices=(
+            np.array([[0.1, 0.2j], [-0.2j, 0.0]]),
+            np.array([[0.0, 0.1 + 0.1j], [0.1 - 0.1j, 0.2]]),
+        ))),
+    ], ids=["exact", "rwa", "gamma0", "real_internal", "complex_internal"])
+    def test_runs_from_the_arrow_alone(self, kw, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("dense 2M x 2M route taken")
+
+        for module in (heatvalve, nambu, valve, evolution, experiments):
+            for name in ("build_nambu", "build_hamiltonian", "initial_correlation", "diagonalize"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        cfg = template(bath_size=2, t_cold=0.3, seed=8, **kw)
+        times = np.linspace(0, 20, 81)
+        trace = simulate_trace(cfg, times)
+        monkeypatch.undo()
+        bath = experiments._prepare_bath(cfg)
+        dev = np.abs(trace.total - fock.exact_current(cfg, bath, times))
+        assert dev.max() < 1e-9
 
     def test_exact_kind_splits_current(self):
         cfg = template(bath_size=10, gamma=0.5, seed=1)

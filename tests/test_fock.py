@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from heatvalve import (
+    BathRealization,
     ValveConfig,
+    arrow_propagator,
+    bath_hamiltonian,
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     build_nambu,
-    initial_correlation,
     heat_current,
-    make_propagator,
     sample_bath,
     fermi,
+    thermal_occupations,
 )
+from heatvalve.experiments import simulate_trace
 from heatvalve.fock import (
     MAX_MODES,
     exact_current,
@@ -93,11 +97,43 @@ class TestExactCurrent:
     def test_engine_equivalence_exact_kind(self):
         cfg, bath = small_valve(gamma=0.3)
         times = np.linspace(0, 20, 81)
-        H = build_hamiltonian(cfg, bath)
-        prop = make_propagator(H, initial_correlation(cfg, bath))
-        trace = heat_current(prop, H, bath_levels(cfg, bath, 2), times)
+        arrow = build_arrow(cfg, bath)
+        prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
+        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
         dev = np.abs(trace.total - exact_current(cfg, bath, times)).max()
         assert dev < 1e-9
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_complex_coupling_phases_are_a_gauge(self, rwa):
+        # couplings g e^{i phi} in hopping and pairing alike, built by hand
+        # and lifted, carry the current of the real valve on |g|
+        cfg, bath = small_valve(bath_size=3, gamma=0.5, rwa=rwa, t_cold=0.3)
+        real = BathRealization(frequencies=bath.frequencies, couplings=np.abs(bath.couplings))
+        phases = np.random.default_rng(5).uniform(0, 2 * np.pi, size=bath.couplings.shape)
+        M, c = cfg.modes, cfg.center
+        g = np.zeros(M, dtype=complex)
+        for a in (1, 2):
+            g[cfg.bath_slice(a)] = real.couplings[a - 1] * np.exp(1j * phases[a - 1])
+        h = np.diag(build_arrow(cfg, real).levels).astype(complex)
+        h[:, c] += g
+        h[c] += g.conj()
+        delta = None
+        if not rwa:
+            delta = np.zeros((M, M), dtype=complex)
+            delta[:, c] = g
+            delta = delta - delta.T
+        H = lift(build_nambu(h, delta)).matrix
+        Hb = lift(bath_hamiltonian(cfg, real, 2)).matrix
+        evals, S = np.linalg.eigh(H)
+        rho = S.conj().T @ thermal_state(cfg, real) @ S
+        K = S.conj().T @ (Hb @ H - H @ Hb) @ S
+        times = np.linspace(0, 20, 81)
+        fock_current = []
+        for t in times:
+            z = np.exp(-1j * evals * t)
+            fock_current.append((-1j * np.sum((z[:, None] * rho * z.conj()) * K.T)).real)
+        engine = simulate_trace(cfg, times, bath=real).total
+        assert np.abs(engine - fock_current).max() < 1e-9
 
     def test_rwa_conserves_particle_number(self):
         cfg, bath = small_valve(rwa=True, t_hot=1.0, t_cold=0.5)

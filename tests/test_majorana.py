@@ -1,9 +1,10 @@
-"""The M x M SVD path of diagonalize against the 2M x 2M eigh path.
+"""The M x M SVD of the valve's arrow against the 2M x 2M eigh.
 
-A complex copy of a real Nambu matrix takes the eigh path, which serves as
-the reference throughout.  Each valve below also names the solver that its
-K = h + Delta must take: ``arrow`` (LAPACK dlasd4 on the broken arrow),
-``svd`` (the dense fallback) or ``eigh`` (symmetric K).
+The dense Nambu matrix from ``build_hamiltonian`` and its ``diagonalize``
+(the 2M x 2M eigh, on a complex copy where a complex basis is wanted)
+serve as the reference throughout.  Each valve below also names the solver
+that its K = h + Delta must take: ``arrow`` (LAPACK dlasd4 on the broken
+arrow), ``svd`` (the dense fallback) or ``eigh`` (symmetric K).
 """
 
 import numpy as np
@@ -16,8 +17,10 @@ from heatvalve import (
     InternalCouplingSpec,
     ValveConfig,
     apply_internal_couplings,
+    arrow_propagator,
     bath_hamiltonian,
     bath_levels,
+    build_arrow,
     build_hamiltonian,
     build_nambu,
     diagonalize,
@@ -27,6 +30,7 @@ from heatvalve import (
     make_propagator,
     observable_rate,
     sample_bath,
+    thermal_occupations,
 )
 from heatvalve import fock, nambu
 from heatvalve.experiments import simulate_trace
@@ -83,8 +87,17 @@ VALVES = [
 ]
 
 
-def solvers_called(monkeypatch, H, path):
-    """diagonalize(H) with the dense SVD refused unless ``path`` is svd."""
+def propagate(cfg, bath):
+    """The arrow and its propagator, as ``simulate_trace`` builds them."""
+    arrow = build_arrow(cfg, bath)
+    return arrow, arrow_propagator(arrow, thermal_occupations(cfg, bath))
+
+
+SOLVER_CALLS = {"arrow": {"dlasd4"}, "svd": {"svd"}, "eigh": {"eigh"}}
+
+
+def solvers_called(monkeypatch, cfg, bath, path):
+    """propagate(cfg, bath) with the dense SVD refused unless ``path`` is svd."""
     calls = []
 
     def counting(name, f):
@@ -98,9 +111,10 @@ def solvers_called(monkeypatch, H, path):
 
     with monkeypatch.context() as m:
         m.setattr(nambu.lapack, "dlasd4", counting("dlasd4", nambu.lapack.dlasd4))
+        m.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         m.setattr(np.linalg, "svd", counting("svd", np.linalg.svd) if path == "svd" else refused)
-        basis = diagonalize(H)
-    return basis, set(calls)
+        _, prop = propagate(cfg, bath)
+    return prop, set(calls)
 
 
 def test_negative_levels_present():
@@ -112,29 +126,27 @@ def test_negative_levels_present():
 class TestValveHamiltonians:
     def test_svd_basis_matches_eigh(self, kw, path, monkeypatch):
         cfg, bath, H, _ = valve(**kw)
-        basis, calls = solvers_called(monkeypatch, H, path)
-        assert calls == {"arrow": {"dlasd4"}, "svd": {"svd"}, "eigh": set()}[path]
+        prop, calls = solvers_called(monkeypatch, cfg, bath, path)
+        assert calls == SOLVER_CALLS[path]
         ref = diagonalize(as_complex(H))
-        assert basis.paired and not ref.paired
-        U, E = basis.transform, basis.eigenvalues
+        U, E = prop.basis.transform, prop.basis.eigenvalues
         assert np.isrealobj(U)
         assert np.abs(E - ref.eigenvalues).max() < 1e-13
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
         assert np.abs(U.T @ U - np.eye(2 * cfg.modes)).max() < 1e-13
 
     def test_rotated_initial_state_matches_dense_rotation(self, kw, path):
-        _, _, H, chi0 = valve(**kw)
-        prop = make_propagator(H, chi0)
+        cfg, bath, _, chi0 = valve(**kw)
+        _, prop = propagate(cfg, bath)
         U = prop.basis.transform
         assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
     def test_heat_current_matches_dense_and_eigh_paths(self, kw, path):
         cfg, bath, H, chi0 = valve(**kw)
         levels = bath_levels(cfg, bath, 2)
-        prop = make_propagator(H, chi0)
-        got = heat_current(prop, H, levels, TIMES)
-        ref_H = as_complex(H)
-        ref = heat_current(make_propagator(ref_H, chi0), ref_H, levels, TIMES)
+        arrow, prop = propagate(cfg, bath)
+        got = heat_current(prop, arrow, levels, TIMES)
+        ref = heat_current(make_propagator(as_complex(H), chi0), arrow, levels, TIMES)
         Hb = bath_hamiltonian(cfg, bath, 2)
         dense = np.array([observable_rate(Hb, H, evolve(prop, t)) for t in TIMES])
         assert np.abs(got.total - dense).max() < 1e-13
@@ -150,9 +162,9 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     # Löwner denominators formed as d_k^2 - d_j^2 instead of as products
     # reach 1.7e-12 here
     cfg, bath, H, _ = valve(bath_size=450, **kw)
-    basis, calls = solvers_called(monkeypatch, H, "arrow")
+    prop, calls = solvers_called(monkeypatch, cfg, bath, "arrow")
     assert calls == {"dlasd4"}
-    U, E = basis.transform, basis.eigenvalues
+    U, E = prop.basis.transform, prop.basis.eigenvalues
     M = cfg.modes
     s = np.linalg.svd(H.particle_block + H.anomalous_block, compute_uv=False)
     assert np.abs(E[M:][::-1] - s).max() < 1e-13
@@ -160,56 +172,57 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     assert np.abs(U.T @ U - np.eye(2 * M)).max() <= 1e-13
 
 
-def test_exact_degeneracies_and_zero_modes():
-    # repeated levels, a zero level, a +-level pair, and pairing only inside
-    # a degenerate pair; without the pairing K is symmetric (eigh branch)
-    for pairing in (0.3, 0.0):
-        h = np.diag([0.5, 0.5, 0.0, 1.2, -1.2])
-        delta = np.zeros((5, 5))
-        delta[0, 1] = pairing
-        H = build_nambu(h, delta)
-        basis = diagonalize(H)
+def test_exact_degeneracies_and_zero_modes(monkeypatch):
+    # repeated levels, a zero level and a +-level pair in one arrow: with
+    # pairing the broken-arrow solver declines them (dense SVD); under the
+    # RWA and at gamma = 0, K is symmetric (eigh)
+    freqs = np.array([[0.5, 0.5, 1.2], [0.0, -1.2, 0.8]])
+    couplings = np.array([[0.3, -0.2, 0.25], [0.15, 0.3, -0.1]])
+    for rwa, scale, path in ((False, 1.0, "svd"), (True, 1.0, "eigh"), (False, 0.0, "eigh")):
+        cfg = ValveConfig(bath_size=3, gamma=0.3, t_hot=1.0, t_cold=0.5, rwa=rwa)
+        bath = BathRealization(frequencies=freqs.copy(), couplings=scale * couplings)
+        prop, calls = solvers_called(monkeypatch, cfg, bath, path)
+        assert calls == SOLVER_CALLS[path]
+        H = build_hamiltonian(cfg, bath)
         ref = diagonalize(as_complex(H))
-        assert basis.paired
-        U, E = basis.transform, basis.eigenvalues
+        U, E = prop.basis.transform, prop.basis.eigenvalues
         assert np.abs(E - ref.eigenvalues).max() < 1e-14
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-14
-        assert np.abs(U.T @ U - np.eye(10)).max() < 1e-14
-        occ = np.array([0.9, 0.2, 0.5, 0.0, 1.0])
-        chi0 = CorrelationMatrix(modes=5, data=np.diag(np.concatenate([1 - occ, occ])))
-        prop = make_propagator(H, chi0)
+        assert np.abs(U.T @ U - np.eye(14)).max() < 1e-14
+        chi0 = initial_correlation(cfg, bath)
         assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
 def test_non_physical_diagonal_state_uses_dense_rotation():
     cfg, bath, H, _ = valve(bath_size=5, gamma=0.3)
-    # a + b != 1: the block formula does not apply
+    # a + b != 1: no thermal product state
     chi0 = CorrelationMatrix(modes=cfg.modes, data=np.diag(np.linspace(0.1, 0.9, 2 * cfg.modes)))
     prop = make_propagator(H, chi0)
     U = prop.basis.transform
-    assert prop.basis.paired
     assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
 class TestFallbacks:
-    def test_complex_internal_couplings_take_eigh_and_match_fock(self):
+    def test_complex_internal_couplings_take_eigh_and_match_fock(self, monkeypatch):
+        # eigh folds the complex matrices in; the eigenvector phases make the
+        # new couplings real, so the valve runs from its arrow
         rng = np.random.default_rng(7)
         mats = []
         for _ in range(2):
             A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             mats.append(0.2 * (A + A.conj().T) / 2)
         spec = InternalCouplingSpec(matrices=tuple(mats))
-        cfg, bath, H, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
-        assert not np.isrealobj(H.data)
-        assert not diagonalize(H).paired
+        cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
+        assert np.isrealobj(bath.couplings) and (bath.couplings >= 0).all()
+        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
 
-    def test_real_internal_couplings_take_svd_and_match_fock(self):
+    def test_real_internal_couplings_take_svd_and_match_fock(self, monkeypatch):
         spec = InternalCouplingSpec(scale=0.3)
-        cfg, bath, H, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
-        assert diagonalize(H).paired
+        cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
+        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
@@ -217,8 +230,8 @@ class TestFallbacks:
     @pytest.mark.parametrize("kw", [dict(gamma=0.6, edit=zero_coupling), NEGATIVE],
                              ids=["zero_coupling", "negative_levels"])
     def test_broken_arrow_matches_fock(self, kw, monkeypatch):
-        cfg, bath, H, _ = valve(bath_size=4, **kw)
-        assert solvers_called(monkeypatch, H, "arrow")[1] == {"dlasd4"}
+        cfg, bath, _, _ = valve(bath_size=4, **kw)
+        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         got = simulate_trace(cfg, times, bath=bath).total
         dev = np.abs(got - fock.exact_current(cfg, bath, times))
@@ -235,7 +248,6 @@ class TestFallbacks:
         H = NambuMatrix(modes=4, data=np.block([[h, D], [D, -h]]))
         svd_energies = np.sort(np.linalg.svd(h + D, compute_uv=False))
         basis = diagonalize(H)
-        assert not basis.paired
         assert np.abs(basis.eigenvalues[4:] - svd_energies).max() > 1e-3
         U, E = basis.transform, basis.eigenvalues
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-12
@@ -248,24 +260,16 @@ class TestFallbacks:
         with pytest.raises(ValueError, match="particle-hole"):
             diagonalize(NambuMatrix(modes=4, data=data))
 
-    def test_near_structure_takes_eigh(self):
-        cfg, bath, H, _ = valve(bath_size=5, gamma=0.3)
-        data = H.data.copy()
-        M = cfg.modes
-        data[M + 1, 1] += 1e-15  # Hermitian nudge below any tolerance
-        data[1, M + 1] += 1e-15
-        basis = diagonalize(NambuMatrix(modes=M, data=data))
-        assert not basis.paired
-
     def test_probe_catches_bad_svd_basis(self, monkeypatch):
-        _, _, H, _ = valve(bath_size=5, gamma=0.3)
-        good = nambu._diagonalize_svd
+        cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
+        good = nambu._broken_arrow_svd
 
-        def corrupted(K):
-            evals, U = good(K)
-            U[:, [0, 1]] = U[:, [1, 0]]  # mislabel two quasiparticles
-            return evals, U
+        def corrupted(arrow):
+            s, P, Q = good(arrow)
+            for X in (P, Q):
+                X[:, [0, 1]] = X[:, [1, 0]]  # mislabel two quasiparticles
+            return s, P, Q
 
-        monkeypatch.setattr(nambu, "_diagonalize_svd", corrupted)
+        monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
         with pytest.raises(ValueError, match="probe"):
-            diagonalize(H)
+            propagate(cfg, bath)

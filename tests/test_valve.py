@@ -267,6 +267,10 @@ class TestInternalCouplings:
         with pytest.raises(ValueError, match="Hermitian"):
             InternalCouplingSpec(matrices=(bad, bad))
 
+    def test_complex_couplings_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            BathRealization(frequencies=np.ones((2, 3)), couplings=np.full((2, 3), 0.1j))
+
     def test_missing_spec(self):
         cfg = make_config()
         with pytest.raises(ValueError, match="spec"):
