@@ -40,6 +40,7 @@ from .evolution import (
     heat_current,
     make_propagator,
     steady_state_estimate,
+    window_mean_current,
 )
 from .analytics import (
     UniformBathSpec,

@@ -268,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_in_range(int, 1, np.inf), default=1200, help="bath size")
     p.add_argument("--t1", type=non_negative, default=1.0, help="hot bath temperature")
     p.add_argument("--t2", type=non_negative, default=0.0, help="cold bath temperature")
-    p.add_argument("--omega", type=float, default=1.0, help="evaluation frequency")
+    p.add_argument("--omega", type=float, default=1.0,
+                   help="evaluation frequency, inside the open band (0, 2)")
     p.add_argument("--temp", type=non_negative, default=0.0,
                    help="bath temperature (anomalous)")
-    p.add_argument("--t", type=float, default=1.0, help="time (anomalous)")
+    p.add_argument("--t", type=non_negative, default=1.0, help="time (anomalous)")
     p.set_defaults(func=cmd_oracle)
 
     # debug command, intentionally undocumented in the top-level help
@@ -288,6 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "oracle" and args.formula in ("transmission", "selfenergy"):
+        lo, hi = analytics.UniformBathSpec.from_coupling_scale(args.gamma, args.n).band
+        if not lo + analytics.EDGE_TOL < args.omega < hi - analytics.EDGE_TOL:
+            parser.error(f"argument --omega: {args.omega} is outside the open band ({lo}, {hi})")
     try:
         return args.func(args)
     except ConfigError as exc:

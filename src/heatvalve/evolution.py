@@ -1,13 +1,14 @@
 """Exact time evolution of the correlation matrix and heat-current traces.
 
 The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}
-is evaluated by phase rotation in the eigenbasis: one O(M^3)
-eigendecomposition up front, then O(M^2) work per time point.  A valve
+is evaluated by phase rotation in the eigenbasis: one eigenbasis and one
+rotation of chi(0) up front, then O(M^2) work per time point.  A valve
 realization runs from its arrow alone (``arrow_propagator``): the M x M SVD
-K = P diag(s) Q^T of ``nambu.arrow_svd`` gives the eigenbasis, and the
-thermal product state, given as its occupation vector, is rotated into it
-from P and Q.  ``make_propagator`` is the general route, the 2M x 2M eigh
-of a dense H and the dense rotation of any chi(0).  Heat currents
+K = P diag(s) Q^T of ``nambu.arrow_svd`` gives the eigenbasis, O(M^2) for
+the broken arrow, and the thermal product state, given as its occupation
+vector, is rotated into it from P and Q with one M^3 product.
+``make_propagator`` is the general route, the 2M x 2M eigh of a dense H and
+the dense rotation of any chi(0).  Heat currents
 d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) are contracted in the
 eigenbasis without rebuilding chi(t); H_bath enters as the vector of its
 mode energies (``valve.bath_levels``).  In the arrow the bath couples only
@@ -15,7 +16,10 @@ to the central mode, so the commutator lives on the rows and columns of the
 central particle and hole: one product of a 2M x 4 and a 4 x 2M matrix,
 written down from the central column.  Every basis carries the spectrum
 E = [-s, s[::-1]], so every contraction runs over M x M blocks on the
-phases of its negative half.
+phases of its negative half.  The mean of the current over a window's
+samples needs no time grid (``window_mean_current``): each pair of
+energies is weighted by the window's Dirichlet kernel, in row chunks of
+the contracted matrix.
 """
 
 from __future__ import annotations
@@ -211,22 +215,39 @@ def _commutator_factors(arrow: Arrow, levels: np.ndarray):
     return [c, c + M], (normal, -normal.T), (anomalous, -anomalous.T)
 
 
-def _lowrank_B(prop: Propagator, r, col, row) -> np.ndarray:
-    """B = chi~ * (U^dag C U)^T for C = col E_r^T + E_r row.
+def _lowrank_factors(prop: Propagator, r, col, row) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of (U^dag C U)^T = L R for C = col E_r^T + E_r row.
 
-    (U^dag C U)^T = L R with L = [U[r, :]^T, (row U)^T] (2M x 2k) and
-    R = [(U^dag col)^T; conj(U[r, :])] (2k x 2M): one product, then one
-    in-place multiply.
+    L = [U[r, :]^T, (row U)^T] (2M x 2k) and R = [(U^dag col)^T; conj(U[r, :])]
+    (2k x 2M); the contracted matrix is B = chi~ * (L R), built whole by
+    ``heat_current`` and a chunk of rows at a time by ``window_mean_current``.
     """
     U = prop.basis.transform
-    chi_rot = prop.rotated_initial
     L = np.concatenate(
-        [U[r, :].T, (row @ U).T], axis=1, dtype=np.result_type(U, row, chi_rot)
+        [U[r, :].T, (row @ U).T], axis=1, dtype=np.result_type(U, row, prop.rotated_initial)
     )
     R = np.concatenate([col.T @ U.conj(), U[r, :].conj()])
-    B = L @ R
-    B *= chi_rot
-    return B
+    return L, R
+
+
+def _checked_levels(prop: Propagator, arrow: Arrow, levels) -> np.ndarray:
+    M = prop.modes
+    if arrow.modes != M:
+        raise ValueError(f"mode mismatch: propagator M={M}, arrow M={arrow.modes}")
+    levels = np.asarray(levels)
+    if levels.shape != (M,):
+        raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
+    return levels
+
+
+def _current(vals: np.ndarray) -> np.ndarray:
+    """-(1/2) Im of tr(chi * commutator) values, refusing a spurious real part."""
+    # tr(chi * commutator) is purely imaginary; the real residual is noise
+    residual = np.abs(vals.real).max(initial=0.0)
+    scale = max(np.abs(vals.imag).max(initial=0.0), 1.0)
+    if residual > SPECTRAL_TOL * scale * 100:
+        raise ValueError(f"current has spurious real trace component {residual:.3e}")
+    return -0.5 * vals.imag
 
 
 def heat_current(prop: Propagator, arrow: Arrow, levels, times) -> CurrentTrace:
@@ -243,11 +264,7 @@ def heat_current(prop: Propagator, arrow: Arrow, levels, times) -> CurrentTrace:
     """
     times = np.asarray(times, dtype=float)
     M = prop.modes
-    if arrow.modes != M:
-        raise ValueError(f"mode mismatch: propagator M={M}, arrow M={arrow.modes}")
-    levels = np.asarray(levels)
-    if levels.shape != (M,):
-        raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
+    levels = _checked_levels(prop, arrow, levels)
     r, normal, anomalous = _commutator_factors(arrow, levels)
     phases = _phase_parts(prop.basis.eigenvalues[:M], times)
 
@@ -255,13 +272,10 @@ def heat_current(prop: Propagator, arrow: Arrow, levels, times) -> CurrentTrace:
         if not col.any():
             # B is exactly zero: skip the 2M x 2M work
             return np.zeros_like(times)
-        vals = _contract(_lowrank_B(prop, r, col, row), phases)
-        # tr(chi * commutator) is purely imaginary; the real residual is noise
-        residual = np.abs(vals.real).max(initial=0.0)
-        scale = max(np.abs(vals.imag).max(initial=0.0), 1.0)
-        if residual > SPECTRAL_TOL * scale * 100:
-            raise ValueError(f"current has spurious real trace component {residual:.3e}")
-        return -0.5 * vals.imag
+        L, R = _lowrank_factors(prop, r, col, row)
+        B = L @ R
+        B *= prop.rotated_initial
+        return _current(_contract(B, phases))
 
     # one 2M x 2M B alive at a time
     normal = series(*normal)
@@ -271,6 +285,9 @@ def heat_current(prop: Propagator, arrow: Arrow, levels, times) -> CurrentTrace:
     )
 
 MIN_WINDOW_SAMPLES = 10
+# Rows of each M x M block that window_mean_current handles at once: its
+# working set is a few (rows x 2M) arrays instead of the 2M x 2M B.
+MEAN_CHUNK_ROWS = 128
 
 
 def _in_window(times: np.ndarray, window) -> np.ndarray:
@@ -288,16 +305,101 @@ def window_sample_count(window, time_step) -> int:
     return len(window_times(window, time_step))
 
 
-def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:
-    """Mean and standard deviation of the total current inside a time window."""
+def _check_sample_count(n: int, window) -> None:
     lo, hi = window
-    mask = _in_window(trace.times, window)
-    n = int(mask.sum())
     if n == 0:
         raise ValueError(f"no trace samples inside window [{lo}, {hi}]")
     if n < MIN_WINDOW_SAMPLES:
         raise ValueError(
             f"only {n} samples inside window [{lo}, {hi}]; need >= {MIN_WINDOW_SAMPLES}"
         )
+
+
+def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:
+    """Mean and standard deviation of the total current inside a time window."""
+    mask = _in_window(trace.times, window)
+    _check_sample_count(int(mask.sum()), window)
     vals = trace.total[mask]
     return float(vals.mean()), float(vals.std())
+
+
+def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
+    """rho(w) = sin(T w h) / (T sin(w h)), the mean of e^{-iw(t - tau)} over the samples.
+
+    T samples t_n = tau + (2n + 1 - T) h sit symmetrically about their
+    centre tau.  Both sines are taken from w itself, so rho keeps its
+    relative accuracy as w -> 0, where it is 1.  They go through
+    t = tan(x/2), sin x = 2t / (1 + t^2): numpy's tan is several times
+    faster than its sin (numpy 2.4, x86-64).
+    """
+    a = np.tan(w * (samples * half_step / 2))
+    b = np.tan(w * (half_step / 2))
+    # rho = [2a / (1 + a^2)] / [T 2b / (1 + b^2)]
+    num = a * (1 + b * b)
+    den = samples * b * (1 + a * a)
+    return np.divide(num, den, out=np.ones_like(w), where=b != 0)
+
+
+def window_mean_current(prop: Propagator, arrow: Arrow, levels, window, time_step) -> float:
+    """Mean over the samples of ``window_times`` of the ``heat_current`` total.
+
+    The current is a bilinear form in the rotated state,
+    sum_jk B_jk exp(-i (E_j - E_k) t), so its mean over T equally spaced
+    samples centred on tau is sum_jk B_jk rho(E_j - E_k) exp(-i (E_j - E_k) tau)
+    (``_window_kernel``): no time grid, and a long window costs what a short
+    one does.  Normal and anomalous parts share the central rows r, so they
+    are summed into one rank-4 commutator.  B is built a chunk of rows of
+    its M x M blocks at a time from chi~ and the factors L, R; a block row
+    j pairs the rows j and 2M - 1 - j of B, whose energies -s_j and s_j meet
+    the columns' at w = s_k - s_j and -(s_j + s_k) (B11, B12) and at
+    s_j + s_k and s_j - s_k (B21, B22).
+
+    The mean is exact only for frequencies the samples resolve: a time step
+    with s_max dt >= pi/2 (the Nyquist bound of the highest frequency
+    2 s_max) is refused.
+    """
+    M = prop.modes
+    levels = _checked_levels(prop, arrow, levels)
+    times = window_times(window, time_step)
+    _check_sample_count(len(times), window)
+    E = prop.basis.eigenvalues
+    s_max = float(np.abs(E).max(initial=0.0))
+    if s_max * time_step >= np.pi / 2:
+        raise ValueError(
+            f"time_step dt={time_step} aliases the window mean: s_max*dt = "
+            f"{s_max * time_step:.4g} >= pi/2 for the highest quasiparticle energy "
+            f"s_max={s_max:.6g}; need dt < pi/(2 s_max) = {np.pi / (2 * s_max):.6g}"
+        )
+    r, (col_n, row_n), (col_a, row_a) = _commutator_factors(arrow, levels)
+    col = col_n + col_a
+    if not col.any():
+        return 0.0  # B is exactly zero
+    L, R = _lowrank_factors(prop, r, col, row_n + row_a)
+    chi = prop.rotated_initial
+    # centre and spacing of the samples themselves: np.arange steps by
+    # fl(t0 + dt) - t0, which on [200, 400] at dt 0.05 puts the last
+    # sample 4.5e-11 from t0 + (T - 1) dt
+    T = len(times)
+    tau = (times[0] + times[-1]) / 2
+    h = (times[-1] - times[0]) / (2 * (T - 1))
+    # conj(z) with z = exp(-i E tau): B @ phases = B conj(z) as (real, imag)
+    phases = np.stack([np.cos(E * tau), np.sin(E * tau)], axis=1)
+    z = phases[:, 0] - 1j * phases[:, 1]
+    e = E[:M]
+    total = 0j
+    for j0 in range(0, M, MEAN_CHUNK_ROWS):
+        j1 = min(j0 + MEAN_CHUNK_ROWS, M)
+        Ka = _window_kernel(e[j0:j1, None] - e, T, h)  # B11 and B22
+        Kb = _window_kernel(e[j0:j1, None] + e, T, h)  # B12 and B21
+        # block rows j0..j1-1: rows j of B, then rows 2M - 1 - j in B's order
+        for rows, left, right in (
+            (slice(j0, j1), Ka, Kb[:, ::-1]),
+            (slice(2 * M - j1, 2 * M - j0), Kb[::-1], Ka[::-1, ::-1]),
+        ):
+            B = L[rows] @ R
+            B *= chi[rows]
+            B[:, :M] *= left
+            B[:, M:] *= right
+            Bz = B @ phases
+            total += z[rows] @ (Bz[:, 0] + 1j * Bz[:, 1])
+    return float(_current(np.array([total]))[0])

@@ -19,8 +19,7 @@ from .evolution import (
     CurrentTrace,
     arrow_propagator,
     heat_current,
-    steady_state_estimate,
-    window_times,
+    window_mean_current,
 )
 from .valve import (
     BathRealization,
@@ -86,6 +85,15 @@ def _prepare_bath(config: ValveConfig) -> BathRealization:
     return bath
 
 
+def _realization(config: ValveConfig, bath: BathRealization | None = None):
+    """Propagator, arrow and cold-bath levels of one realization, bath sampled if not given."""
+    if bath is None:
+        bath = _prepare_bath(config)
+    arrow = build_arrow(config, bath)
+    prop = arrow_propagator(arrow, thermal_occupations(config, bath))
+    return prop, arrow, bath_levels(config, bath, COLD_BATH)
+
+
 def simulate_trace(
     config: ValveConfig, times: np.ndarray, bath: BathRealization | None = None
 ) -> CurrentTrace:
@@ -94,18 +102,12 @@ def simulate_trace(
     ``bath`` is the realization drawn from ``config`` (internal couplings
     folded in); it is sampled here when not given.
     """
-    times = np.asarray(times, dtype=float)
-    if bath is None:
-        bath = _prepare_bath(config)
-    arrow = build_arrow(config, bath)
-    prop = arrow_propagator(arrow, thermal_occupations(config, bath))
-    return heat_current(prop, arrow, bath_levels(config, bath, COLD_BATH), times)
+    return heat_current(*_realization(config, bath), times)
 
 
 def _steady_state_job(config: ValveConfig, window, time_step) -> float:
-    trace = simulate_trace(config, window_times(window, time_step))
-    mean, _ = steady_state_estimate(trace, window)
-    return mean
+    """Window mean of one realization's cold-bath current, with no time grid."""
+    return window_mean_current(*_realization(config), window, time_step)
 
 
 def _run_job(args):

@@ -15,7 +15,7 @@ the Fock oracle and the tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class BathRealization:
 
     frequencies: np.ndarray  # shape (2, N)
     couplings: np.ndarray    # shape (2, N)
-    transformed: bool = False  # True once internal couplings were folded in
 
     def __post_init__(self):
         if self.frequencies.shape != self.couplings.shape or self.frequencies.ndim != 2:
@@ -188,7 +187,7 @@ def apply_internal_couplings(
         evals, U = np.linalg.eigh(h_bath)
         new_freqs[a] = evals
         new_g[a] = np.abs(U.conj().T @ bath.couplings[a])
-    return BathRealization(frequencies=new_freqs, couplings=new_g, transformed=True)
+    return BathRealization(frequencies=new_freqs, couplings=new_g)
 
 
 def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:

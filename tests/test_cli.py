@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from heatvalve.cli import EXIT_CONFIG, EXIT_OK, main
+from heatvalve.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def write_config(tmp_path, extra="", **overrides):
@@ -174,6 +174,14 @@ class TestExitCodes:
         assert "internal_coupling.scal" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_aliasing_time_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", time_step=1.0, window="[20, 50]")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "pi/(2 s_max)" in err
+        assert not (out / "sweep.csv").exists()
+
     def test_window_with_too_few_samples(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", window="[20, 21]")
         out = tmp_path / "o"
@@ -190,7 +198,12 @@ class TestExitCodes:
     ["oracle", "landauer", "--t2", "-0.1"],
     ["oracle", "anomalous", "--temp", "-1"],
     ["fock-check", "--gamma", "-1"],
-], ids=["n", "gamma", "t1", "t2", "temp", "fock-check-gamma"])
+    ["oracle", "anomalous", "--t", "-5"],
+    ["oracle", "selfenergy", "--omega", "3"],
+    ["oracle", "transmission", "--omega", "2"],
+    ["oracle", "selfenergy", "--omega", "0"],
+], ids=["n", "gamma", "t1", "t2", "temp", "fock-check-gamma", "t", "selfenergy-omega",
+        "transmission-omega-edge", "selfenergy-omega-zero"])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from heatvalve import (
+    Arrow,
+    BathRealization,
     CurrentTrace,
     InternalCouplingSpec,
     Propagator,
@@ -24,9 +26,10 @@ from heatvalve import (
     sample_bath,
     steady_state_estimate,
     thermal_occupations,
+    window_mean_current,
 )
 from heatvalve.evolution import window_sample_count, window_times
-from heatvalve.nambu import NambuMatrix
+from heatvalve.nambu import NambuMatrix, QuasiparticleBasis
 
 from conftest import random_correlation, random_nambu
 
@@ -223,6 +226,8 @@ class TestHeatCurrent:
         for bad in (levels[:-1], np.append(levels, 0.5), nambu_diagonal, np.diag(levels)):
             with pytest.raises(ValueError, match="shape"):
                 heat_current(prop, arrow, bad, [0.0, 1.0])
+            with pytest.raises(ValueError, match="shape"):
+                window_mean_current(prop, arrow, bad, (20.0, 30.0), 0.5)
 
     def test_spurious_real_part_is_refused(self):
         cfg, bath, H, chi0 = valve_setup()
@@ -239,6 +244,102 @@ class TestHeatCurrent:
             bad = Propagator(basis=prop.basis, rotated_initial=prop.rotated_initial + skew)
             with pytest.raises(ValueError, match="spurious real"):
                 heat_current(bad, arrow, levels, [0.5, 3.0])
+            # the window mean checks its own real part, at the same threshold
+            window_mean_current(prop, arrow, levels, (0.0, 10.0), 0.5)
+            with pytest.raises(ValueError, match="spurious real"):
+                window_mean_current(bad, arrow, levels, (0.0, 10.0), 0.5)
+
+
+def assert_equals_grid_mean(prop, arrow, levels, window, time_step):
+    """The closed form against the current on every sample, then averaged."""
+    trace = heat_current(prop, arrow, levels, window_times(window, time_step))
+    want = steady_state_estimate(trace, window)[0]
+    got = window_mean_current(prop, arrow, levels, window, time_step)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# repeated levels, a zero level and a +-level pair (test_majorana); with
+# pairing the spectrum holds a zero mode, s ~ 1e-18, so the B12 and B21
+# kernels meet w ~ 1e-18 off the diagonal
+DEGENERATE = BathRealization(
+    frequencies=np.array([[0.5, 0.5, 1.2], [0.0, -1.2, 0.8]]),
+    couplings=np.array([[0.3, -0.2, 0.25], [0.15, 0.3, -0.1]]),
+)
+
+
+class TestWindowMeanCurrent:
+    @pytest.mark.parametrize("kw, window, time_step", [
+        (dict(bath_size=450, gamma=0.2), (20.0, 50.0), 0.05),
+        (dict(bath_size=450, gamma=0.2), (200.0, 400.0), 0.5),
+        (dict(bath_size=450, gamma=0.2, rwa=True, t_cold=0.3), (20.0, 50.0), 0.05),
+        (dict(bath_size=450, gamma=0.2, rwa=True), (200.0, 400.0), 0.5),
+        (dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)), (20.0, 50.0), 0.05),
+        (dict(bath_size=6, internal_coupling=complex_internal_coupling(6)), (20.0, 30.0), 0.5),
+    ], ids=["exact-short", "exact-long", "rwa-short", "rwa-long", "real_internal",
+            "complex_internal"])
+    def test_equals_grid_mean(self, kw, window, time_step):
+        cfg, bath, arrow, prop = arrow_setup(**kw)
+        levels = bath_levels(cfg, bath, 2)
+        assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_degenerate_and_zero_levels(self, rwa):
+        cfg = ValveConfig(bath_size=3, gamma=0.3, t_hot=1.0, t_cold=0.5, rwa=rwa)
+        arrow = build_arrow(cfg, DEGENERATE)
+        prop = arrow_propagator(arrow, thermal_occupations(cfg, DEGENERATE))
+        levels = bath_levels(cfg, DEGENERATE, 2)
+        for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.5)):
+            assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+
+    def test_near_degenerate_energies(self):
+        # two quasiparticle energies 1e-10 apart dominate the mean: the
+        # window kernel must keep its relative accuracy at small w
+        rng = np.random.default_rng(12)
+        s = np.array([1.5, 1.5 - 1e-10, 0.4])
+        U, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        basis = QuasiparticleBasis(modes=3, eigenvalues=np.concatenate([-s, s[::-1]]),
+                                   transform=U)
+        prop = Propagator(basis=basis, rotated_initial=random_correlation(rng, 3).data)
+        arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
+                      center=1, rwa=False)
+        levels = np.array([0.0, 0.0, 1.3])
+        for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
+            assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+
+    def test_complex_bases_and_states(self):
+        cfg, bath, H, chi0 = valve_setup(bath_size=8)
+        arrow = build_arrow(cfg, bath)
+        levels = bath_levels(cfg, bath, 2)
+        props = [
+            # real basis, complex state
+            make_propagator(H, random_correlation(np.random.default_rng(7), cfg.modes)),
+            # complex eigh basis
+            make_propagator(NambuMatrix(modes=H.modes, data=H.data.astype(complex)), chi0),
+        ]
+        for prop in props:
+            assert_equals_grid_mean(prop, arrow, levels, (20.0, 30.0), 0.5)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_zero_coupling_is_exactly_zero(self, rwa):
+        cfg, bath, arrow, prop = arrow_setup(gamma=0.0, rwa=rwa)
+        got = window_mean_current(prop, arrow, bath_levels(cfg, bath, 2), (20.0, 50.0), 0.05)
+        assert got == 0.0
+
+    def test_sparse_window_rejected(self):
+        cfg, bath, arrow, prop = arrow_setup()
+        with pytest.raises(ValueError, match="only 5 samples"):
+            window_mean_current(prop, arrow, bath_levels(cfg, bath, 2), (20.0, 22.0), 0.5)
+
+    def test_aliasing_time_step_is_refused(self):
+        cfg, bath, arrow, prop = arrow_setup()
+        levels = bath_levels(cfg, bath, 2)
+        s_max = np.abs(prop.basis.eigenvalues).max()
+        bound = np.pi / (2 * s_max)
+        window_mean_current(prop, arrow, levels, (20.0, 50.0), 0.99 * bound)
+        for dt in (bound, 1.0):
+            with pytest.raises(ValueError, match=r"s_max.*pi/\(2 s_max\)") as exc:
+                window_mean_current(prop, arrow, levels, (20.0, 50.0), dt)
+            assert f"dt={dt}" in str(exc.value)
 
 
 class TestSteadyStateEstimate:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from heatvalve import (
     build_hamiltonian,
     heat_current,
     initial_correlation,
+    steady_state_estimate,
     make_propagator,
     sample_bath,
     landauer_current,
@@ -24,6 +27,7 @@ from heatvalve import (
     weak_coupling_current,
     UniformBathSpec,
 )
+from heatvalve.evolution import window_times
 from heatvalve.nambu import NambuMatrix
 
 FAST = dict(window=(20.0, 30.0), time_step=0.5)
@@ -146,6 +150,54 @@ class TestRunSweep:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="realizations"):
             SweepRecord(0.1, "rwa", 0.0, 0.0, 0.0, 0.0, realizations=0)
+
+
+class TestWindowMeans:
+    """Sweeps average in closed form, never through the time-grid contraction."""
+
+    @staticmethod
+    def grid_job(config, window, time_step):
+        trace = simulate_trace(config, window_times(window, time_step))
+        return steady_state_estimate(trace, window)[0]
+
+    @staticmethod
+    def assert_close(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.mean_current == pytest.approx(w.mean_current, rel=1e-12, abs=0)
+            assert g.std_current == pytest.approx(w.std_current, rel=1e-12, abs=0)
+            assert replace(g, mean_current=0.0, std_current=0.0) == replace(
+                w, mean_current=0.0, std_current=0.0
+            )
+
+    def test_run_without_the_time_grid(self, monkeypatch):
+        sweep = dict(realizations=2, kinds=("exact", "rwa"), **FAST)
+        dist_template = template(
+            bath_size=8, internal_coupling=InternalCouplingSpec(scale=0.3)
+        )
+        monkeypatch.setattr(experiments, "_steady_state_job", self.grid_job)
+        want_sweep = run_sweep(template(bath_size=20), [0.0, 0.3], **sweep)
+        want_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
+        monkeypatch.undo()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("time-grid contraction used")
+
+        for module in (heatvalve, evolution, experiments):
+            for name in ("heat_current", "_contract", "_phase_parts"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        self.assert_close(run_sweep(template(bath_size=20), [0.0, 0.3], **sweep), want_sweep)
+        got_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
+        assert set(got_dist) == set(want_dist)
+        for dist in want_dist:
+            self.assert_close(got_dist[dist], want_dist[dist])
+
+    def test_aliasing_time_step_is_refused(self):
+        with pytest.raises(RuntimeError, match=r"s_max.*pi/\(2 s_max\)") as exc:
+            run_sweep(template(), [0.3], realizations=1, kinds=("exact",),
+                      window=(20.0, 50.0), time_step=1.0)
+        assert isinstance(exc.value.__cause__, ValueError)
 
 
 class TestRunTrace:

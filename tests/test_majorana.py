@@ -53,7 +53,7 @@ def valve(bath_size=40, edit=None, **kw):
     if edit is not None:
         freqs, g = bath.frequencies.copy(), bath.couplings.copy()
         edit(freqs, g)
-        bath = BathRealization(frequencies=freqs, couplings=g, transformed=bath.transformed)
+        bath = BathRealization(frequencies=freqs, couplings=g)
     return cfg, bath, build_hamiltonian(cfg, bath), initial_correlation(cfg, bath)
 
 
