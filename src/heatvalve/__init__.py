@@ -32,6 +32,7 @@ from .valve import (
     thermal_occupations,
 )
 from .evolution import (
+    ArrowPropagator,
     CurrentTrace,
     Propagator,
     arrow_propagator,

@@ -206,8 +206,8 @@ def cmd_fock_check(args) -> int:
         seed=int(rng.integers(2**63)),
     )
     times = np.linspace(0.0, 20.0, 81)
-    trace = simulate_trace(cfg, times)
     bath = sample_bath(cfg)
+    trace = simulate_trace(cfg, times, bath=bath)
     exact = fock.exact_current(cfg, bath, times)
     dev = np.abs(trace.total - exact).max()
     print(f"max |engine - fock| over t in [0,20]: {dev:.3e}")
@@ -226,12 +226,17 @@ def _in_range(kind, lo, hi):
     return parse
 
 
+# the 64-bit range that the config key `seed` accepts
+_seed = _in_range(int, 0, 2**64 - 1)
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--full", action="store_true", help="apply the figure-scale preset")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_in_range(int, 1, np.inf), default=1,
+                   help="parallel worker processes")
     p.add_argument("--kind", choices=["exact", "rwa", "both"], default=None,
                    help="override the Hamiltonian kind")
 
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"bath size (M = 2N+1 <= {fock.MAX_MODES})")
     p.add_argument("--gamma", type=non_negative, default=0.3)
     p.add_argument("--rwa", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_fock_check)
     return parser
 

@@ -57,6 +57,13 @@ class TestSweep:
         main(["sweep", "--config", str(cfg), "--out", str(out2), "--seed", "99"])
         assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
 
+    def test_largest_seed_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
+        out = tmp_path / "out"
+        seed = str(2**64 - 1)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", seed]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 2**64 - 1
+
     def test_manifest_written(self, tmp_path):
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
         out = tmp_path / "out"
@@ -202,8 +209,18 @@ class TestExitCodes:
     ["oracle", "selfenergy", "--omega", "3"],
     ["oracle", "transmission", "--omega", "2"],
     ["oracle", "selfenergy", "--omega", "0"],
+    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "18446744073709551616"],
+    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "18446744073709551617"],
+    ["trace", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    ["dist", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    ["fock-check", "--seed", "-1"],
+    ["sweep", "--config", "c.yaml", "--out", "o", "--jobs", "0"],
+    ["dist", "--config", "c.yaml", "--out", "o", "--jobs", "-4"],
 ], ids=["n", "gamma", "t1", "t2", "temp", "fock-check-gamma", "t", "selfenergy-omega",
-        "transmission-omega-edge", "selfenergy-omega-zero"])
+        "transmission-omega-edge", "selfenergy-omega-zero", "sweep-seed-negative",
+        "sweep-seed-2**64", "sweep-seed-2**64+1", "trace-seed-negative", "dist-seed-negative",
+        "fock-check-seed-negative", "sweep-jobs-zero", "dist-jobs-negative"])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

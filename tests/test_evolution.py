@@ -4,10 +4,10 @@ from scipy.linalg import expm
 
 from heatvalve import (
     Arrow,
+    ArrowPropagator,
     BathRealization,
     CurrentTrace,
     InternalCouplingSpec,
-    Propagator,
     ValveConfig,
     apply_internal_couplings,
     arrow_propagator,
@@ -20,35 +20,25 @@ from heatvalve import (
     expectation,
     expectation_series,
     heat_current,
-    initial_correlation,
     make_propagator,
-    observable_rate,
     sample_bath,
     steady_state_estimate,
     thermal_occupations,
     window_mean_current,
 )
 from heatvalve.evolution import window_sample_count, window_times
-from heatvalve.nambu import NambuMatrix, QuasiparticleBasis
 
-from conftest import random_correlation, random_nambu
+from conftest import dense_current, random_correlation, random_nambu
 
 
-def valve_setup(**kw):
+def arrow_setup(**kw):
+    """A valve's arrow and propagator, as ``simulate_trace`` builds them."""
     base = dict(bath_size=6, gamma=0.3, t_hot=1.0, t_cold=0.0, seed=5)
     base.update(kw)
     cfg = ValveConfig(**base)
     bath = sample_bath(cfg)
     if cfg.internal_coupling is not None:
         bath = apply_internal_couplings(cfg, bath)
-    H = build_hamiltonian(cfg, bath)
-    chi0 = initial_correlation(cfg, bath)
-    return cfg, bath, H, chi0
-
-
-def arrow_setup(**kw):
-    """A valve's arrow and propagator, as ``simulate_trace`` builds them."""
-    cfg, bath, H, chi0 = valve_setup(**kw)
     arrow = build_arrow(cfg, bath)
     prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
     return cfg, bath, arrow, prop
@@ -61,24 +51,6 @@ def complex_internal_coupling(bath_size, scale=0.2, seed=8):
         A = rng.normal(size=(bath_size, bath_size)) + 1j * rng.normal(size=(bath_size, bath_size))
         mats.append(scale * (A + A.conj().T) / (2 * np.sqrt(bath_size)))
     return InternalCouplingSpec(matrices=tuple(mats))
-
-
-def block_parts(H: NambuMatrix) -> tuple[NambuMatrix, NambuMatrix]:
-    """H with its pairing blocks zeroed, and H with only its pairing blocks."""
-    M = H.modes
-    normal = H.data.copy()
-    normal[:M, M:] = 0.0
-    normal[M:, :M] = 0.0
-    return (NambuMatrix(modes=M, data=normal),
-            NambuMatrix(modes=M, data=H.data - normal))
-
-
-def dense_current(prop, H, Hb, times):
-    """(normal, anomalous) from chi(t) rebuilt densely at every time."""
-    Hn, Ha = block_parts(H)
-    chis = [evolve(prop, t) for t in times]
-    return (np.array([observable_rate(Hb, Hn, chi) for chi in chis]),
-            np.array([observable_rate(Hb, Ha, chi) for chi in chis]))
 
 
 class TestEvolve:
@@ -148,7 +120,7 @@ class TestExpectationSeries:
         cfg, bath, _, prop = arrow_setup()
         rng = np.random.default_rng(10)
         cases = [
-            (prop, bath_hamiltonian(cfg, bath, 2)),  # the valve's arrow basis
+            (prop.dense(), bath_hamiltonian(cfg, bath, 2)),  # the valve's arrow basis
             # complex H and state: a complex basis and contraction
             (make_propagator(random_nambu(rng, 7), random_correlation(rng, 7)),
              random_nambu(rng, 7)),
@@ -190,32 +162,24 @@ class TestHeatCurrent:
             cfg, bath, arrow, prop = arrow_setup(**kw)
             got = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
             H = build_hamiltonian(cfg, bath)
-            normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+            normal, anomalous = dense_current(
+                prop.dense(), H, bath_hamiltonian(cfg, bath, 2), times
+            )
             assert np.abs(got.normal - normal).max() < 1e-13
             assert np.abs(got.anomalous - anomalous).max() < 1e-13
             if cfg.rwa:
                 assert np.abs(got.anomalous).max() == 0.0
 
-    def test_complex_state_on_real_basis(self):
-        cfg, bath, H, _ = valve_setup()
-        chi0 = random_correlation(np.random.default_rng(7), cfg.modes)
-        prop = make_propagator(H, chi0)
-        assert np.isrealobj(prop.basis.transform) and not np.isrealobj(prop.rotated_initial)
-        times = np.linspace(0, 10, 21)
-        got = heat_current(prop, build_arrow(cfg, bath), bath_levels(cfg, bath, 2), times)
-        normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
-        assert np.abs(got.normal - normal).max() < 1e-13
-        assert np.abs(got.anomalous - anomalous).max() < 1e-13
-
     def test_matches_finite_difference_of_bath_energy(self):
         cfg, bath, arrow, prop = arrow_setup()
         Hb = bath_hamiltonian(cfg, bath, 2)
+        dense = prop.dense()
         dt = 1e-4
         for t0 in (0.5, 7.3, 18.0):
             current = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [t0]).total[0]
             fd = (
-                expectation(Hb, evolve(prop, t0 + dt))
-                - expectation(Hb, evolve(prop, t0 - dt))
+                expectation(Hb, evolve(dense, t0 + dt))
+                - expectation(Hb, evolve(dense, t0 - dt))
             ) / (2 * dt)
             assert current == pytest.approx(fd, abs=1e-6)
 
@@ -229,25 +193,20 @@ class TestHeatCurrent:
             with pytest.raises(ValueError, match="shape"):
                 window_mean_current(prop, arrow, bad, (20.0, 30.0), 0.5)
 
-    def test_spurious_real_part_is_refused(self):
-        cfg, bath, H, chi0 = valve_setup()
-        arrow = build_arrow(cfg, bath)
-        levels = bath_levels(cfg, bath, 2)
-        Hc = NambuMatrix(modes=H.modes, data=H.data.astype(complex))
-        skew = np.random.default_rng(9).normal(scale=0.1, size=(2 * cfg.modes,) * 2)
-        # the arrow's real basis and a complex eigh basis
-        props = [arrow_propagator(arrow, thermal_occupations(cfg, bath)),
-                 make_propagator(Hc, chi0)]
-        for prop in props:
-            heat_current(prop, arrow, levels, [0.5, 3.0])
-            # a non-Hermitian chi gives tr(chi [H_bath, H]) a real part
-            bad = Propagator(basis=prop.basis, rotated_initial=prop.rotated_initial + skew)
-            with pytest.raises(ValueError, match="spurious real"):
-                heat_current(bad, arrow, levels, [0.5, 3.0])
-            # the window mean checks its own real part, at the same threshold
-            window_mean_current(prop, arrow, levels, (0.0, 10.0), 0.5)
-            with pytest.raises(ValueError, match="spurious real"):
-                window_mean_current(bad, arrow, levels, (0.0, 10.0), 0.5)
+    def test_complex_or_misshaped_factors_are_refused(self):
+        _, _, _, prop = arrow_setup()
+        factors = dict(s=prop.s, P=prop.P, Q=prop.Q, X=prop.X)
+        ArrowPropagator(**factors)
+        for bad in (
+            dict(X=prop.X.astype(complex)),
+            dict(P=prop.P + 0j),
+            dict(s=prop.s[:-1]),
+            dict(s=prop.s[:, None]),
+            dict(Q=prop.Q[:, :-1]),
+            dict(X=prop.X[None]),
+        ):
+            with pytest.raises(ValueError, match="real array of shape"):
+                ArrowPropagator(**{**factors, **bad})
 
 
 def assert_equals_grid_mean(prop, arrow, levels, window, time_step):
@@ -296,28 +255,15 @@ class TestWindowMeanCurrent:
         # window kernel must keep its relative accuracy at small w
         rng = np.random.default_rng(12)
         s = np.array([1.5, 1.5 - 1e-10, 0.4])
-        U, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        basis = QuasiparticleBasis(modes=3, eigenvalues=np.concatenate([-s, s[::-1]]),
-                                   transform=U)
-        prop = Propagator(basis=basis, rotated_initial=random_correlation(rng, 3).data)
-        arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
-                      center=1, rwa=False)
+        P, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        prop = ArrowPropagator(s=s, P=P, Q=Q, X=(Q.T * rng.uniform(-1, 1, size=3)) @ P)
         levels = np.array([0.0, 0.0, 1.3])
-        for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
-            assert_equals_grid_mean(prop, arrow, levels, window, time_step)
-
-    def test_complex_bases_and_states(self):
-        cfg, bath, H, chi0 = valve_setup(bath_size=8)
-        arrow = build_arrow(cfg, bath)
-        levels = bath_levels(cfg, bath, 2)
-        props = [
-            # real basis, complex state
-            make_propagator(H, random_correlation(np.random.default_rng(7), cfg.modes)),
-            # complex eigh basis
-            make_propagator(NambuMatrix(modes=H.modes, data=H.data.astype(complex)), chi0),
-        ]
-        for prop in props:
-            assert_equals_grid_mean(prop, arrow, levels, (20.0, 30.0), 0.5)
+        for rwa in (False, True):
+            arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
+                          center=1, rwa=rwa)
+            for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
+                assert_equals_grid_mean(prop, arrow, levels, window, time_step)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_zero_coupling_is_exactly_zero(self, rwa):
@@ -333,7 +279,7 @@ class TestWindowMeanCurrent:
     def test_aliasing_time_step_is_refused(self):
         cfg, bath, arrow, prop = arrow_setup()
         levels = bath_levels(cfg, bath, 2)
-        s_max = np.abs(prop.basis.eigenvalues).max()
+        s_max = prop.s.max()
         bound = np.pi / (2 * s_max)
         window_mean_current(prop, arrow, levels, (20.0, 50.0), 0.99 * bound)
         for dt in (bound, 1.0):

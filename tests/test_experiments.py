@@ -14,10 +14,8 @@ from heatvalve.experiments import (
     simulate_trace,
 )
 from heatvalve import (
-    bath_levels,
-    build_arrow,
+    bath_hamiltonian,
     build_hamiltonian,
-    heat_current,
     initial_correlation,
     steady_state_estimate,
     make_propagator,
@@ -29,6 +27,8 @@ from heatvalve import (
 )
 from heatvalve.evolution import window_times
 from heatvalve.nambu import NambuMatrix
+
+from conftest import dense_current
 
 FAST = dict(window=(20.0, 30.0), time_step=0.5)
 
@@ -65,8 +65,8 @@ class TestSimulateTrace:
         H = build_hamiltonian(cfg, bath)
         H_full = NambuMatrix(modes=H.modes, data=H.data.astype(complex))  # 2M x 2M eigh
         prop = make_propagator(H_full, initial_correlation(cfg, bath))
-        full = heat_current(prop, build_arrow(cfg, bath), bath_levels(cfg, bath, 2), times)
-        assert np.abs(trace.total - full.total).max() < 1e-10
+        normal, anomalous = dense_current(prop, H, bath_hamiltonian(cfg, bath, 2), times)
+        assert np.abs(trace.total - (normal + anomalous)).max() < 1e-10
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_rwa_matches_fock_oracle(self):
@@ -184,7 +184,7 @@ class TestWindowMeans:
             raise AssertionError("time-grid contraction used")
 
         for module in (heatvalve, evolution, experiments):
-            for name in ("heat_current", "_contract", "_phase_parts"):
+            for name in ("heat_current", "_phase_parts"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refused)
         self.assert_close(run_sweep(template(bath_size=20), [0.0, 0.3], **sweep), want_sweep)

@@ -36,6 +36,8 @@ from heatvalve import fock, nambu
 from heatvalve.experiments import simulate_trace
 from heatvalve.nambu import NambuMatrix
 
+from conftest import dense_current
+
 TIMES = np.linspace(0.0, 30.0, 121)
 
 
@@ -129,7 +131,8 @@ class TestValveHamiltonians:
         prop, calls = solvers_called(monkeypatch, cfg, bath, path)
         assert calls == SOLVER_CALLS[path]
         ref = diagonalize(as_complex(H))
-        U, E = prop.basis.transform, prop.basis.eigenvalues
+        dense = prop.dense()
+        U, E = dense.basis.transform, dense.basis.eigenvalues
         assert np.isrealobj(U)
         assert np.abs(E - ref.eigenvalues).max() < 1e-13
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
@@ -137,21 +140,24 @@ class TestValveHamiltonians:
 
     def test_rotated_initial_state_matches_dense_rotation(self, kw, path):
         cfg, bath, _, chi0 = valve(**kw)
-        _, prop = propagate(cfg, bath)
-        U = prop.basis.transform
-        assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
+        dense = propagate(cfg, bath)[1].dense()
+        U = dense.basis.transform
+        assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
     def test_heat_current_matches_dense_and_eigh_paths(self, kw, path):
         cfg, bath, H, chi0 = valve(**kw)
         levels = bath_levels(cfg, bath, 2)
         arrow, prop = propagate(cfg, bath)
         got = heat_current(prop, arrow, levels, TIMES)
-        ref = heat_current(make_propagator(as_complex(H), chi0), arrow, levels, TIMES)
         Hb = bath_hamiltonian(cfg, bath, 2)
-        dense = np.array([observable_rate(Hb, H, evolve(prop, t)) for t in TIMES])
-        assert np.abs(got.total - dense).max() < 1e-13
-        for name in ("total", "normal", "anomalous"):
-            assert np.abs(getattr(got, name) - getattr(ref, name)).max() < 1e-13
+        dense = prop.dense()
+        total = np.array([observable_rate(Hb, H, evolve(dense, t)) for t in TIMES])
+        assert np.abs(got.total - total).max() < 1e-13
+        # the 2M x 2M eigh route, split into parts by the blocks of H
+        normal, anomalous = dense_current(make_propagator(as_complex(H), chi0), H, Hb, TIMES)
+        for name, ref in (("total", normal + anomalous), ("normal", normal),
+                          ("anomalous", anomalous)):
+            assert np.abs(getattr(got, name) - ref).max() < 1e-13
 
 
 @pytest.mark.parametrize("kw", [
@@ -164,7 +170,8 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     cfg, bath, H, _ = valve(bath_size=450, **kw)
     prop, calls = solvers_called(monkeypatch, cfg, bath, "arrow")
     assert calls == {"dlasd4"}
-    U, E = prop.basis.transform, prop.basis.eigenvalues
+    dense = prop.dense()
+    U, E = dense.basis.transform, dense.basis.eigenvalues
     M = cfg.modes
     s = np.linalg.svd(H.particle_block + H.anomalous_block, compute_uv=False)
     assert np.abs(E[M:][::-1] - s).max() < 1e-13
@@ -185,12 +192,13 @@ def test_exact_degeneracies_and_zero_modes(monkeypatch):
         assert calls == SOLVER_CALLS[path]
         H = build_hamiltonian(cfg, bath)
         ref = diagonalize(as_complex(H))
-        U, E = prop.basis.transform, prop.basis.eigenvalues
+        dense = prop.dense()
+        U, E = dense.basis.transform, dense.basis.eigenvalues
         assert np.abs(E - ref.eigenvalues).max() < 1e-14
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-14
         assert np.abs(U.T @ U - np.eye(14)).max() < 1e-14
         chi0 = initial_correlation(cfg, bath)
-        assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
+        assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
 def test_non_physical_diagonal_state_uses_dense_rotation():
