@@ -49,8 +49,11 @@ from .analytics import (
     anomalous_current_discrete,
     empirical_gamma,
     fermi,
+    heisenberg_time,
     landauer_current,
+    levels_per_linewidth,
     occupation,
+    relaxation_time,
     self_energy,
     spectral_density,
     transmission,

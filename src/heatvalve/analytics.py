@@ -8,6 +8,7 @@ Currents are in units of hbar*omega0^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,48 @@ def transmission(spec1: UniformBathSpec, spec2: UniformBathSpec, omega: float) -
     return g1 * g2 / denom
 
 
+def _scalar_occupation(temperature: float):
+    """``occupation(., temperature)`` of one float, in scalar math."""
+    if temperature == 0:
+        return lambda w: 1.0 if w < 0 else 0.0 if w > 0 else 0.5
+
+    def fermi_dirac(w):
+        try:
+            return 1 / (1 + math.exp(w / temperature))
+        except OverflowError:  # as in numpy: 1 / (1 + inf) = 0
+            return 0.0
+
+    return fermi_dirac
+
+
+def _landauer_integrand(spec1: UniformBathSpec, spec2: UniformBathSpec, t1: float, t2: float):
+    """w -> (1/2pi) |tau(w)|^2 w [f1(w) - f2(w)] for one float w.
+
+    The composition of ``occupation`` and ``transmission`` (with
+    ``self_energy``) with the constants hoisted and Python floats in place
+    of numpy 0-d calls: quad evaluates it about a thousand times.  Outside
+    the open band it raises ``self_energy``'s ValueError.
+    """
+    g1, g2 = spectral_density(spec1), spectral_density(spec2)
+    # self_energy: -Gamma/(2 pi) ln(2 omega0/w - 1) per bath
+    k1, k2 = -g1 / (2 * np.pi), -g2 / (2 * np.pi)
+    top1, top2 = 2 * spec1.omega0, 2 * spec2.omega0
+    lo = max(spec1.band[0], spec2.band[0]) + EDGE_TOL
+    hi = min(spec1.band[1], spec2.band[1]) - EDGE_TOL
+    center, width, strength = spec1.omega0, (g1 / 2 + g2 / 2) ** 2, g1 * g2
+    f1, f2 = _scalar_occupation(t1), _scalar_occupation(t2)
+
+    def integrand(w):
+        if not lo < w < hi:
+            self_energy(spec1, w)
+            self_energy(spec2, w)
+        sigma = k1 * math.log(top1 / w - 1) + k2 * math.log(top2 / w - 1)
+        tau2 = strength / ((w - center - sigma) ** 2 + width)
+        return tau2 * w * (f1(w) - f2(w)) / (2 * np.pi)
+
+    return integrand
+
+
 def landauer_current(
     spec1: UniformBathSpec,
     spec2: UniformBathSpec,
@@ -110,14 +153,9 @@ def landauer_current(
         return 0.0
     if spectral_density(spec1) == 0 or spectral_density(spec2) == 0:
         return 0.0
-
-    def integrand(w):
-        df = occupation(w, t1) - occupation(w, t2)
-        return transmission(spec1, spec2, w) * w * df / (2 * np.pi)
-
     lo, hi = spec1.band
     val, err = integrate.quad(
-        integrand,
+        _landauer_integrand(spec1, spec2, t1, t2),
         lo,
         hi,
         points=[spec1.omega0],
@@ -141,6 +179,28 @@ def weak_coupling_current(gamma1: float, gamma2: float, t1: float, t2: float,
         return 0.0
     df = occupation(omega0, t1) - occupation(omega0, t2)
     return gamma1 * gamma2 / (gamma1 + gamma2) * omega0 * df
+
+
+def relaxation_time(gamma: float, omega0: float = 1.0) -> float:
+    """tau = 1/(Gamma1 + Gamma2) = 3 omega0/(2 pi gamma^2), the relaxation time of the valve.
+
+    Gamma = pi gamma^2/(3 omega0) is each bath's ``spectral_density`` at
+    coupling scale gamma, whatever N; infinite at gamma = 0.
+    """
+    if gamma == 0:
+        return math.inf
+    return 3 * omega0 / (2 * np.pi * gamma**2)
+
+
+def heisenberg_time(bath_size: int, omega0: float = 1.0) -> float:
+    """t_H = 2 pi nu0 = pi N/omega0, when a bath's discreteness shows (recurrences)."""
+    return np.pi * bath_size / omega0
+
+
+def levels_per_linewidth(gamma: float, bath_size: int, omega0: float = 1.0) -> float:
+    """Gamma nu0, the bath levels inside one linewidth of the central level."""
+    spec = UniformBathSpec.from_coupling_scale(gamma, bath_size, omega0)
+    return spectral_density(spec) * spec.level_density
 
 
 def anomalous_current_discrete(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -61,7 +62,30 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_dir: Path, cfg: dict, started: float, outputs: list[str]) -> None:
+def _physical_scales(gammas, sizes, omega0: float) -> list[dict]:
+    """The scales that decide whether a window mean can be trusted, per (gamma, N).
+
+    A steady state needs a window past the relaxation time tau and before
+    the Heisenberg time t_H, and a continuum bath needs many levels per
+    linewidth.  tau is infinite, written as null, at gamma = 0.
+    """
+    scales = []
+    for N in sizes:
+        for gamma in gammas:
+            tau = analytics.relaxation_time(gamma, omega0)
+            scales.append({
+                "gamma_over_omega0": float(gamma),
+                "bath_size": N,
+                "relaxation_time": tau if math.isfinite(tau) else None,
+                "heisenberg_time": analytics.heisenberg_time(N, omega0),
+                "levels_per_linewidth": analytics.levels_per_linewidth(gamma, N, omega0),
+            })
+    return scales
+
+
+def _write_manifest(
+    out_dir: Path, cfg: dict, started: float, outputs: list[str], scales: list[dict]
+) -> None:
     manifest = {
         "tool": "heatvalve",
         "tool_version": __version__,
@@ -70,6 +94,7 @@ def _write_manifest(out_dir: Path, cfg: dict, started: float, outputs: list[str]
         "started": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
+        "physical_scales": scales,
     }
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -118,7 +143,8 @@ def cmd_sweep(args) -> int:
     )
     path = out_dir / "sweep.csv"
     _write_csv(path, SWEEP_HEADER, _sweep_rows(records))
-    _write_manifest(out_dir, cfg, started, [path.name])
+    scales = _physical_scales(cfg["gamma_grid"], [template.bath_size], template.omega0)
+    _write_manifest(out_dir, cfg, started, [path.name], scales)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -143,7 +169,8 @@ def cmd_trace(args) -> int:
                 )
     path = out_dir / "trace.csv"
     _write_csv(path, TRACE_HEADER, rows)
-    _write_manifest(out_dir, cfg, started, [path.name])
+    scales = _physical_scales([cfg["gamma"]], sizes, vc.omega0)
+    _write_manifest(out_dir, cfg, started, [path.name], scales)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -170,7 +197,8 @@ def cmd_dist(args) -> int:
         path = out_dir / f"sweep_{dist}.csv"
         _write_csv(path, SWEEP_HEADER, _sweep_rows(records))
         outputs.append(path.name)
-    _write_manifest(out_dir, cfg, started, outputs)
+    scales = _physical_scales(cfg["gamma_grid"], [template.bath_size], template.omega0)
+    _write_manifest(out_dir, cfg, started, outputs, scales)
     print(f"wrote {', '.join(str(out_dir / o) for o in outputs)}")
     return EXIT_OK
 

@@ -4,18 +4,20 @@ The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}.
 A valve realization runs from its arrow alone, in the Majorana form
 (``arrow_propagator``).  With W = [[1, 1], [1, -1]]/sqrt(2), H becomes
 [[0, K^T], [K, 0]] for the arrow's K = h + Delta, and the thermal product
-state with mode occupations n becomes [[1, e], [e, 1]]/2, e = diag(1 - 2n).
-The M x M SVD K = P diag(s) Q^T of ``nambu.arrow_svd`` (O(M^2) for the
-broken arrow) and X = Q^T e P, one M^3 product, are then the whole
-realization (``ArrowPropagator``): the evolution turns the pair of singular
-bases through cos(st) and sin(st).  Heat currents
-d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector of
-its mode energies (``valve.bath_levels``).  The bath couples only to the
-central mode, so the commutator is written down from the central column,
-and each part of the current is an M x M bilinear form in cos(st) and
-sin(st) (``heat_current``).  The mean over a window's samples needs no time
-grid (``window_mean_current``): each pair of singular values is weighted by
-the window's Dirichlet kernel, a chunk of rows at a time.
+state with mode occupations n becomes [[1, e], [e, 1]]/2,
+e = diag(1 - 2n).  The M x M SVD K = P diag(s) Q^T and X = Q^T e P of
+``nambu.arrow_svd`` (both O(M^2) for the broken arrow: X is a Löwner
+matrix of the solver's closed-form vectors) are then the whole realization
+(``ArrowPropagator``): the evolution turns the pair of singular bases
+through cos(st) and sin(st).  Heat currents
+d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector
+of its mode energies (``valve.bath_levels``).  The bath couples only to
+the central mode, so the commutator is written down from the central
+column, and each part of the current is an M x M bilinear form in cos(st)
+and sin(st) (``heat_current``).  The mean over a window's samples needs
+no time grid (``window_mean_current``): each pair of singular values is
+weighted by the window's Dirichlet kernel, over one triangle of pairs, a
+chunk of rows at a time.
 
 ``make_propagator``, ``evolve`` and ``expectation_series`` are the general
 route, the 2M x 2M eigh of a dense H and the dense rotation of any chi(0),
@@ -127,16 +129,16 @@ class CurrentTrace:
 def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
     """An arrow's realization in the product state with mode occupations n.
 
-    One M x M SVD (``nambu.arrow_svd``) and the one M^3 product
-    X = Q^T diag(1 - 2n) P; no 2M x 2M array.
+    ``nambu.arrow_svd`` gives the M x M SVD and X = Q^T diag(1 - 2n) P
+    together, in O(M^2) for the broken arrow; no 2M x 2M array.
     """
     occupations = np.asarray(occupations, dtype=float)
     if occupations.shape != (arrow.modes,):
         raise ValueError(
             f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
         )
-    s, P, Q = arrow_svd(arrow)
-    return ArrowPropagator(s=s, P=P, Q=Q, X=(Q.T * (1 - 2 * occupations)) @ P)
+    s, P, Q, X = arrow_svd(arrow, 1 - 2 * occupations)
+    return ArrowPropagator(s=s, P=P, Q=Q, X=X)
 
 
 def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
@@ -190,12 +192,11 @@ def _checked_levels(prop: ArrowPropagator, arrow: Arrow, levels) -> np.ndarray:
     return levels
 
 
-def _form(X: np.ndarray, a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows of G = X * (b a^T - a b^T)."""
-    G = np.multiply.outer(b[rows], a)
-    G -= np.multiply.outer(a[rows], b)
-    G *= X[rows]
-    return G
+def _antisym(a: np.ndarray, b: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """The block [rows, cols] of N = b a^T - a b^T, antisymmetric and exactly 0 on its diagonal."""
+    N = np.multiply.outer(b[rows], a[cols])
+    N -= np.multiply.outer(a[rows], b[cols])
+    return N
 
 
 def _bilinear(cos: np.ndarray, G: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -226,9 +227,10 @@ def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentT
         return CurrentTrace(times=times, total=zeros, normal=zeros, anomalous=zeros)
     c = arrow.center
     cos, sin = _phase_parts(prop.s, times)
-    every = slice(None)
-    G_Q = _form(prop.X, w @ prop.Q, prop.Q[c], every)
-    G_P = _form(prop.X.T, w @ prop.P, prop.P[c], every)
+    G_Q = _antisym(w @ prop.Q, prop.Q[c])
+    G_Q *= prop.X
+    G_P = _antisym(w @ prop.P, prop.P[c])
+    G_P *= prop.X.T
     if arrow.rwa:
         G_Q += G_P
         normal, anomalous = _bilinear(cos, G_Q, sin), zeros
@@ -242,9 +244,10 @@ def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentT
 
 
 MIN_WINDOW_SAMPLES = 10
-# Rows of G that window_mean_current handles at once: its working set is a
-# few (rows x M) arrays instead of the whole M x M form.
-MEAN_CHUNK_ROWS = 128
+# Rows of the triangle that window_mean_current handles at once: its working
+# set is a few (rows x M) arrays instead of the whole M x M form.  64 rows
+# ran faster than 128 at M = 2401 and no slower at M = 901 (one thread).
+MEAN_CHUNK_ROWS = 64
 
 
 def _in_window(times: np.ndarray, window) -> np.ndarray:
@@ -287,14 +290,25 @@ def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
     centre tau.  Both sines are taken from w itself, so rho keeps its
     relative accuracy as w -> 0, where it is 1.  They go through
     t = tan(x/2), sin x = 2t / (1 + t^2): numpy's tan is several times
-    faster than its sin (numpy 2.4, x86-64).
+    faster than its sin (numpy 2.4, x86-64).  Overwrites w; every step is
+    in place, on the chunk's few (rows x M) buffers.
     """
-    a = np.tan(w * (samples * half_step / 2))
-    b = np.tan(w * (half_step / 2))
     # rho = [2a / (1 + a^2)] / [T 2b / (1 + b^2)]
-    num = a * (1 + b * b)
-    den = samples * b * (1 + a * a)
-    return np.divide(num, den, out=np.ones_like(w), where=b != 0)
+    a = np.multiply(w, samples * half_step / 2)
+    np.tan(a, out=a)
+    b = np.multiply(w, half_step / 2, out=w)
+    np.tan(b, out=b)
+    rho = np.multiply(b, b)
+    rho += 1
+    rho *= a  # a (1 + b^2)
+    resolved = b != 0
+    b *= samples
+    a *= a
+    a += 1
+    a *= b  # T b (1 + a^2)
+    np.divide(rho, a, out=rho, where=resolved)
+    rho[~resolved] = 1.0
+    return rho
 
 
 def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, time_step) -> float:
@@ -306,7 +320,11 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     cos(s_j t) sin(s_k t) is
     [rho(s_j + s_k) sin((s_j + s_k) tau) + rho(s_k - s_j) sin((s_k - s_j) tau)] / 2
     (``_window_kernel``): no time grid, and a long window costs what a short
-    one does.  G is built and weighted a chunk of rows at a time.
+    one does.  G is zero on its diagonal and rho is even, so the sum runs
+    over j < k alone, the sum term weighted by G_jk + G_kj and the
+    difference term by G_jk - G_kj; with G = X * N for the antisymmetric
+    N = b a^T - a b^T, these are (X_jk -+ X_kj) N_jk.  The triangle is taken
+    a chunk of rows at a time.
 
     The mean is exact only for frequencies the samples resolve: a time step
     with s_max dt >= pi/2 (the Nyquist bound of the highest frequency
@@ -328,9 +346,11 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     if not w.any():
         return 0.0  # G is exactly zero
     c = arrow.center
-    forms = [(prop.X, w @ prop.Q, prop.Q[c])]
-    if arrow.rwa:
-        forms.append((prop.X.T, w @ prop.P, prop.P[c]))
+    X = prop.X
+    # G = X * N_Q, or X * N_Q + X^T * N_P under the RWA: G_jk +- G_kj is
+    # (X_jk -+ X_kj) (N_Q -+ N_P)_jk
+    Q_side = (w @ prop.Q, prop.Q[c])
+    P_side = (w @ prop.P, prop.P[c]) if arrow.rwa else None
     # centre and spacing of the samples themselves: np.arange steps by
     # fl(t0 + dt) - t0, which on [200, 400] at dt 0.05 puts the last
     # sample 4.5e-11 from t0 + (T - 1) dt
@@ -340,20 +360,38 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     cos, sin = np.cos(s * tau), np.sin(s * tau)
     total = 0.0
     for j0 in range(0, M, MEAN_CHUNK_ROWS):
-        rows = slice(j0, min(j0 + MEAN_CHUNK_ROWS, M))
-        G = sum(_form(*form, rows) for form in forms)
+        j1 = min(j0 + MEAN_CHUNK_ROWS, M)
+        rows, cols = slice(j0, j1), slice(j0, M)
+        sym = _antisym(*Q_side, rows, cols)
+        anti = sym.copy()
+        if P_side is not None:
+            N_P = _antisym(*P_side, rows, cols)
+            sym -= N_P
+            anti += N_P
+            del N_P
+        Xt = X[cols, rows].T
+        pair = np.subtract(X[rows, cols], Xt)
+        sym *= pair
+        np.add(X[rows, cols], Xt, out=pair)
+        anti *= pair
+        del pair
+        # only k > j inside the diagonal block (both are 0 at k = j)
+        lower = np.tril_indices(j1 - j0, -1)
+        sym[lower] = 0.0
+        anti[lower] = 0.0
         # sin((s_j + s_k) tau) = sin_j cos_k + cos_j sin_k: two matrix-vector
         # products; their rounding is damped by rho(s_j + s_k) unless both
         # are small, where they are accurate
-        plus = _window_kernel(s[rows, None] + s, T, h)
-        plus *= G
-        total += sin[rows] @ (plus @ cos) + cos[rows] @ (plus @ sin)
+        plus = _window_kernel(s[rows, None] + s[cols], T, h)
+        plus *= sym
+        del sym
+        total += sin[rows] @ (plus @ cos[cols]) + cos[rows] @ (plus @ sin[cols])
         # sin((s_k - s_j) tau) from the difference itself: by the addition
         # theorem a near-degenerate pair, rho ~ 1, would cancel O(1) terms
-        diff = s - s[rows, None]
-        minus = _window_kernel(diff, T, h)
-        diff *= tau
-        minus *= np.sin(diff, out=diff)
-        minus *= G
+        diff = s[cols] - s[rows, None]
+        minus = np.multiply(diff, tau)
+        np.sin(minus, out=minus)
+        minus *= _window_kernel(diff, T, h)
+        minus *= anti
         total += minus.sum()
     return float(-0.25 * total * (1 if arrow.rwa else 2))

@@ -202,11 +202,12 @@ def build_nambu(
     return NambuMatrix(modes=M, data=data, const_offset=const_offset)
 
 
-def _probe_residuals(arrow: Arrow, s, P, Q) -> tuple[float, float]:
-    """Relative residuals of K = P diag(s) Q^T and P^T P = Q^T Q = 1 on one probe.
+def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, float]:
+    """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe.
 
     A fixed pseudo-random vector makes the checks O(M^2) matrix-vector work;
-    K v itself is O(M) from the arrow.
+    K v itself is O(M) from the arrow, and X v is checked against
+    Q^T (e * P v) for the weights e.
     """
     v = np.random.default_rng(0x5EED).standard_normal(arrow.modes)
     norm = np.linalg.norm(v)
@@ -215,30 +216,42 @@ def _probe_residuals(arrow: Arrow, s, P, Q) -> tuple[float, float]:
     if arrow.rwa:
         Kv[c] += arrow.couplings @ v
     w = Q.T @ v
+    Pv = P @ v
     scale = max(s.max(initial=0.0), 1.0) * norm
     recon = np.linalg.norm(Kv - P @ (s * w)) / scale
     ortho = max(np.linalg.norm(Q @ w - v), np.linalg.norm(P @ (P.T @ v) - v)) / norm
-    return float(recon), float(ortho)
+    state = np.linalg.norm(X @ v - Q.T @ (weights * Pv)) / norm
+    return float(recon), float(ortho), float(state)
 
 
-def _broken_arrow_svd(arrow: Arrow):
-    """SVD K = P diag(s) Q^T, s descending, of an arrow with pairing.
+def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
+    """SVD K = P diag(s) Q^T, s descending, of an arrow with pairing, and Q^T diag(e) P.
 
     K^T = diag(d) + e_c z^T with z = K[:, c] (the central level at c) and
     d = levels but d_c = 0, and K^T = S A for S = diag(sign d) and the
     broken arrow A = diag(|d|) + e_c z^T, whose squared singular values
     are the eigenvalues of diag(|d|^2) + z z^T (Gu & Eisenstat 1995).
     LAPACK ``dlasd4`` finds each root s_i of the secular equation together
-    with |d| - s_i and |d| + s_i, both to full relative accuracy.  Löwner's
-    formula then recomputes z from the roots, which keeps the vectors
-    orthogonal, and v_i ~ z_j / (d_j^2 - s_i^2),
-    u_i ~ [-1 at c, |d_j| z_j / (d_j^2 - s_i^2)] in closed form, with
-    P = V and Q = S U.  Every difference of squares is formed as a product,
-    never as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``, a coupling
-    |z_j| <= tol is deflated: s = |d_j| with unit vectors.  Returns None,
-    and the caller falls back to the dense SVD, when |z_c| <= tol, when two
-    coupled levels |d| (0 included) lie within tol, or when ``dlasd4``
-    fails.
+    with D2_ij = (|d_j| - s_i)(|d_j| + s_i), to full relative accuracy.
+    Löwner's formula then recomputes z from the roots, which keeps the
+    vectors orthogonal, and v_i ~ z_j / D2_ij, u_i ~ [-1 at c, |d_j| z_j / D2_ij]
+    in closed form, with P = V and Q = S U.  Every difference of squares is
+    formed from these products, never as d_j^2 - s_i^2.  As in LAPACK
+    ``dlasd2``, a coupling |z_j| <= tol is deflated: s = |d_j| with unit
+    vectors.
+
+    The same closed forms make X = Q^T diag(e) P, for the weights e, a
+    Löwner matrix: with F_i = sum_j e_j d_j z_j^2 / D2_ij (one product
+    with the unnormalized V) and F'_i = sum_j e_j d_j z_j^2 / D2_ij^2,
+    X_ik |u_i| |v_k| = (F_i - F_k) / (s_i^2 - s_k^2) + e_c z_c / s_k^2, and
+    F'_i in place of the quotient on the diagonal.  s_i^2 - s_k^2 is taken
+    as D2_kj - D2_ij at the pole j nearest root i, which keeps close roots
+    accurate; deflated modes give the diagonal e_j sign d_j.  O(M^2) work,
+    at most four M x M arrays at once.
+
+    Returns None, and the caller falls back to the dense SVD, when
+    |z_c| <= tol, when two coupled levels |d| (0 included) lie within tol,
+    or when ``dlasd4`` fails.
     """
     M, c = arrow.modes, arrow.center
     z = arrow.column.copy()
@@ -286,66 +299,100 @@ def _broken_arrow_svd(arrow: Arrow):
     zhat[:k] = np.copysign(np.sqrt(np.abs(dm.prod(axis=0) * D2[k - 1, :k])), zs[:k])
     del dm
 
-    V = np.divide(zhat, D2, out=D2)
-    U = V * ds
-    U[:, 0] = -1.0
-    U *= sign
-    deflated = (np.arange(k, M), np.arange(k, M))
-    for X in (V, U):
-        X[k:] = 0.0
-        X[deflated] = 1.0
-        X /= np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
-    U[deflated] = sign[k:]
-    # the rows of V and U are the vectors over the sorted modes; P and Q
-    # hold them as columns by descending s, over the modes in their order
+    # by interlacing root i lies between poles i and i + 1; take the nearer
+    i = np.arange(k - 1)
+    nearest = np.zeros(M, dtype=np.intp)
+    nearest[: k - 1] = i + (np.abs(D2[i, i + 1]) < np.abs(D2[i, i]))
+    nearest[k - 1] = k - 1
+    # from here on a row is a singular value, by descending s as P, Q and X
+    # hold them; a column is a mode in the sorted order
     s = np.concatenate([sig, ds[k:]])
     order = np.argsort(-s, kind="stable")
-    rows = np.argsort(perm)
-    V[:] = V[order]
-    P = np.ascontiguousarray(V.T)
-    del V
-    P = P[rows]
-    U[:] = U[order]
-    Q = np.ascontiguousarray(U.T)
+    D2 = D2[order]
+    nearest = nearest[order]
+    dead = np.argsort(order)[k:]  # the rows of the deflated modes
+    deflated = (dead, np.arange(k, M))
+    # the unnormalized vectors v_i as the rows of V; deflated: unit vectors
+    V = zhat / D2
+    V[dead] = 0.0
+    V[deflated] = 1.0
+    # Y[l, i] = D2[l, j] - D2[i, j] = s_i^2 - s_l^2 at the pole j nearest root i
+    Y = np.take(D2, nearest, axis=1)
+    del D2
+    Y -= Y.diagonal().copy()
+    e, signed = weights[perm], sign * ds
+    F = V @ (e * signed * zhat)
+    dF = np.einsum("ij,ij,j->i", V, V, e * signed)
+    # X_il |u_i| |v_l| in Y[l, i]: the deflated rows and columns are held
+    # at 1 through the division, then set
+    np.fill_diagonal(Y, 1.0)
+    Y[dead] = 1.0
+    Y[:, dead] = 1.0
+    np.divide(np.subtract.outer(F, F).T, Y, out=Y)
+    np.fill_diagonal(Y, dF)
+    Y -= (e[0] * V[:, 0])[:, None]
+    Y[dead] = 0.0
+    Y[:, dead] = 0.0
+    Y[dead, dead] = e[k:] * sign[k:]
+    norm_v = np.sqrt(np.einsum("ij,ij->i", V, V))
+    norm_u = np.sqrt(1 + np.einsum("ij,ij,j->i", V, V, ds * ds))
+    norm_u[dead] = 1.0
+    Y /= norm_v[:, None]
+    Y /= norm_u
+
+    # P and Q hold the vectors as columns, over the modes in their order
+    modes = np.argsort(perm)
+    U = V * signed
+    U[:, 0] = -1.0
+    U[dead, 0] = 0.0
+    U[deflated] = sign[k:]
+    U /= norm_u[:, None]
+    Q = U.take(modes, axis=1).T
     del U
-    Q = Q[rows]
-    return s[order], P, Q
+    V /= norm_v[:, None]
+    P = V.take(modes, axis=1).T
+    return s[order], P, Q, Y.T
 
 
-def arrow_svd(arrow: Arrow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD K = P diag(s) Q^T, s descending, of an arrow's K = h + Delta.
+def arrow_svd(arrow: Arrow, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SVD K = P diag(s) Q^T, s descending, of an arrow's K = h + Delta, and X = Q^T diag(e) P.
 
-    Without pairing (RWA, or no coupling) K is symmetric, and
-    K = V diag(l) V^T is already an SVD with s = |l|, Q = V and
+    ``weights`` are the M diagonal entries e of the state (1 - 2n for mode
+    occupations n).  Without pairing (RWA, or no coupling) K is symmetric,
+    and K = V diag(l) V^T is already an SVD with s = |l|, Q = V and
     P = V sign(l); eigh finds it several times faster than the general SVD.
     With pairing K is a broken arrow, solved in O(M^2) by
-    ``_broken_arrow_svd``; the dense ``np.linalg.svd`` takes the arrows that
-    solver declines (coincident or zero levels).  Every result is probed:
-    K v = P diag(s) Q^T v, P^T P v = v and Q^T Q v = v for one fixed vector
-    v, each to SPECTRAL_TOL, or ValueError.
+    ``_broken_arrow_svd``, which also writes X down in O(M^2) as a Löwner
+    matrix; the dense ``np.linalg.svd`` takes the arrows that solver
+    declines (coincident or zero levels).  Where eigh or the dense SVD
+    solves K, X is the M^3 product.  Every result is probed:
+    K v = P diag(s) Q^T v, P^T P v = v, Q^T Q v = v and X v = Q^T (e * P v)
+    for one fixed vector v, each to SPECTRAL_TOL, or ValueError.
     """
+    weights = np.asarray(weights, dtype=float)
+    X = None
     try:
         if arrow.rwa or not arrow.couplings.any():
             lam, V = np.linalg.eigh(arrow.matrix())
             order = np.argsort(-np.abs(lam), kind="stable")
             s, Q = np.abs(lam[order]), V[:, order]
             P = Q * np.where(lam[order] < 0, -1.0, 1.0)
+        elif (found := _broken_arrow_svd(arrow, weights)) is not None:
+            s, P, Q, X = found
         else:
-            found = _broken_arrow_svd(arrow)
-            if found is None:
-                P, s, Qt = np.linalg.svd(arrow.matrix())
-                Q = Qt.T
-            else:
-                s, P, Q = found
+            P, s, Qt = np.linalg.svd(arrow.matrix())
+            Q = Qt.T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed on {arrow.modes}-mode arrow: {exc}") from exc
-    recon, ortho = _probe_residuals(arrow, s, P, Q)
-    if recon > SPECTRAL_TOL or ortho > SPECTRAL_TOL:
+    if X is None:
+        X = (Q.T * weights) @ P
+    recon, ortho, state = _probe_residuals(arrow, weights, s, P, Q, X)
+    if max(recon, ortho, state) > SPECTRAL_TOL:
         raise ValueError(
             f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "
-            f"orthogonality residual {ortho:.3e}"
+            f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
         )
-    return s, P, Q
+    return s, P, Q, X
 
 
 def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from heatvalve import analytics
 from heatvalve import (
     UniformBathSpec,
     anomalous_current_continuum,
     anomalous_current_discrete,
     empirical_gamma,
     fermi,
+    heisenberg_time,
     landauer_current,
+    levels_per_linewidth,
     occupation,
+    relaxation_time,
     self_energy,
     spectral_density,
     transmission,
@@ -130,6 +135,72 @@ class TestLandauer:
         full = landauer_current(spec, spec, 1.0, 0.0)
         weak = weak_coupling_current(g, g, 1.0, 0.0)
         assert full == pytest.approx(weak, rel=1e-3)
+
+
+def composed_landauer(spec1, spec2, t1, t2):
+    """The Landauer quad over the composed public functions, as landauer_current sets it up."""
+    def integrand(w):
+        df = occupation(w, t1) - occupation(w, t2)
+        return transmission(spec1, spec2, w) * w * df / (2 * np.pi)
+
+    return integrate.quad(integrand, *spec1.band, points=[spec1.omega0], limit=500,
+                          epsabs=1e-10, epsrel=1e-10)[0]
+
+
+class TestLandauerScalarIntegrand:
+    @pytest.mark.parametrize("temps", [(1.0, 0.0), (0.5, 0.2), (0.0, 1.0)])
+    @pytest.mark.parametrize("n", [60, 450])
+    @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.4])
+    def test_matches_composed_public_functions(self, gamma, n, temps):
+        spec = spec_for(gamma, n)
+        want = composed_landauer(spec, spec, *temps)
+        assert landauer_current(spec, spec, *temps) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_low_temperature_does_not_overflow(self):
+        # w/T reaches 2000 > 709, where e^x overflows a float
+        spec = spec_for(0.1, 450)
+        want = composed_landauer(spec, spec, 1e-3, 0.0)
+        assert landauer_current(spec, spec, 1e-3, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 1e-3, 0.5])
+    def test_scalar_occupation_matches_occupation(self, temperature):
+        # the T = 0 step is 1/2 at exactly 0; w/T = 1000 overflows e^x
+        f = analytics._scalar_occupation(temperature)
+        for w in (-1.0, -1e-300, 0.0, 1e-300, 0.3, 1.0):
+            assert f(w) == occupation(w, temperature)
+
+    @pytest.mark.parametrize("omega", [-0.5, 0.0, 2.0, 2.5])
+    def test_band_edges_rejected(self, omega):
+        f = analytics._landauer_integrand(spec_for(0.1), spec_for(0.1), 1.0, 0.0)
+        with pytest.raises(ValueError, match="open band"):
+            f(omega)
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            landauer_current(spec_for(0.1), spec_for(0.1), -0.1, 0.0)
+
+
+class TestPhysicalScales:
+    def test_relaxation_time(self):
+        assert relaxation_time(0.1) == pytest.approx(3 / (2 * np.pi * 0.01), rel=1e-15)
+        assert relaxation_time(0.1) == pytest.approx(47.75, abs=0.01)
+        assert relaxation_time(0.0) == math.inf
+
+    def test_relaxation_time_is_the_inverse_total_linewidth(self):
+        for n in (60, 1200):
+            g = spectral_density(spec_for(0.2, n))
+            assert relaxation_time(0.2) == pytest.approx(1 / (2 * g), rel=1e-14)
+
+    def test_heisenberg_time(self):
+        assert heisenberg_time(250) == pytest.approx(785.398, abs=1e-3)
+        assert heisenberg_time(1200, omega0=2.0) == pytest.approx(600 * np.pi, rel=1e-15)
+
+    def test_levels_per_linewidth(self):
+        spec = spec_for(0.1, 1200)
+        want = spectral_density(spec) * spec.level_density
+        assert levels_per_linewidth(0.1, 1200) == pytest.approx(want, rel=1e-15)
+        assert levels_per_linewidth(0.1, 1200) == pytest.approx(2 * np.pi, rel=1e-12)
+        assert levels_per_linewidth(0.0, 1200) == 0.0
 
 
 class TestWeakCoupling:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from heatvalve import heisenberg_time, levels_per_linewidth, relaxation_time
 from heatvalve.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -73,6 +74,20 @@ class TestSweep:
         assert manifest["master_seed"] == 3
         assert len(manifest["config_hash"]) == 64
 
+    def test_manifest_physical_scales(self, tmp_path):
+        cfg = write_config(tmp_path, "gamma_grid: [0.0, 0.3]\n")
+        out = tmp_path / "out"
+        main(["sweep", "--config", str(cfg), "--out", str(out)])
+        scales = json.loads((out / "manifest.json").read_text())["physical_scales"]
+        assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.0, 4), (0.3, 4)]
+        assert scales[0]["relaxation_time"] is None  # infinite at gamma = 0
+        assert scales[0]["levels_per_linewidth"] == 0.0
+        assert scales[1]["relaxation_time"] == pytest.approx(relaxation_time(0.3), rel=1e-15)
+        assert scales[1]["heisenberg_time"] == pytest.approx(heisenberg_time(4), rel=1e-15)
+        assert scales[1]["levels_per_linewidth"] == pytest.approx(
+            levels_per_linewidth(0.3, 4), rel=1e-15
+        )
+
     def test_missing_gamma_grid(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -109,6 +124,9 @@ class TestTrace:
         main(["trace", "--config", str(cfg), "--out", str(out)])
         _, rows = read_csv(out / "trace.csv")
         assert {r[2] for r in rows} == {"3", "5"}
+        scales = json.loads((out / "manifest.json").read_text())["physical_scales"]
+        assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 3), (0.2, 5)]
+        assert scales[1]["heisenberg_time"] == pytest.approx(heisenberg_time(5), rel=1e-15)
 
 
 class TestDist:
@@ -118,6 +136,9 @@ class TestDist:
         assert main(["dist", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         names = {p.name for p in out.glob("sweep_*.csv")}
         assert names == {"sweep_uniform.csv", "sweep_gaussian.csv", "sweep_equal.csv"}
+        scales = json.loads((out / "manifest.json").read_text())["physical_scales"]
+        assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 4)]
+        assert scales[0]["relaxation_time"] == pytest.approx(relaxation_time(0.2), rel=1e-15)
 
 
 class TestOracle:

@@ -26,7 +26,7 @@ from heatvalve import (
     thermal_occupations,
     window_mean_current,
 )
-from heatvalve.evolution import window_sample_count, window_times
+from heatvalve.evolution import MEAN_CHUNK_ROWS, window_sample_count, window_times
 
 from conftest import dense_current, random_correlation, random_nambu
 
@@ -240,6 +240,16 @@ class TestWindowMeanCurrent:
         cfg, bath, arrow, prop = arrow_setup(**kw)
         levels = bath_levels(cfg, bath, 2)
         assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    @pytest.mark.parametrize("bath_size", [20, 32, 64, 128], ids=["M41", "M65", "M129", "M257"])
+    def test_equals_grid_mean_at_chunk_edges(self, bath_size, rwa):
+        # M = 2N + 1 inside one chunk of rows, and one row past one, two and
+        # four chunks: the triangle's diagonal blocks and a last, one-row chunk
+        assert MEAN_CHUNK_ROWS == 64
+        cfg, bath, arrow, prop = arrow_setup(bath_size=bath_size, gamma=0.2, rwa=rwa)
+        levels = bath_levels(cfg, bath, 2)
+        assert_equals_grid_mean(prop, arrow, levels, (20.0, 50.0), 0.05)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_degenerate_and_zero_levels(self, rwa):

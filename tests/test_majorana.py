@@ -272,12 +272,42 @@ class TestFallbacks:
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow):
-            s, P, Q = good(arrow)
-            for X in (P, Q):
-                X[:, [0, 1]] = X[:, [1, 0]]  # mislabel two quasiparticles
-            return s, P, Q
+        def corrupted(arrow, weights):
+            s, P, Q, X = good(arrow, weights)
+            for Y in (P, Q):
+                Y[:, [0, 1]] = Y[:, [1, 0]]  # mislabel two quasiparticles
+            return s, P, Q, X
 
         monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
         with pytest.raises(ValueError, match="probe"):
             propagate(cfg, bath)
+
+    def test_probe_catches_bad_rotated_state(self, monkeypatch):
+        cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
+        good = nambu._broken_arrow_svd
+
+        def corrupted(arrow, weights):
+            s, P, Q, X = good(arrow, weights)
+            return s, P, Q, X.T.copy()  # the state seen from the wrong side
+
+        monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
+        with pytest.raises(ValueError, match="probe.*rotated-state residual"):
+            propagate(cfg, bath)
+
+
+@pytest.mark.parametrize("cfg", [
+    ValveConfig(bath_size=450, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=11),
+    ValveConfig(bath_size=450, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=11,
+                internal_coupling=InternalCouplingSpec(scale=0.1)),
+    # two quasiparticle energies 2e-5 apart: s_i^2 - s_k^2 formed from the
+    # roots themselves, instead of at the pole nearest s_i, costs 3.9e-12 here
+    ValveConfig(bath_size=1200, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=5),
+], ids=["uniform", "random_hermitian", "close_pair"])
+def test_lowner_state_matches_product(cfg, monkeypatch):
+    bath = sample_bath(cfg)
+    if cfg.internal_coupling is not None:
+        bath = apply_internal_couplings(cfg, bath)
+    prop, calls = solvers_called(monkeypatch, cfg, bath, "arrow")
+    assert calls == {"dlasd4"}
+    e = 1 - 2 * thermal_occupations(cfg, bath)
+    assert np.abs(prop.X - (prop.Q.T * e) @ prop.P).max() <= 1e-13
