@@ -6,10 +6,9 @@ A valve realization runs from its arrow alone, in the Majorana form
 [[0, K^T], [K, 0]] for the arrow's K = h + Delta, and the thermal product
 state with mode occupations n becomes [[1, e], [e, 1]]/2,
 e = diag(1 - 2n).  The M x M SVD K = P diag(s) Q^T and X = Q^T e P of
-``nambu.arrow_svd`` (both O(M^2) for the broken arrow: X is a Löwner
-matrix of the solver's closed-form vectors) are then the whole realization
-(``ArrowPropagator``): the evolution turns the pair of singular bases
-through cos(st) and sin(st).  Heat currents
+``nambu.arrow_svd`` (O(M^2) with pairing and under the RWA alike) are
+then the whole realization (``ArrowPropagator``): the evolution turns the
+pair of singular bases through cos(st) and sin(st).  Heat currents
 d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector
 of its mode energies (``valve.bath_levels``).  The bath couples only to
 the central mode, so the commutator is written down from the central
@@ -215,9 +214,10 @@ def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentT
     state turns through cos(st) and sin(st) acting on X, so the normal part
     of the current is f_Q + f_P and the anomalous part f_Q - f_P, where
     f_Q(t) = -(1/2) cos(st)^T G_Q sin(st) with G_Q = X * (b a^T - a b^T),
-    a = Q^T w and b = Q[c, :], and f_P is the same with X^T and P.  Under the
-    RWA the anomalous part is exactly zero; so is a current with w = 0.
-    One M x M product per part per time point.
+    a = Q^T w and b = Q[c, :], and f_P is the same with X^T and P: one M x M
+    product per part per time point.  Under the RWA P = Q sign(l) makes
+    G_P = G_Q, so the normal part is 2 f_Q (no G_P is formed) and the
+    anomalous part exactly zero; so is a current with w = 0.
     """
     times = np.asarray(times, dtype=float)
     levels = _checked_levels(prop, arrow, levels)
@@ -225,17 +225,15 @@ def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentT
     zeros = np.zeros_like(times)
     if not w.any():
         return CurrentTrace(times=times, total=zeros, normal=zeros, anomalous=zeros)
-    c = arrow.center
     cos, sin = _phase_parts(prop.s, times)
-    G_Q = _antisym(w @ prop.Q, prop.Q[c])
+    G_Q = _antisym(w @ prop.Q, prop.Q[arrow.center])
     G_Q *= prop.X
-    G_P = _antisym(w @ prop.P, prop.P[c])
-    G_P *= prop.X.T
+    f_Q = _bilinear(cos, G_Q, sin)
     if arrow.rwa:
-        G_Q += G_P
-        normal, anomalous = _bilinear(cos, G_Q, sin), zeros
+        normal, anomalous = 2 * f_Q, zeros
     else:
-        f_Q = _bilinear(cos, G_Q, sin)
+        G_P = _antisym(w @ prop.P, prop.P[arrow.center])
+        G_P *= prop.X.T
         f_P = _bilinear(cos, G_P, sin)
         normal, anomalous = f_Q + f_P, f_Q - f_P
     return CurrentTrace(
@@ -314,10 +312,9 @@ def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
 def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, time_step) -> float:
     """Mean over the samples of ``window_times`` of the ``heat_current`` total.
 
-    The total is f_Q + f_P + f_Q - f_P = 2 f_Q with pairing and f_Q + f_P
-    under the RWA, so it is -(1/2) cos(st)^T G sin(st) for G = 2 G_Q or
-    G_Q + G_P.  Over T equally spaced samples centred on tau, the mean of
-    cos(s_j t) sin(s_k t) is
+    The total is 2 f_Q for every arrow (``heat_current``), so it is
+    -(1/2) cos(st)^T G sin(st) for G = 2 G_Q.  Over T equally spaced
+    samples centred on tau, the mean of cos(s_j t) sin(s_k t) is
     [rho(s_j + s_k) sin((s_j + s_k) tau) + rho(s_k - s_j) sin((s_k - s_j) tau)] / 2
     (``_window_kernel``): no time grid, and a long window costs what a short
     one does.  G is zero on its diagonal and rho is even, so the sum runs
@@ -345,12 +342,8 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     w = levels * arrow.couplings
     if not w.any():
         return 0.0  # G is exactly zero
-    c = arrow.center
     X = prop.X
-    # G = X * N_Q, or X * N_Q + X^T * N_P under the RWA: G_jk +- G_kj is
-    # (X_jk -+ X_kj) (N_Q -+ N_P)_jk
-    Q_side = (w @ prop.Q, prop.Q[c])
-    P_side = (w @ prop.P, prop.P[c]) if arrow.rwa else None
+    a, b = w @ prop.Q, prop.Q[arrow.center]
     # centre and spacing of the samples themselves: np.arange steps by
     # fl(t0 + dt) - t0, which on [200, 400] at dt 0.05 puts the last
     # sample 4.5e-11 from t0 + (T - 1) dt
@@ -362,13 +355,8 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     for j0 in range(0, M, MEAN_CHUNK_ROWS):
         j1 = min(j0 + MEAN_CHUNK_ROWS, M)
         rows, cols = slice(j0, j1), slice(j0, M)
-        sym = _antisym(*Q_side, rows, cols)
+        sym = _antisym(a, b, rows, cols)
         anti = sym.copy()
-        if P_side is not None:
-            N_P = _antisym(*P_side, rows, cols)
-            sym -= N_P
-            anti += N_P
-            del N_P
         Xt = X[cols, rows].T
         pair = np.subtract(X[rows, cols], Xt)
         sym *= pair
@@ -394,4 +382,4 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
         minus *= _window_kernel(diff, T, h)
         minus *= anti
         total += minus.sum()
-    return float(-0.25 * total * (1 if arrow.rwa else 2))
+    return float(-0.5 * total)

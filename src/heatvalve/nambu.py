@@ -14,8 +14,9 @@ chi_ij = <A_i A_j^dag>.
 A real operator whose modes couple only through one central mode (the heat
 valve) is carried instead by its ``Arrow``: the M x M matrix K = h + Delta,
 a diagonal plus the central column (and row), whose SVD ``arrow_svd``
-gives the Nambu eigenbasis in the Majorana form.  The dense 2M x 2M matrix
-and its ``diagonalize`` stay as the general route and the reference.
+gives the Nambu eigenbasis in the Majorana form, from one secular solver
+with pairing and under the RWA.  The dense 2M x 2M matrix and its
+``diagonalize`` stay as the general route and the reference.
 """
 
 from __future__ import annotations
@@ -225,38 +226,46 @@ def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, f
 
 
 def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
-    """SVD K = P diag(s) Q^T, s descending, of an arrow with pairing, and Q^T diag(e) P.
+    """SVD K = P diag(s) Q^T, s descending, of an arrow, and X = Q^T diag(e) P.
 
-    K^T = diag(d) + e_c z^T with z = K[:, c] (the central level at c) and
-    d = levels but d_c = 0, and K^T = S A for S = diag(sign d) and the
-    broken arrow A = diag(|d|) + e_c z^T, whose squared singular values
-    are the eigenvalues of diag(|d|^2) + z z^T (Gu & Eisenstat 1995).
-    LAPACK ``dlasd4`` finds each root s_i of the secular equation together
-    with D2_ij = (|d_j| - s_i)(|d_j| + s_i), to full relative accuracy.
-    Löwner's formula then recomputes z from the roots, which keeps the
-    vectors orthogonal, and v_i ~ z_j / D2_ij, u_i ~ [-1 at c, |d_j| z_j / D2_ij]
-    in closed form, with P = V and Q = S U.  Every difference of squares is
-    formed from these products, never as d_j^2 - s_i^2.  As in LAPACK
-    ``dlasd2``, a coupling |z_j| <= tol is deflated: s = |d_j| with unit
-    vectors.
+    With pairing, K^T = diag(d) + e_c z^T with z = K[:, c] (the central
+    level at c) and d = levels but d_c = 0, and K^T = S A for S = diag(sign d)
+    and the broken arrow A = diag(|d|) + e_c z^T, whose squared singular
+    values are the eigenvalues of diag(|d|^2) + z z^T (Gu & Eisenstat 1995).
+    LAPACK ``dlasd4`` finds each root s_i with D2_ij = (|d_j| - s_i)(|d_j| + s_i),
+    to full relative accuracy.  Löwner's formula recomputes z from the roots,
+    which keeps the vectors orthogonal: v_i ~ z_j / D2_ij and
+    u_i ~ [-1 at c, |d_j| z_j / D2_ij], with P = V and Q = S U.  No difference
+    of squares is formed as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``, a
+    coupling |z_j| <= tol is deflated: s = |d_j| with unit vectors.
 
-    The same closed forms make X = Q^T diag(e) P, for the weights e, a
-    Löwner matrix: with F_i = sum_j e_j d_j z_j^2 / D2_ij (one product
-    with the unnormalized V) and F'_i = sum_j e_j d_j z_j^2 / D2_ij^2,
+    X is a Löwner matrix of the same vectors: with F_i = sum_j e_j d_j z_j^2 / D2_ij
+    and F'_i = sum_j e_j d_j z_j^2 / D2_ij^2,
     X_ik |u_i| |v_k| = (F_i - F_k) / (s_i^2 - s_k^2) + e_c z_c / s_k^2, and
     F'_i in place of the quotient on the diagonal.  s_i^2 - s_k^2 is taken
     as D2_kj - D2_ij at the pole j nearest root i, which keeps close roots
     accurate; deflated modes give the diagonal e_j sign d_j.  O(M^2) work,
     at most four M x M arrays at once.
 
-    Returns None, and the caller falls back to the dense SVD, when
-    |z_c| <= tol, when two coupled levels |d| (0 included) lie within tol,
-    or when ``dlasd4`` fails.
+    Under the RWA, K + mu = L L^T for mu = max|d| + ||g|| + 1, with L^T the
+    broken arrow of levels sqrt(d + mu), column g / sqrt(d + mu) and centre
+    sqrt(d_c + mu - sum g^2 / (d + mu)), all >= 1.  Its Q diagonalizes K with
+    l = (s - sqrt mu)(s + sqrt mu): K = (Q sign l) diag(|l|) Q^T, sorted by |l|,
+    and X = (Q^T diag(e) Q) sign l, the Löwner matrix with e_j |d_j|^2 in F,
+    e_c as the rank-one term and |u| on both sides.
+
+    Returns None (the caller's dense fallback) for |z_c| <= tol, two coupled
+    levels |d| (0 included) within tol, or a ``dlasd4`` failure.
     """
-    M, c = arrow.modes, arrow.center
-    z = arrow.column.copy()
-    z[c] = arrow.levels[c]
-    d = arrow.levels.copy()
+    M, c, rwa = arrow.modes, arrow.center, arrow.rwa
+    if rwa:
+        mu = np.abs(arrow.levels).max() + np.linalg.norm(arrow.couplings) + 1
+        d = np.sqrt(arrow.levels + mu)
+        z = arrow.couplings / d
+        z[c] = np.sqrt(arrow.levels[c] + mu - z @ z)
+    else:
+        d, z = arrow.levels.copy(), arrow.column.copy()
+        z[c] = arrow.levels[c]
     d[c] = 0.0
     tol = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(z).max())
     if abs(z[c]) <= tol:
@@ -283,30 +292,35 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
         if info != 0:
             return None
         np.multiply(delta, work, out=D2[i, :k])
+    if k == 1:  # dlasd4 returns delta = work = 1 for a single root
+        D2[0, 0] = -sig[0] ** 2
     D2[:k, k:] = 1.0
     D2[k:] = 1.0
     # Löwner: z_j^2 = prod_i (ds_j^2 - s_i^2) / prod_{m != j} (ds_j^2 - ds_m^2),
     # root i < k - 1 over pole m = i for i < j and m = i + 1 for i >= j, so
-    # that by interlacing every ratio lies in (0, 1); root k - 1 left over
-    row, col = np.ogrid[: k - 1, :k]
-    dm = np.where(row < col, ds[: k - 1, None], ds[1:k, None])
-    den = ds[:k] + dm
-    np.subtract(ds[:k], dm, out=dm)
-    dm *= den
-    del den
-    np.divide(D2[: k - 1, :k], dm, out=dm)
+    # that by interlacing every ratio lies in (0, 1); root k - 1 left over.
+    # 64 roots at a time, the running product in each chunk's first row
+    prod = np.ones(k)
+    for i0 in range(0, k - 1, 64):
+        i1 = min(i0 + 64, k - 1)
+        row, col = np.ogrid[i0:i1, :k]
+        pole = np.where(row < col, ds[i0:i1, None], ds[i0 + 1 : i1 + 1, None])
+        ratio = D2[i0:i1, :k] / ((ds[:k] - pole) * (ds[:k] + pole))
+        ratio[0] *= prod
+        prod = ratio.prod(axis=0)
     zhat = np.zeros(M)
-    zhat[:k] = np.copysign(np.sqrt(np.abs(dm.prod(axis=0) * D2[k - 1, :k])), zs[:k])
-    del dm
+    zhat[:k] = np.copysign(np.sqrt(np.abs(prod * D2[k - 1, :k])), zs[:k])
 
     # by interlacing root i lies between poles i and i + 1; take the nearer
     i = np.arange(k - 1)
-    nearest = np.zeros(M, dtype=np.intp)
-    nearest[: k - 1] = i + (np.abs(D2[i, i + 1]) < np.abs(D2[i, i]))
-    nearest[k - 1] = k - 1
+    nearest = np.arange(M)  # the deflated columns are overwritten below
+    nearest[: k - 1] += np.abs(D2[i, i + 1]) < np.abs(D2[i, i])
     # from here on a row is a singular value, by descending s as P, Q and X
     # hold them; a column is a mode in the sorted order
     s = np.concatenate([sig, ds[k:]])
+    if rwa:
+        lam = (s - np.sqrt(mu)) * (s + np.sqrt(mu))
+        s = np.abs(lam)
     order = np.argsort(-s, kind="stable")
     D2 = D2[order]
     nearest = nearest[order]
@@ -321,22 +335,27 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     del D2
     Y -= Y.diagonal().copy()
     e, signed = weights[perm], sign * ds
-    F = V @ (e * signed * zhat)
-    dF = np.einsum("ij,ij,j->i", V, V, e * signed)
-    # X_il |u_i| |v_l| in Y[l, i]: the deflated rows and columns are held
-    # at 1 through the division, then set
+    # the Löwner weights e d, or e |d|^2 under the RWA (sign = 1 there)
+    weighted = e * signed * ds if rwa else e * signed
+    F = V @ (weighted * zhat)
+    dF = np.einsum("ij,ij,j->i", V, V, weighted)
+    # X_il |u_i| |v_l| in Y[l, i] (|u_l| under the RWA): the deflated rows
+    # and columns are held at 1 through the division, then set
     np.fill_diagonal(Y, 1.0)
     Y[dead] = 1.0
     Y[:, dead] = 1.0
     np.divide(np.subtract.outer(F, F).T, Y, out=Y)
     np.fill_diagonal(Y, dF)
-    Y -= (e[0] * V[:, 0])[:, None]
+    if rwa:
+        Y += e[0]
+    else:
+        Y -= (e[0] * V[:, 0])[:, None]
     Y[dead] = 0.0
     Y[:, dead] = 0.0
     Y[dead, dead] = e[k:] * sign[k:]
-    norm_v = np.sqrt(np.einsum("ij,ij->i", V, V))
     norm_u = np.sqrt(1 + np.einsum("ij,ij,j->i", V, V, ds * ds))
     norm_u[dead] = 1.0
+    norm_v = norm_u if rwa else np.sqrt(np.einsum("ij,ij->i", V, V))
     Y /= norm_v[:, None]
     Y /= norm_u
 
@@ -349,8 +368,13 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     U /= norm_u[:, None]
     Q = U.take(modes, axis=1).T
     del U
-    V /= norm_v[:, None]
-    P = V.take(modes, axis=1).T
+    if rwa:
+        flip = np.where(lam[order] < 0, -1.0, 1.0)
+        Y *= flip[:, None]
+        P = Q * flip
+    else:
+        V /= norm_v[:, None]
+        P = V.take(modes, axis=1).T
     return s[order], P, Q, Y.T
 
 
@@ -358,34 +382,22 @@ def arrow_svd(arrow: Arrow, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """SVD K = P diag(s) Q^T, s descending, of an arrow's K = h + Delta, and X = Q^T diag(e) P.
 
     ``weights`` are the M diagonal entries e of the state (1 - 2n for mode
-    occupations n).  Without pairing (RWA, or no coupling) K is symmetric,
-    and K = V diag(l) V^T is already an SVD with s = |l|, Q = V and
-    P = V sign(l); eigh finds it several times faster than the general SVD.
-    With pairing K is a broken arrow, solved in O(M^2) by
-    ``_broken_arrow_svd``, which also writes X down in O(M^2) as a Löwner
-    matrix; the dense ``np.linalg.svd`` takes the arrows that solver
-    declines (coincident or zero levels).  Where eigh or the dense SVD
-    solves K, X is the M^3 product.  Every result is probed:
+    occupations n).  ``_broken_arrow_svd`` solves every arrow, with pairing
+    or under the RWA, and writes X down as a Löwner matrix, in O(M^2); the
+    dense ``np.linalg.svd`` and the M^3 product for X take the arrows it
+    declines (coincident or zero levels).  Every result is probed:
     K v = P diag(s) Q^T v, P^T P v = v, Q^T Q v = v and X v = Q^T (e * P v)
     for one fixed vector v, each to SPECTRAL_TOL, or ValueError.
     """
     weights = np.asarray(weights, dtype=float)
-    X = None
-    try:
-        if arrow.rwa or not arrow.couplings.any():
-            lam, V = np.linalg.eigh(arrow.matrix())
-            order = np.argsort(-np.abs(lam), kind="stable")
-            s, Q = np.abs(lam[order]), V[:, order]
-            P = Q * np.where(lam[order] < 0, -1.0, 1.0)
-        elif (found := _broken_arrow_svd(arrow, weights)) is not None:
-            s, P, Q, X = found
-        else:
+    found = _broken_arrow_svd(arrow, weights)
+    if found is None:
+        try:
             P, s, Qt = np.linalg.svd(arrow.matrix())
-            Q = Qt.T
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"SVD failed on {arrow.modes}-mode arrow: {exc}") from exc
-    if X is None:
-        X = (Q.T * weights) @ P
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"SVD failed on {arrow.modes}-mode arrow: {exc}") from exc
+        found = s, P, Qt.T, (Qt * weights) @ P
+    s, P, Q, X = found
     recon, ortho, state = _probe_residuals(arrow, weights, s, P, Q, X)
     if max(recon, ortho, state) > SPECTRAL_TOL:
         raise ValueError(

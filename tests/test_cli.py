@@ -88,6 +88,14 @@ class TestSweep:
             levels_per_linewidth(0.3, 4), rel=1e-15
         )
 
+    def test_couplings_under_the_deflation_tolerance(self, tmp_path):
+        # every coupling deflated: the centre is the broken arrow's one root
+        cfg = write_config(tmp_path, "gamma_grid: [1.0e-15]\n", bath_size=20, kind="exact")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[1] for row in rows] == ["exact"]
+
     def test_missing_gamma_grid(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

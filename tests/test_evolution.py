@@ -267,9 +267,12 @@ class TestWindowMeanCurrent:
         s = np.array([1.5, 1.5 - 1e-10, 0.4])
         P, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        prop = ArrowPropagator(s=s, P=P, Q=Q, X=(Q.T * rng.uniform(-1, 1, size=3)) @ P)
+        e = rng.uniform(-1, 1, size=3)
         levels = np.array([0.0, 0.0, 1.3])
         for rwa in (False, True):
+            if rwa:
+                P = Q * np.array([1.0, -1.0, 1.0])  # an RWA basis: P = Q sign(l)
+            prop = ArrowPropagator(s=s, P=P, Q=Q, X=(Q.T * e) @ P)
             arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
                           center=1, rwa=rwa)
             for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):

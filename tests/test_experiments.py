@@ -59,7 +59,7 @@ class TestSimulateTrace:
     def test_reduced_rwa_matches_full_representation(self):
         cfg = template(bath_size=40, gamma=0.4, rwa=True, seed=3)
         times = np.linspace(0, 30, 151)
-        trace = simulate_trace(cfg, times)  # M x M eigh of the arrowhead
+        trace = simulate_trace(cfg, times)  # dlasd4 on the shifted arrowhead, M x M
 
         bath = sample_bath(cfg)
         H = build_hamiltonian(cfg, bath)

@@ -4,7 +4,8 @@ The dense Nambu matrix from ``build_hamiltonian`` and its ``diagonalize``
 (the 2M x 2M eigh, on a complex copy where a complex basis is wanted)
 serve as the reference throughout.  Each valve below also names the solver
 that its K = h + Delta must take: ``arrow`` (LAPACK dlasd4 on the broken
-arrow), ``svd`` (the dense fallback) or ``eigh`` (symmetric K).
+arrow, or under the RWA on the broken arrow of the shifted arrowhead) or
+``svd`` (the dense fallback for the arrows that solver declines).
 """
 
 import numpy as np
@@ -78,14 +79,20 @@ VALVES = [
     pytest.param(dict(gamma=0.3, coupling_dist=dist), "arrow", id=dist.value)
     for dist in CouplingDistribution
 ] + [
-    pytest.param(dict(gamma=0.0), "eigh", id="gamma0"),
-    pytest.param(dict(gamma=0.3, rwa=True), "eigh", id="rwa"),
+    pytest.param(dict(gamma=0.0), "arrow", id="gamma0"),
+    pytest.param(dict(gamma=0.3, rwa=True), "arrow", id="rwa"),
+    # every coupling under the deflation tolerance: the centre is the one root
+    pytest.param(dict(gamma=1e-15), "arrow", id="tiny_coupling"),
+    pytest.param(dict(gamma=1e-15, rwa=True), "arrow", id="tiny_coupling_rwa"),
     pytest.param(dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=0.2)),
                  "arrow", id="random_hermitian"),
     pytest.param(NEGATIVE, "arrow", id="negative_levels"),
     pytest.param(dict(gamma=0.3, edit=zero_coupling), "arrow", id="zero_coupling"),
     pytest.param(dict(gamma=0.3, edit=coincident_levels), "svd", id="coincident_levels"),
     pytest.param(dict(gamma=0.3, edit=zero_level), "svd", id="zero_level"),
+    # the RWA current 2 f_Q on a dense-SVD basis
+    pytest.param(dict(gamma=0.3, rwa=True, edit=coincident_levels), "svd",
+                 id="rwa_coincident"),
 ]
 
 
@@ -95,7 +102,7 @@ def propagate(cfg, bath):
     return arrow, arrow_propagator(arrow, thermal_occupations(cfg, bath))
 
 
-SOLVER_CALLS = {"arrow": {"dlasd4"}, "svd": {"svd"}, "eigh": {"eigh"}}
+SOLVER_CALLS = {"arrow": {"dlasd4"}, "svd": {"svd"}}
 
 
 def solvers_called(monkeypatch, cfg, bath, path):
@@ -180,12 +187,12 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
 
 
 def test_exact_degeneracies_and_zero_modes(monkeypatch):
-    # repeated levels, a zero level and a +-level pair in one arrow: with
-    # pairing the broken-arrow solver declines them (dense SVD); under the
-    # RWA and at gamma = 0, K is symmetric (eigh)
+    # repeated levels, a zero level and a +-level pair in one arrow: the
+    # broken-arrow solver declines the repeated levels, with pairing and
+    # under the RWA (dense SVD); at gamma = 0 every mode is deflated (dlasd4)
     freqs = np.array([[0.5, 0.5, 1.2], [0.0, -1.2, 0.8]])
     couplings = np.array([[0.3, -0.2, 0.25], [0.15, 0.3, -0.1]])
-    for rwa, scale, path in ((False, 1.0, "svd"), (True, 1.0, "eigh"), (False, 0.0, "eigh")):
+    for rwa, scale, path in ((False, 1.0, "svd"), (True, 1.0, "svd"), (False, 0.0, "arrow")):
         cfg = ValveConfig(bath_size=3, gamma=0.3, t_hot=1.0, t_cold=0.5, rwa=rwa)
         bath = BathRealization(frequencies=freqs.copy(), couplings=scale * couplings)
         prop, calls = solvers_called(monkeypatch, cfg, bath, path)
@@ -235,8 +242,9 @@ class TestFallbacks:
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
 
-    @pytest.mark.parametrize("kw", [dict(gamma=0.6, edit=zero_coupling), NEGATIVE],
-                             ids=["zero_coupling", "negative_levels"])
+    @pytest.mark.parametrize("kw", [dict(gamma=0.6, edit=zero_coupling), NEGATIVE,
+                                    dict(NEGATIVE, rwa=True)],
+                             ids=["zero_coupling", "negative_levels", "rwa_negative_levels"])
     def test_broken_arrow_matches_fock(self, kw, monkeypatch):
         cfg, bath, _, _ = valve(bath_size=4, **kw)
         assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
@@ -302,7 +310,11 @@ class TestFallbacks:
     # two quasiparticle energies 2e-5 apart: s_i^2 - s_k^2 formed from the
     # roots themselves, instead of at the pole nearest s_i, costs 3.9e-12 here
     ValveConfig(bath_size=1200, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=5),
-], ids=["uniform", "random_hermitian", "close_pair"])
+    ValveConfig(bath_size=450, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=11, rwa=True),
+    ValveConfig(bath_size=450, t_hot=1.0, t_cold=0.0, seed=11, rwa=True, **NEGATIVE),
+    ValveConfig(bath_size=1200, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=5, rwa=True),
+], ids=["uniform", "random_hermitian", "close_pair", "rwa_uniform", "rwa_negative_levels",
+        "rwa_close_pair"])
 def test_lowner_state_matches_product(cfg, monkeypatch):
     bath = sample_bath(cfg)
     if cfg.internal_coupling is not None:
