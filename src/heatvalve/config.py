@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import yaml
@@ -90,9 +91,9 @@ def _validate(cfg: dict) -> None:
     _require(cfg, "t_hot", (int, float), lambda v: v >= 0, "must be >= 0")
     _require(cfg, "t_cold", (int, float), lambda v: v >= 0, "must be >= 0")
     _require(cfg, "seed", int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
-    _require(cfg, "time_step", (int, float), lambda v: v > 0, "must be > 0")
+    _require(cfg, "time_step", (int, float), lambda v: 0 < v < math.inf, "must be in (0, inf)")
     _require(cfg, "realizations", int, lambda v: v >= 1, "must be >= 1")
-    _require(cfg, "t_max", (int, float), lambda v: v > 0, "must be > 0")
+    _require(cfg, "t_max", (int, float), lambda v: 0 < v < math.inf, "must be in (0, inf)")
     if cfg["kind"] not in KINDS:
         raise ConfigError(f"config key 'kind' must be one of {KINDS}, got {cfg['kind']!r}")
     try:
@@ -106,10 +107,10 @@ def _validate(cfg: dict) -> None:
     if (
         not isinstance(window, (list, tuple))
         or len(window) != 2
-        or not all(_is_number(v) for v in window)
+        or not all(_is_number(v) and math.isfinite(v) for v in window)
         or window[0] >= window[1]
     ):
-        raise ConfigError("config key 'window' must be [t_lo, t_hi] with t_lo < t_hi")
+        raise ConfigError("config key 'window' must be finite [t_lo, t_hi] with t_lo < t_hi")
     samples = window_sample_count(window, cfg["time_step"])
     if samples < MIN_WINDOW_SAMPLES:
         raise ConfigError(
@@ -117,15 +118,15 @@ def _validate(cfg: dict) -> None:
             f"{cfg['time_step']}; need >= {MIN_WINDOW_SAMPLES}"
         )
     if cfg["gamma"] is not None:
-        _require(cfg, "gamma", (int, float), lambda v: v >= 0, "must be >= 0")
+        _require(cfg, "gamma", (int, float), lambda v: 0 <= v < math.inf, "must be in [0, inf)")
     if cfg["gamma_grid"] is not None:
         grid = cfg["gamma_grid"]
         if (
             not isinstance(grid, list)
             or not grid
-            or not all(_is_number(v) and v >= 0 for v in grid)
+            or not all(_is_number(v) and 0 <= v < math.inf for v in grid)
         ):
-            raise ConfigError("config key 'gamma_grid' must be a nonempty list of floats >= 0")
+            raise ConfigError("config key 'gamma_grid' must list one or more floats in [0, inf)")
     if cfg["bath_sizes"] is not None:
         sizes = cfg["bath_sizes"]
         if not isinstance(sizes, list) or not all(
@@ -147,8 +148,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(
                 f"config key 'internal_coupling.generator' unknown: {gen!r}"
             )
-        if not _is_number(scale) or scale < 0:
-            raise ConfigError("config key 'internal_coupling.scale' must be a float >= 0")
+        if not _is_number(scale) or not 0 <= scale < math.inf:
+            raise ConfigError("config key 'internal_coupling.scale' must be a float in [0, inf)")
     full = cfg["full"]
     if full is not None and not isinstance(full, dict):
         raise ConfigError("config key 'full' must be a mapping of overrides")

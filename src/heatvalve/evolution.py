@@ -58,8 +58,8 @@ class Propagator:
 class ArrowPropagator:
     """An arrow realization in the Majorana form: K = P diag(s) Q^T and X.
 
-    s (descending) are the quasiparticle energies, P and Q the left and
-    right singular vectors of the arrow's K = h + Delta, and
+    s are the quasiparticle energies, in the solver's order (not sorted), P
+    and Q the left and right singular vectors of the arrow's K = h + Delta, and
     X = Q^T diag(1 - 2n) P the product state with mode occupations n.  All
     four are real; a complex or mis-shaped factor is refused.
     """
@@ -91,17 +91,21 @@ class ArrowPropagator:
         lo = (Q - P)/2, hi = (Q + P)/2 and J reversing column order, for the
         spectrum [-s, s[::-1]].  U^T chi(0) U has blocks 1/2 - (X + X^T)/4
         (negative energies), 1/2 + (X + X^T)/4 (positive) and (X - X^T)/4
-        between them, the positive side in reversed order.
+        between them, the positive side in reversed order.  The factors are
+        sorted by descending s first, so the spectrum ascends.
         """
-        lo = (self.Q - self.P) / 2
-        hi = (self.Q + self.P) / 2
+        order = np.argsort(-self.s, kind="stable")
+        s, P, Q = self.s[order], self.P[:, order], self.Q[:, order]
+        X = self.X[np.ix_(order, order)]
+        lo = (Q - P) / 2
+        hi = (Q + P) / 2
         U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
-        S = (self.X + self.X.T) / 4
-        A = (self.X - self.X.T) / 4
+        S = (X + X.T) / 4
+        A = (X - X.T) / 4
         rotated = np.block([[-S, A[:, ::-1]], [A.T[::-1, :], S[::-1, ::-1]]])
         rotated[np.diag_indices(2 * self.modes)] += 0.5
         basis = QuasiparticleBasis(
-            modes=self.modes, eigenvalues=np.concatenate([-self.s, self.s[::-1]]), transform=U
+            modes=self.modes, eigenvalues=np.concatenate([-s, s[::-1]]), transform=U
         )
         return Propagator(basis=basis, rotated_initial=rotated)
 
@@ -121,7 +125,7 @@ class CurrentTrace:
         if not (len(self.times) == len(self.total) == len(self.normal) == len(self.anomalous)):
             raise ValueError("trace arrays must have equal length")
         gap = np.abs(self.total - (self.normal + self.anomalous)).max(initial=0.0)
-        if gap > 1e-10:
+        if not gap <= 1e-10:  # NaN included
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
@@ -129,7 +133,7 @@ def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
     """An arrow's realization in the product state with mode occupations n.
 
     ``nambu.arrow_svd`` gives the M x M SVD and X = Q^T diag(1 - 2n) P
-    together, in O(M^2) for the broken arrow; no 2M x 2M array.
+    together, in O(M^2) for every arrow; no 2M x 2M array.
     """
     occupations = np.asarray(occupations, dtype=float)
     if occupations.shape != (arrow.modes,):

@@ -156,14 +156,6 @@ class Arrow:
         """K[:, c] off the diagonal: g under the RWA, 2g with pairing."""
         return self.couplings if self.rwa else 2 * self.couplings
 
-    def matrix(self) -> np.ndarray:
-        """K as a dense M x M array."""
-        K = np.diag(self.levels)
-        K[:, self.center] += self.column
-        if self.rwa:
-            K[self.center] += self.couplings
-        return K
-
 
 def build_nambu(
     particle_block: np.ndarray,
@@ -226,7 +218,7 @@ def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, f
 
 
 def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
-    """SVD K = P diag(s) Q^T, s descending, of an arrow, and X = Q^T diag(e) P.
+    """SVD K = P diag(s) Q^T of an arrow, and X = Q^T diag(e) P, s in root order.
 
     With pairing, K^T = diag(d) + e_c z^T with z = K[:, c] (the central
     level at c) and d = levels but d_c = 0, and K^T = S A for S = diag(sign d)
@@ -236,8 +228,12 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     to full relative accuracy.  Löwner's formula recomputes z from the roots,
     which keeps the vectors orthogonal: v_i ~ z_j / D2_ij and
     u_i ~ [-1 at c, |d_j| z_j / D2_ij], with P = V and Q = S U.  No difference
-    of squares is formed as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``, a
-    coupling |z_j| <= tol is deflated: s = |d_j| with unit vectors.
+    of squares is formed as d_j^2 - s_i^2.  As in LAPACK ``dlasd2``, for
+    tol = 8 eps max(|d|, |z|) a coupling |z_j| <= tol is deflated (s = |d_j|
+    with unit vectors) and a centre |z_c| <= tol is raised to tol; coupled
+    poles |d| closer than eps max(|d|, |z|), a level at the centre's pole 0
+    included, are moved that far apart.  Each change is a backward error of
+    O(eps ||K||), so every arrow is solved.
 
     X is a Löwner matrix of the same vectors: with F_i = sum_j e_j d_j z_j^2 / D2_ij
     and F'_i = sum_j e_j d_j z_j^2 / D2_ij^2,
@@ -250,12 +246,13 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     Under the RWA, K + mu = L L^T for mu = max|d| + ||g|| + 1, with L^T the
     broken arrow of levels sqrt(d + mu), column g / sqrt(d + mu) and centre
     sqrt(d_c + mu - sum g^2 / (d + mu)), all >= 1.  Its Q diagonalizes K with
-    l = (s - sqrt mu)(s + sqrt mu): K = (Q sign l) diag(|l|) Q^T, sorted by |l|,
-    and X = (Q^T diag(e) Q) sign l, the Löwner matrix with e_j |d_j|^2 in F,
+    l = (s - sqrt mu)(s + sqrt mu): K = (Q sign l) diag(|l|) Q^T and
+    X = (Q^T diag(e) Q) sign l, the Löwner matrix with e_j |d_j|^2 in F,
     e_c as the rank-one term and |u| on both sides.
 
-    Returns None (the caller's dense fallback) for |z_c| <= tol, two coupled
-    levels |d| (0 included) within tol, or a ``dlasd4`` failure.
+    The singular values (and the columns of P and Q, the rows and columns of
+    X) come in the solver's order: the k roots ascending, then the deflated
+    modes.  Raises LinAlgError if ``dlasd4`` fails.
     """
     M, c, rwa = arrow.modes, arrow.center, arrow.rwa
     if rwa:
@@ -267,20 +264,23 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
         d, z = arrow.levels.copy(), arrow.column.copy()
         z[c] = arrow.levels[c]
     d[c] = 0.0
-    tol = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(z).max())
+    # K = 0 has no scale of its own; any will do
+    scale = max(np.abs(d).max(), np.abs(z).max()) or 1.0
+    tol = 8 * np.finfo(float).eps * scale
     if abs(z[c]) <= tol:
-        return None
+        z[c] = tol
     # sorted order: c, then the coupled modes by |d|, then the deflated ones
-    live = np.flatnonzero(np.abs(z) > tol)
-    live = live[live != c]
-    perm = np.concatenate(
-        [[c], live[np.argsort(np.abs(d[live]), kind="stable")], np.flatnonzero(np.abs(z) <= tol)]
-    )
+    rest = np.delete(np.arange(M), c)
+    coupled = np.abs(z[rest]) > tol
+    live = rest[coupled]
+    perm = np.concatenate([[c], live[np.argsort(np.abs(d[live]), kind="stable")], rest[~coupled]])
     k = 1 + len(live)
     ds, zs = np.abs(d[perm]), z[perm]
     sign = np.where(d[perm] < 0, -1.0, 1.0)
-    if np.any(np.diff(ds[:k]) <= tol):
-        return None
+    gap = tol / 8
+    if np.any(np.diff(ds[:k]) < gap):
+        for j in range(1, k):
+            ds[j] = max(ds[j], ds[j - 1] + gap)
     rho = float(zs[:k] @ zs[:k])
     zn = zs[:k] / np.sqrt(rho)
 
@@ -290,7 +290,9 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     for i in range(k):
         delta, sig[i], work, info = lapack.dlasd4(i, ds[:k], zn, rho)
         if info != 0:
-            return None
+            raise np.linalg.LinAlgError(
+                f"dlasd4 failed on root {i} of the {M}-mode arrow: info {info}"
+            )
         np.multiply(delta, work, out=D2[i, :k])
     if k == 1:  # dlasd4 returns delta = work = 1 for a single root
         D2[0, 0] = -sig[0] ** 2
@@ -311,25 +313,21 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     zhat = np.zeros(M)
     zhat[:k] = np.copysign(np.sqrt(np.abs(prod * D2[k - 1, :k])), zs[:k])
 
-    # by interlacing root i lies between poles i and i + 1; take the nearer
+    # from here on a row is a singular value, the k roots and then the
+    # deflated modes, as P, Q and X hold them; a column is a mode in the
+    # sorted order.  By interlacing root i lies between poles i and i + 1;
+    # take the nearer (the deflated rows keep their own column)
     i = np.arange(k - 1)
-    nearest = np.arange(M)  # the deflated columns are overwritten below
+    nearest = np.arange(M)
     nearest[: k - 1] += np.abs(D2[i, i + 1]) < np.abs(D2[i, i])
-    # from here on a row is a singular value, by descending s as P, Q and X
-    # hold them; a column is a mode in the sorted order
     s = np.concatenate([sig, ds[k:]])
     if rwa:
         lam = (s - np.sqrt(mu)) * (s + np.sqrt(mu))
         s = np.abs(lam)
-    order = np.argsort(-s, kind="stable")
-    D2 = D2[order]
-    nearest = nearest[order]
-    dead = np.argsort(order)[k:]  # the rows of the deflated modes
-    deflated = (dead, np.arange(k, M))
     # the unnormalized vectors v_i as the rows of V; deflated: unit vectors
     V = zhat / D2
-    V[dead] = 0.0
-    V[deflated] = 1.0
+    V[k:] = 0.0
+    np.fill_diagonal(V[k:, k:], 1.0)
     # Y[l, i] = D2[l, j] - D2[i, j] = s_i^2 - s_l^2 at the pole j nearest root i
     Y = np.take(D2, nearest, axis=1)
     del D2
@@ -342,19 +340,19 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     # X_il |u_i| |v_l| in Y[l, i] (|u_l| under the RWA): the deflated rows
     # and columns are held at 1 through the division, then set
     np.fill_diagonal(Y, 1.0)
-    Y[dead] = 1.0
-    Y[:, dead] = 1.0
+    Y[k:] = 1.0
+    Y[:, k:] = 1.0
     np.divide(np.subtract.outer(F, F).T, Y, out=Y)
     np.fill_diagonal(Y, dF)
     if rwa:
         Y += e[0]
     else:
         Y -= (e[0] * V[:, 0])[:, None]
-    Y[dead] = 0.0
-    Y[:, dead] = 0.0
-    Y[dead, dead] = e[k:] * sign[k:]
+    Y[k:] = 0.0
+    Y[:, k:] = 0.0
+    np.fill_diagonal(Y[k:, k:], e[k:] * sign[k:])
     norm_u = np.sqrt(1 + np.einsum("ij,ij,j->i", V, V, ds * ds))
-    norm_u[dead] = 1.0
+    norm_u[k:] = 1.0
     norm_v = norm_u if rwa else np.sqrt(np.einsum("ij,ij->i", V, V))
     Y /= norm_v[:, None]
     Y /= norm_u
@@ -363,43 +361,36 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     modes = np.argsort(perm)
     U = V * signed
     U[:, 0] = -1.0
-    U[dead, 0] = 0.0
-    U[deflated] = sign[k:]
+    U[k:, 0] = 0.0
+    np.fill_diagonal(U[k:, k:], sign[k:])
     U /= norm_u[:, None]
     Q = U.take(modes, axis=1).T
     del U
     if rwa:
-        flip = np.where(lam[order] < 0, -1.0, 1.0)
+        flip = np.where(lam < 0, -1.0, 1.0)
         Y *= flip[:, None]
         P = Q * flip
     else:
         V /= norm_v[:, None]
         P = V.take(modes, axis=1).T
-    return s[order], P, Q, Y.T
+    return s, P, Q, Y.T
 
 
 def arrow_svd(arrow: Arrow, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """SVD K = P diag(s) Q^T, s descending, of an arrow's K = h + Delta, and X = Q^T diag(e) P.
+    """SVD K = P diag(s) Q^T of an arrow's K = h + Delta, and X = Q^T diag(e) P.
 
     ``weights`` are the M diagonal entries e of the state (1 - 2n for mode
     occupations n).  ``_broken_arrow_svd`` solves every arrow, with pairing
-    or under the RWA, and writes X down as a Löwner matrix, in O(M^2); the
-    dense ``np.linalg.svd`` and the M^3 product for X take the arrows it
-    declines (coincident or zero levels).  Every result is probed:
-    K v = P diag(s) Q^T v, P^T P v = v, Q^T Q v = v and X v = Q^T (e * P v)
-    for one fixed vector v, each to SPECTRAL_TOL, or ValueError.
+    or under the RWA, coincident and zero levels included, and writes X
+    down as a Löwner matrix, in O(M^2); s is in its order, not sorted.
+    Every result is probed: K v = P diag(s) Q^T v, P^T P v = v,
+    Q^T Q v = v and X v = Q^T (e * P v) for one fixed vector v, each to
+    SPECTRAL_TOL, or ValueError (a NaN residual included).
     """
     weights = np.asarray(weights, dtype=float)
-    found = _broken_arrow_svd(arrow, weights)
-    if found is None:
-        try:
-            P, s, Qt = np.linalg.svd(arrow.matrix())
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"SVD failed on {arrow.modes}-mode arrow: {exc}") from exc
-        found = s, P, Qt.T, (Qt * weights) @ P
-    s, P, Q, X = found
+    s, P, Q, X = _broken_arrow_svd(arrow, weights)
     recon, ortho, state = _probe_residuals(arrow, weights, s, P, Q, X)
-    if max(recon, ortho, state) > SPECTRAL_TOL:
+    if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
         raise ValueError(
             f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "
             f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
@@ -424,7 +415,7 @@ def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
         ) from exc
     scale = max(np.abs(evals).max(), 1.0)
     pairing = np.abs(evals + evals[::-1]).max() / scale
-    if pairing > SPECTRAL_TOL:
+    if not pairing <= SPECTRAL_TOL:  # NaN included
         raise ValueError(
             f"spectrum not particle-hole symmetric: pairing residual {pairing:.3e}"
         )

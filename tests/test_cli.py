@@ -227,6 +227,29 @@ class TestExitCodes:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,extra,overrides,key", [
+    ("trace", "gamma: .inf\n", {}, "gamma"),
+    ("trace", "gamma: .nan\n", {}, "gamma"),
+    ("sweep", "gamma_grid: [0.1, .inf]\n", {}, "gamma_grid"),
+    ("sweep", "gamma_grid: [.nan]\n", {}, "gamma_grid"),
+    ("sweep", "gamma_grid: [0.1]\n", {"time_step": ".inf"}, "time_step"),
+    ("trace", "gamma: 0.1\n", {"t_max": ".inf"}, "t_max"),
+    ("sweep", "gamma_grid: [0.1]\n", {"window": "[.nan, 50]"}, "window"),
+    ("sweep", "gamma_grid: [0.1]\n", {"window": "[20, .inf]"}, "window"),
+    ("sweep", "gamma_grid: [0.1]\ninternal_coupling: {scale: .inf}\n", {},
+     "internal_coupling.scale"),
+], ids=["gamma-inf", "gamma-nan", "gamma_grid-inf", "gamma_grid-nan", "time_step-inf",
+        "t_max-inf", "window-nan", "window-inf", "internal_coupling.scale-inf"])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command, extra,
+                                                    overrides, key):
+    cfg = write_config(tmp_path, extra, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "numerical failure" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "landauer", "--n", "0"],
     ["oracle", "weak", "--gamma", "-0.5"],

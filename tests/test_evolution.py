@@ -348,3 +348,10 @@ def test_current_trace_consistency_enforced():
     t = np.linspace(0, 1, 5)
     with pytest.raises(ValueError, match="normal"):
         CurrentTrace(times=t, total=np.ones(5), normal=np.zeros(5), anomalous=np.zeros(5))
+
+
+def test_current_trace_refuses_nan():
+    t = np.linspace(0, 1, 5)
+    nan = np.full(5, np.nan)
+    with pytest.raises(ValueError, match="normal"):
+        CurrentTrace(times=t, total=nan, normal=nan, anomalous=nan)

@@ -2,11 +2,13 @@
 
 The dense Nambu matrix from ``build_hamiltonian`` and its ``diagonalize``
 (the 2M x 2M eigh, on a complex copy where a complex basis is wanted)
-serve as the reference throughout.  Each valve below also names the solver
-that its K = h + Delta must take: ``arrow`` (LAPACK dlasd4 on the broken
-arrow, or under the RWA on the broken arrow of the shifted arrowhead) or
-``svd`` (the dense fallback for the arrows that solver declines).
+serve as the reference throughout.  Every valve's K = h + Delta must be
+solved by LAPACK dlasd4 on its broken arrow (under the RWA, the broken
+arrow of the shifted arrowhead), coincident and zero levels included; a
+dense SVD or eigh call fails the check.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -72,27 +74,35 @@ def zero_level(freqs, g):
     freqs[0, 0] = 0.0  # coincides with the pole at 0 of the central column
 
 
+def equal_run(freqs, g):
+    # four equal levels, two in each bath: hot and cold occupations differ
+    freqs[0, 1] = freqs[0, 2] = freqs[1, 0] = freqs[1, 3] = freqs[0, 0]
+
+
 # scale 1 shifts some levels below 0 (checked in test_negative_levels_present)
 NEGATIVE = dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=1.0))
 
 VALVES = [
-    pytest.param(dict(gamma=0.3, coupling_dist=dist), "arrow", id=dist.value)
+    pytest.param(dict(gamma=0.3, coupling_dist=dist), id=dist.value)
     for dist in CouplingDistribution
 ] + [
-    pytest.param(dict(gamma=0.0), "arrow", id="gamma0"),
-    pytest.param(dict(gamma=0.3, rwa=True), "arrow", id="rwa"),
+    pytest.param(dict(gamma=0.0), id="gamma0"),
+    # omega0 = 0 draws every level at 0: K = 0
+    pytest.param(dict(gamma=0.0, omega0=0.0), id="zero_arrow"),
+    pytest.param(dict(gamma=0.3, rwa=True), id="rwa"),
     # every coupling under the deflation tolerance: the centre is the one root
-    pytest.param(dict(gamma=1e-15), "arrow", id="tiny_coupling"),
-    pytest.param(dict(gamma=1e-15, rwa=True), "arrow", id="tiny_coupling_rwa"),
+    pytest.param(dict(gamma=1e-15), id="tiny_coupling"),
+    pytest.param(dict(gamma=1e-15, rwa=True), id="tiny_coupling_rwa"),
     pytest.param(dict(gamma=0.3, internal_coupling=InternalCouplingSpec(scale=0.2)),
-                 "arrow", id="random_hermitian"),
-    pytest.param(NEGATIVE, "arrow", id="negative_levels"),
-    pytest.param(dict(gamma=0.3, edit=zero_coupling), "arrow", id="zero_coupling"),
-    pytest.param(dict(gamma=0.3, edit=coincident_levels), "svd", id="coincident_levels"),
-    pytest.param(dict(gamma=0.3, edit=zero_level), "svd", id="zero_level"),
-    # the RWA current 2 f_Q on a dense-SVD basis
-    pytest.param(dict(gamma=0.3, rwa=True, edit=coincident_levels), "svd",
-                 id="rwa_coincident"),
+                 id="random_hermitian"),
+    pytest.param(NEGATIVE, id="negative_levels"),
+    pytest.param(dict(gamma=0.3, edit=zero_coupling), id="zero_coupling"),
+    # coupled poles moved apart by the solver
+    pytest.param(dict(gamma=0.3, edit=coincident_levels), id="coincident_levels"),
+    pytest.param(dict(gamma=0.3, edit=zero_level), id="zero_level"),
+    pytest.param(dict(gamma=0.3, rwa=True, edit=coincident_levels), id="rwa_coincident"),
+    pytest.param(dict(gamma=0.3, edit=equal_run), id="equal_run"),
+    pytest.param(dict(gamma=0.3, rwa=True, edit=equal_run), id="rwa_equal_run"),
 ]
 
 
@@ -102,11 +112,8 @@ def propagate(cfg, bath):
     return arrow, arrow_propagator(arrow, thermal_occupations(cfg, bath))
 
 
-SOLVER_CALLS = {"arrow": {"dlasd4"}, "svd": {"svd"}}
-
-
-def solvers_called(monkeypatch, cfg, bath, path):
-    """propagate(cfg, bath) with the dense SVD refused unless ``path`` is svd."""
+def solvers_called(monkeypatch, cfg, bath):
+    """propagate(cfg, bath) with the dense SVD refused, and the solvers it called."""
     calls = []
 
     def counting(name, f):
@@ -121,7 +128,7 @@ def solvers_called(monkeypatch, cfg, bath, path):
     with monkeypatch.context() as m:
         m.setattr(nambu.lapack, "dlasd4", counting("dlasd4", nambu.lapack.dlasd4))
         m.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        m.setattr(np.linalg, "svd", counting("svd", np.linalg.svd) if path == "svd" else refused)
+        m.setattr(np.linalg, "svd", refused)
         _, prop = propagate(cfg, bath)
     return prop, set(calls)
 
@@ -131,12 +138,12 @@ def test_negative_levels_present():
     assert (bath.frequencies < 0).any()
 
 
-@pytest.mark.parametrize("kw,path", VALVES)
+@pytest.mark.parametrize("kw", VALVES)
 class TestValveHamiltonians:
-    def test_svd_basis_matches_eigh(self, kw, path, monkeypatch):
+    def test_svd_basis_matches_eigh(self, kw, monkeypatch):
         cfg, bath, H, _ = valve(**kw)
-        prop, calls = solvers_called(monkeypatch, cfg, bath, path)
-        assert calls == SOLVER_CALLS[path]
+        prop, calls = solvers_called(monkeypatch, cfg, bath)
+        assert calls == {"dlasd4"}
         ref = diagonalize(as_complex(H))
         dense = prop.dense()
         U, E = dense.basis.transform, dense.basis.eigenvalues
@@ -145,13 +152,13 @@ class TestValveHamiltonians:
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
         assert np.abs(U.T @ U - np.eye(2 * cfg.modes)).max() < 1e-13
 
-    def test_rotated_initial_state_matches_dense_rotation(self, kw, path):
+    def test_rotated_initial_state_matches_dense_rotation(self, kw):
         cfg, bath, _, chi0 = valve(**kw)
         dense = propagate(cfg, bath)[1].dense()
         U = dense.basis.transform
         assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
-    def test_heat_current_matches_dense_and_eigh_paths(self, kw, path):
+    def test_heat_current_matches_dense_and_eigh_paths(self, kw):
         cfg, bath, H, chi0 = valve(**kw)
         levels = bath_levels(cfg, bath, 2)
         arrow, prop = propagate(cfg, bath)
@@ -175,7 +182,7 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     # Löwner denominators formed as d_k^2 - d_j^2 instead of as products
     # reach 1.7e-12 here
     cfg, bath, H, _ = valve(bath_size=450, **kw)
-    prop, calls = solvers_called(monkeypatch, cfg, bath, "arrow")
+    prop, calls = solvers_called(monkeypatch, cfg, bath)
     assert calls == {"dlasd4"}
     dense = prop.dense()
     U, E = dense.basis.transform, dense.basis.eigenvalues
@@ -188,15 +195,15 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
 
 def test_exact_degeneracies_and_zero_modes(monkeypatch):
     # repeated levels, a zero level and a +-level pair in one arrow: the
-    # broken-arrow solver declines the repeated levels, with pairing and
-    # under the RWA (dense SVD); at gamma = 0 every mode is deflated (dlasd4)
+    # solver moves the coupled poles apart, with pairing and under the RWA;
+    # at gamma = 0 every mode is deflated
     freqs = np.array([[0.5, 0.5, 1.2], [0.0, -1.2, 0.8]])
     couplings = np.array([[0.3, -0.2, 0.25], [0.15, 0.3, -0.1]])
-    for rwa, scale, path in ((False, 1.0, "svd"), (True, 1.0, "svd"), (False, 0.0, "arrow")):
+    for rwa, scale in ((False, 1.0), (True, 1.0), (False, 0.0)):
         cfg = ValveConfig(bath_size=3, gamma=0.3, t_hot=1.0, t_cold=0.5, rwa=rwa)
         bath = BathRealization(frequencies=freqs.copy(), couplings=scale * couplings)
-        prop, calls = solvers_called(monkeypatch, cfg, bath, path)
-        assert calls == SOLVER_CALLS[path]
+        prop, calls = solvers_called(monkeypatch, cfg, bath)
+        assert calls == {"dlasd4"}
         H = build_hamiltonian(cfg, bath)
         ref = diagonalize(as_complex(H))
         dense = prop.dense()
@@ -217,8 +224,8 @@ def test_non_physical_diagonal_state_uses_dense_rotation():
     assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
-class TestFallbacks:
-    def test_complex_internal_couplings_take_eigh_and_match_fock(self, monkeypatch):
+class TestSolverPaths:
+    def test_complex_internal_couplings_fold_to_real_arrow_and_match_fock(self, monkeypatch):
         # eigh folds the complex matrices in; the eigenvector phases make the
         # new couplings real, so the valve runs from its arrow
         rng = np.random.default_rng(7)
@@ -229,25 +236,39 @@ class TestFallbacks:
         spec = InternalCouplingSpec(matrices=tuple(mats))
         cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
         assert np.isrealobj(bath.couplings) and (bath.couplings >= 0).all()
-        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
 
-    def test_real_internal_couplings_take_svd_and_match_fock(self, monkeypatch):
+    def test_real_internal_couplings_run_from_arrow_and_match_fock(self, monkeypatch):
         spec = InternalCouplingSpec(scale=0.3)
         cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
-        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
 
     @pytest.mark.parametrize("kw", [dict(gamma=0.6, edit=zero_coupling), NEGATIVE,
-                                    dict(NEGATIVE, rwa=True)],
-                             ids=["zero_coupling", "negative_levels", "rwa_negative_levels"])
+                                    dict(NEGATIVE, rwa=True), dict(gamma=0.6, edit=equal_run),
+                                    dict(gamma=0.6, rwa=True, edit=equal_run)],
+                             ids=["zero_coupling", "negative_levels", "rwa_negative_levels",
+                                  "equal_run", "rwa_equal_run"])
     def test_broken_arrow_matches_fock(self, kw, monkeypatch):
         cfg, bath, _, _ = valve(bath_size=4, **kw)
-        assert solvers_called(monkeypatch, cfg, bath, "arrow")[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
+        times = np.linspace(0.0, 20.0, 81)
+        got = simulate_trace(cfg, times, bath=bath).total
+        dev = np.abs(got - fock.exact_current(cfg, bath, times))
+        assert dev.max() < 1e-9
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_zero_center_level_matches_fock(self, rwa, monkeypatch):
+        # the bath drawn at omega0 = 1, the centre at 0: with pairing its
+        # z_c = 0 is raised to the deflation tolerance
+        cfg, bath, _, _ = valve(bath_size=4, gamma=0.6, rwa=rwa)
+        cfg = dataclasses.replace(cfg, omega0=0.0)
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         got = simulate_trace(cfg, times, bath=bath).total
         dev = np.abs(got - fock.exact_current(cfg, bath, times))
@@ -290,6 +311,30 @@ class TestFallbacks:
         with pytest.raises(ValueError, match="probe"):
             propagate(cfg, bath)
 
+    def test_probe_catches_nan(self, monkeypatch):
+        cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
+        good = nambu._broken_arrow_svd
+
+        def corrupted(arrow, weights):
+            s, P, Q, X = good(arrow, weights)
+            P[3, 4] = np.nan  # every residual is NaN, and NaN > tol is False
+            return s, P, Q, X
+
+        monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
+        with pytest.raises(ValueError, match="probe.*nan"):
+            propagate(cfg, bath)
+
+    def test_dlasd4_failure_raises(self, monkeypatch):
+        cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
+        good = nambu.lapack.dlasd4
+
+        def failing(*args):
+            return *good(*args)[:3], 1
+
+        monkeypatch.setattr(nambu.lapack, "dlasd4", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="dlasd4"):
+            propagate(cfg, bath)
+
     def test_probe_catches_bad_rotated_state(self, monkeypatch):
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
@@ -319,7 +364,43 @@ def test_lowner_state_matches_product(cfg, monkeypatch):
     bath = sample_bath(cfg)
     if cfg.internal_coupling is not None:
         bath = apply_internal_couplings(cfg, bath)
-    prop, calls = solvers_called(monkeypatch, cfg, bath, "arrow")
+    prop, calls = solvers_called(monkeypatch, cfg, bath)
     assert calls == {"dlasd4"}
     e = 1 - 2 * thermal_occupations(cfg, bath)
     assert np.abs(prop.X - (prop.Q.T * e) @ prop.P).max() <= 1e-13
+
+
+def dense_matrix(arrow):
+    K = np.diag(arrow.levels)
+    K[:, arrow.center] += arrow.column
+    if arrow.rwa:
+        K[arrow.center] += arrow.couplings
+    return K
+
+
+def test_small_arrows_match_dense_svd():
+    # levels on a coarse grid (repeats and zeros), zero couplings and a
+    # centre at 0 are common here; each arrow goes through dlasd4.  Errors
+    # are relative to max(||K||, 1): under the RWA the shift mu >= 1 sets
+    # an absolute floor of O(eps)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        M = int(rng.integers(2, 13))
+        c = int(rng.integers(M))
+        levels = rng.integers(-4, 5, M) * rng.choice([0.25, 0.5, 1.0])
+        g = rng.integers(-2, 3, M) * rng.choice([1e-3, 0.25, 1.0])
+        if rng.random() < 0.3:
+            g = g * rng.uniform(0.5, 1.5, M)
+        g[c] = 0.0
+        e = rng.uniform(-1.0, 1.0, M)
+        for rwa in (False, True):
+            arrow = nambu.Arrow(levels=levels.astype(float), couplings=g, center=c, rwa=rwa)
+            K = dense_matrix(arrow)
+            scale = max(np.linalg.norm(K, 2), 1.0)
+            s, P, Q, X = nambu.arrow_svd(arrow, e)
+            ref = np.linalg.svd(K, compute_uv=False)
+            assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
+            assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
+            assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
+            assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
+            assert np.abs(X - (Q.T * e) @ P).max() < 1e-13

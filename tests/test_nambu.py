@@ -68,6 +68,13 @@ class TestDiagonalize:
         ev = diagonalize(random_nambu(rng, 5)).eigenvalues
         assert np.abs(ev + ev[::-1]).max() < 1e-10
 
+    def test_nan_is_refused(self):
+        # NaN > tol is False: the pairing check must not let it through
+        data = np.diag([1.0, 2.0, -1.0, -2.0])
+        data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="pairing residual nan"):
+            diagonalize(NambuMatrix(modes=2, data=data))
+
     def test_eigh_spectrum_is_paired_exactly(self):
         # the 2M eigh spectrum of a complex H is stored paired
         H = random_nambu(np.random.default_rng(3), 6)
