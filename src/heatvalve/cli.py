@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +48,13 @@ SWEEP_HEADER = [
 TRACE_HEADER = ["time", "kind", "N", "total", "normal", "anomalous", "pert_anomalous"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """csv writes each cell with str(), which for a float is its shortest round-trip repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(UNITS_COMMENT)
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _physical_scales(gammas, sizes, omega0: float) -> list[dict]:
@@ -158,15 +153,15 @@ def cmd_trace(args) -> int:
     started = time.time()
     times = np.arange(0.0, cfg["t_max"] + cfg["time_step"] / 2, cfg["time_step"])
     sizes = cfg["bath_sizes"] or [cfg["bath_size"]]
+    time_col = times.tolist()
     rows = []
     for N in sizes:
-        for kind in _kinds(cfg):
-            vc = make_valve_config(cfg, gamma=cfg["gamma"], rwa=(kind == "rwa"), bath_size=N)
-            for rec in run_trace(vc, times):
-                rows.append(
-                    (rec.time, rec.kind, rec.bath_size, rec.total,
-                     rec.normal, rec.anomalous, rec.pert_anomalous)
-                )
+        vc = make_valve_config(cfg, gamma=cfg["gamma"], rwa=False, bath_size=N)
+        traces, pert = run_trace(vc, times, kinds=_kinds(cfg))
+        pert_col = pert.tolist()
+        for kind, tr in traces.items():
+            rows += zip(time_col, repeat(kind), repeat(N), tr.total.tolist(),
+                        tr.normal.tolist(), tr.anomalous.tolist(), pert_col)
     path = out_dir / "trace.csv"
     _write_csv(path, TRACE_HEADER, rows)
     scales = _physical_scales([cfg["gamma"]], sizes, vc.omega0)

@@ -1,13 +1,16 @@
 """Experiment orchestration: steady-state sweeps, time traces, distribution scans.
 
-Every realization gets its own RNG stream, derived from the master seed and
-the job coordinates with a splitmix64 hash, so adding grid points or
+Every sweep realization gets its own RNG stream, derived from the master seed
+and the job coordinates with a splitmix64 hash, so adding grid points or
 realizations never perturbs existing results and identical inputs give
-byte-identical outputs regardless of execution order.
+byte-identical outputs regardless of execution order.  The kinds of a trace
+share one bath and one first-order overlay, and come back as arrays over the
+time grid, from which the CLI writes its rows column by column.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -67,17 +70,6 @@ class SweepRecord:
             raise ValueError("std_current must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    kind: str
-    bath_size: int
-    total: float
-    normal: float
-    anomalous: float
-    pert_anomalous: float     # first-order transient formula overlay
-
-
 def _prepare_bath(config: ValveConfig) -> BathRealization:
     bath = sample_bath(config)
     if config.internal_coupling is not None:
@@ -110,15 +102,13 @@ def _steady_state_job(config: ValveConfig, window, time_step) -> float:
     return window_mean_current(*_realization(config), window, time_step)
 
 
-def _run_job(args):
-    return _steady_state_job(*args)
-
-
 def _parallel_map(jobs, n_jobs: int):
-    if n_jobs <= 1 or len(jobs) <= 1:
-        return [_run_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_run_job, jobs))
+    # A forked pool starts all its workers at once: never more than there is work or CPUs.
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_steady_state_job(*j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_steady_state_job, *zip(*jobs)))
 
 
 def run_sweep(
@@ -141,7 +131,7 @@ def run_sweep(
         raise ValueError("realizations must be >= 1")
     if not gamma_grid:
         raise ValueError("gamma grid must be nonempty")
-    jobs, coords = [], []
+    jobs = []
     for gi, gamma in enumerate(gamma_grid):
         for kind in kinds:
             for r in range(realizations):
@@ -152,11 +142,11 @@ def run_sweep(
                     config_template, gamma=float(gamma), rwa=(kind == "rwa"), seed=seed
                 )
                 jobs.append((cfg, window, time_step))
-                coords.append((gi, kind))
     try:
         means = _parallel_map(jobs, n_jobs)
     except Exception as exc:
         raise RuntimeError(f"sweep realization failed: {exc}") from exc
+    means = np.reshape(means, (len(gamma_grid), len(kinds), realizations))
 
     records = []
     for gi, gamma in enumerate(gamma_grid):
@@ -171,8 +161,8 @@ def run_sweep(
             gamma_sd, gamma_sd, config_template.t_hot, config_template.t_cold,
             config_template.omega0,
         )
-        for kind in kinds:
-            vals = [m for m, c in zip(means, coords) if c == (gi, kind)]
+        for ki, kind in enumerate(kinds):
+            vals = means[gi, ki]
             records.append(
                 SweepRecord(
                     gamma_over_omega0=float(gamma),
@@ -188,32 +178,28 @@ def run_sweep(
     return records
 
 
-def run_trace(config: ValveConfig, times) -> list[TraceRecord]:
-    """Full current trace with the perturbative anomalous-current overlay."""
+def run_trace(
+    config_template: ValveConfig, times, kinds=("exact", "rwa")
+) -> tuple[dict[str, CurrentTrace], np.ndarray]:
+    """Current trace per Hamiltonian kind, with the perturbative anomalous-current overlay.
+
+    The bath depends on the seed, not on the kind, so every kind runs on one
+    sampled bath and shares one overlay.
+    """
     times = np.asarray(times, dtype=float)
-    bath = _prepare_bath(config)
-    trace = simulate_trace(config, times, bath=bath)
-    mean_g_sq = config.gamma**2 / (3 * config.bath_size)
+    bath = _prepare_bath(config_template)
+    traces = {
+        kind: simulate_trace(replace(config_template, rwa=(kind == "rwa")), times, bath=bath)
+        for kind in kinds
+    }
     pert = analytics.anomalous_current_discrete(
         bath.frequencies[COLD_BATH - 1],
-        config.bath_temperature(COLD_BATH),
-        mean_g_sq,
+        config_template.bath_temperature(COLD_BATH),
+        config_template.gamma**2 / (3 * config_template.bath_size),
         times,
-        config.omega0,
+        config_template.omega0,
     )
-    kind = "rwa" if config.rwa else "exact"
-    return [
-        TraceRecord(
-            time=float(t),
-            kind=kind,
-            bath_size=config.bath_size,
-            total=float(trace.total[i]),
-            normal=float(trace.normal[i]),
-            anomalous=float(trace.anomalous[i]),
-            pert_anomalous=float(pert[i]),
-        )
-        for i, t in enumerate(times)
-    ]
+    return traces, pert
 
 
 def run_distribution_comparison(

@@ -129,9 +129,8 @@ def test_criterion_3_landauer_agreement(criterion_report):
 def test_criterion_4_anomalous_current_formula(criterion_report):
     cfg = ValveConfig(bath_size=1200, gamma=0.1, t_hot=1.0, t_cold=0.0, seed=404)
     times = np.arange(0.0, 50.0 + 0.025, 0.05)
-    records = run_trace(cfg, times)
-    anom = np.array([r.anomalous for r in records])
-    pert = np.array([r.pert_anomalous for r in records])
+    traces, pert = run_trace(cfg, times, kinds=("exact",))
+    anom = traces["exact"].anomalous
     rel = float(np.sqrt(np.mean((anom - pert) ** 2) / np.mean(anom**2)))
     ok = rel < 0.15
     criterion_report(

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from heatvalve import heisenberg_time, levels_per_linewidth, relaxation_time
+from heatvalve import experiments, heisenberg_time, levels_per_linewidth, relaxation_time
 from heatvalve.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from heatvalve.valve import sample_bath
 
 
 def write_config(tmp_path, extra="", **overrides):
@@ -29,7 +30,20 @@ def read_csv(path):
         comment = fh.readline()
         assert comment.startswith("# units:")
         rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        for cell in row:
+            check_cell(cell)
     return rows[0], rows[1:]
+
+
+def check_cell(cell):
+    """A kind, an int written as str(int) or a float as repr(float): never np.float64(...)."""
+    if cell in ("exact", "rwa"):
+        return
+    try:
+        assert cell == str(int(cell))
+    except ValueError:
+        assert cell == repr(float(cell))
 
 
 class TestSweep:
@@ -136,6 +150,24 @@ class TestTrace:
         assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 3), (0.2, 5)]
         assert scales[1]["heisenberg_time"] == pytest.approx(heisenberg_time(5), rel=1e-15)
 
+    def test_kinds_share_one_bath_per_size(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting(config):
+            sizes.append(config.bath_size)
+            return sample_bath(config)
+
+        monkeypatch.setattr(experiments, "sample_bath", counting)
+        cfg = write_config(tmp_path, "gamma: 0.2\nkind: both\nbath_sizes: [3, 5]\n")
+        out = tmp_path / "out"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert sizes == [3, 5]
+        _, rows = read_csv(out / "trace.csv")
+        for N in ("3", "5"):
+            exact, rwa = ([r[6] for r in rows if r[2] == N and r[1] == kind]
+                          for kind in ("exact", "rwa"))
+            assert len(exact) == 11 and exact == rwa
+
 
 class TestDist:
     def test_writes_one_file_per_distribution(self, tmp_path):
@@ -144,6 +176,8 @@ class TestDist:
         assert main(["dist", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         names = {p.name for p in out.glob("sweep_*.csv")}
         assert names == {"sweep_uniform.csv", "sweep_gaussian.csv", "sweep_equal.csv"}
+        for name in names:
+            assert len(read_csv(out / name)[1]) == 1
         scales = json.loads((out / "manifest.json").read_text())["physical_scales"]
         assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 4)]
         assert scales[0]["relaxation_time"] == pytest.approx(relaxation_time(0.2), rel=1e-15)

@@ -143,6 +143,32 @@ class TestRunSweep:
         )
         assert serial == parallel
 
+    @pytest.mark.parametrize("cpus,asked", [(64, [4]), (3, [3]), (None, [])],
+                             ids=["64_cpus", "3_cpus", "unknown_cpus"])
+    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, asked):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        sweep = dict(gamma_grid=[0.2, 0.3], realizations=2, kinds=("rwa",), **FAST)
+        records = run_sweep(template(), n_jobs=10**6, **sweep)  # 4 jobs
+        assert sizes == asked
+        assert records == run_sweep(template(), **sweep)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             run_sweep(template(), [], realizations=1, **FAST)
@@ -203,17 +229,17 @@ class TestWindowMeans:
 class TestRunTrace:
     def test_rwa_anomalous_all_zero(self):
         cfg = template(bath_size=8, gamma=0.2, rwa=True)
-        records = run_trace(cfg, np.linspace(0, 10, 21))
-        assert len(records) == 21
-        assert all(r.anomalous == 0.0 for r in records)
-        assert all(r.kind == "rwa" for r in records)
+        traces, _ = run_trace(cfg, np.linspace(0, 10, 21), kinds=("rwa",))
+        assert list(traces) == ["rwa"]
+        assert len(traces["rwa"].times) == 21
+        assert np.all(traces["rwa"].anomalous == 0.0)
 
     def test_perturbative_overlay_starts_at_zero(self):
         cfg = template(bath_size=8, gamma=0.2)
-        records = run_trace(cfg, np.linspace(0, 10, 21))
-        assert records[0].time == 0.0
-        assert records[0].pert_anomalous == 0.0
-        assert records[0].bath_size == 8
+        traces, pert = run_trace(cfg, np.linspace(0, 10, 21), kinds=("exact",))
+        assert traces["exact"].times[0] == 0.0
+        assert pert[0] == 0.0
+        assert len(pert) == 21
 
     @pytest.mark.parametrize("rwa", [False, True])
     def test_samples_the_bath_once(self, monkeypatch, rwa):
@@ -228,17 +254,17 @@ class TestRunTrace:
         monkeypatch.setattr(experiments, "sample_bath", counting)
         cfg = template(bath_size=6, gamma=0.2, rwa=rwa)
         times = np.linspace(0, 10, 21)
-        records = run_trace(cfg, times)
+        kind = "rwa" if rwa else "exact"
+        traces, _ = run_trace(cfg, times, kinds=(kind,))
         assert calls == [cfg.seed]
-        assert [r.total for r in records] == list(simulate_trace(cfg, times).total)
+        assert list(traces[kind].total) == list(simulate_trace(cfg, times).total)
 
     def test_overlay_tracks_anomalous_current(self):
         # desk-scale version of the transient-formula comparison
         cfg = template(bath_size=300, gamma=0.1, seed=9)
         times = np.arange(0.0, 30.0, 0.1)
-        records = run_trace(cfg, times)
-        anom = np.array([r.anomalous for r in records])
-        pert = np.array([r.pert_anomalous for r in records])
+        traces, pert = run_trace(cfg, times, kinds=("exact",))
+        anom = traces["exact"].anomalous
         rms = np.sqrt(np.mean((anom - pert) ** 2)) / np.sqrt(np.mean(anom**2))
         assert rms < 0.5
 
