@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, fock
+from . import __version__, analytics, experiments, fock
 from .config import (
     ConfigError,
     apply_full_preset,
@@ -98,11 +98,11 @@ def _write_manifest(
 
 def _load(args) -> dict:
     cfg = load_config(args.config)
-    if getattr(args, "full", False):
+    if args.full:
         cfg = apply_full_preset(cfg)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "kind", None) is not None:
+    if args.kind is not None:
         cfg["kind"] = args.kind
     return cfg
 
@@ -119,83 +119,81 @@ def _sweep_rows(records):
         )
 
 
-def cmd_sweep(args) -> int:
+def _run(args, required: str, tables) -> int:
+    """Config in, CSV files and manifest out: the body of sweep, trace and dist.
+
+    ``tables(cfg)`` runs the experiment and returns {file name: (header,
+    rows)} and the bath sizes it ran; the manifest's physical scales cover
+    those sizes and the couplings of the ``required`` key.
+    """
     cfg = _load(args)
-    if cfg["gamma_grid"] is None:
-        raise ConfigError("missing required config key 'gamma_grid'")
+    if cfg[required] is None:
+        raise ConfigError(f"missing required config key '{required}'")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    template = make_valve_config(cfg, gamma=0.0, rwa=False)
-    records = run_sweep(
-        template,
-        cfg["gamma_grid"],
-        cfg["realizations"],
+    files, sizes = tables(cfg)
+    for name, (header, rows) in files.items():
+        _write_csv(out_dir / name, header, rows)
+    gammas = cfg[required] if isinstance(cfg[required], list) else [cfg[required]]
+    scales = _physical_scales(gammas, sizes, ValveConfig.omega0)
+    _write_manifest(out_dir, cfg, started, list(files), scales)
+    print(f"wrote {', '.join(str(out_dir / name) for name in files)}")
+    return EXIT_OK
+
+
+def _sweep_args(cfg: dict, args) -> dict:
+    """Arguments of run_sweep and run_distribution_comparison."""
+    return dict(
+        config_template=make_valve_config(cfg, gamma=0.0),
+        gamma_grid=cfg["gamma_grid"],
+        realizations=cfg["realizations"],
         kinds=_kinds(cfg),
         window=tuple(cfg["window"]),
         time_step=cfg["time_step"],
         n_jobs=args.jobs,
     )
-    path = out_dir / "sweep.csv"
-    _write_csv(path, SWEEP_HEADER, _sweep_rows(records))
-    scales = _physical_scales(cfg["gamma_grid"], [template.bath_size], template.omega0)
-    _write_manifest(out_dir, cfg, started, [path.name], scales)
-    print(f"wrote {path}")
-    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    def tables(cfg):
+        records = run_sweep(**_sweep_args(cfg, args))
+        return {"sweep.csv": (SWEEP_HEADER, _sweep_rows(records))}, [cfg["bath_size"]]
+
+    return _run(args, "gamma_grid", tables)
 
 
 def cmd_trace(args) -> int:
-    cfg = _load(args)
-    if cfg["gamma"] is None:
-        raise ConfigError("missing required config key 'gamma'")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    times = np.arange(0.0, cfg["t_max"] + cfg["time_step"] / 2, cfg["time_step"])
-    sizes = cfg["bath_sizes"] or [cfg["bath_size"]]
-    time_col = times.tolist()
-    rows = []
-    for N in sizes:
-        vc = make_valve_config(cfg, gamma=cfg["gamma"], rwa=False, bath_size=N)
-        traces, pert = run_trace(vc, times, kinds=_kinds(cfg))
-        pert_col = pert.tolist()
-        for kind, tr in traces.items():
-            rows += zip(time_col, repeat(kind), repeat(N), tr.total.tolist(),
-                        tr.normal.tolist(), tr.anomalous.tolist(), pert_col)
-    path = out_dir / "trace.csv"
-    _write_csv(path, TRACE_HEADER, rows)
-    scales = _physical_scales([cfg["gamma"]], sizes, vc.omega0)
-    _write_manifest(out_dir, cfg, started, [path.name], scales)
-    print(f"wrote {path}")
-    return EXIT_OK
+    def tables(cfg):
+        times = np.arange(0.0, cfg["t_max"] + cfg["time_step"] / 2, cfg["time_step"])
+        sizes = cfg["bath_sizes"] or [cfg["bath_size"]]
+        time_col = times.tolist()
+        rows = []
+        for N in sizes:
+            vc = make_valve_config(cfg, gamma=cfg["gamma"], bath_size=N)
+            traces, pert = run_trace(vc, times, kinds=_kinds(cfg))
+            pert_col = pert.tolist()
+            for kind, tr in traces.items():
+                rows += zip(time_col, repeat(kind), repeat(N), tr.total.tolist(),
+                            tr.normal.tolist(), tr.anomalous.tolist(), pert_col)
+        return {"trace.csv": (TRACE_HEADER, rows)}, sizes
+
+    return _run(args, "gamma", tables)
 
 
 def cmd_dist(args) -> int:
-    cfg = _load(args)
-    if cfg["gamma_grid"] is None:
-        raise ConfigError("missing required config key 'gamma_grid'")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    template = make_valve_config(cfg, gamma=0.0, rwa=False)
-    by_dist = run_distribution_comparison(
-        template,
-        cfg["gamma_grid"],
-        cfg["realizations"],
-        kinds=_kinds(cfg),
-        window=tuple(cfg["window"]),
-        time_step=cfg["time_step"],
-        n_jobs=args.jobs,
-    )
-    outputs = []
-    for dist, records in by_dist.items():
-        path = out_dir / f"sweep_{dist}.csv"
-        _write_csv(path, SWEEP_HEADER, _sweep_rows(records))
-        outputs.append(path.name)
-    scales = _physical_scales(cfg["gamma_grid"], [template.bath_size], template.omega0)
-    _write_manifest(out_dir, cfg, started, outputs, scales)
-    print(f"wrote {', '.join(str(out_dir / o) for o in outputs)}")
-    return EXIT_OK
+    def tables(cfg):
+        points = len(cfg["gamma_grid"])
+        if points > experiments.DIST_GRID_MAX:
+            raise ConfigError(
+                f"config key 'gamma_grid' has {points} points; "
+                f"dist takes at most {experiments.DIST_GRID_MAX}"
+            )
+        by_dist = run_distribution_comparison(**_sweep_args(cfg, args))
+        files = {f"sweep_{d}.csv": (SWEEP_HEADER, _sweep_rows(r)) for d, r in by_dist.items()}
+        return files, [cfg["bath_size"]]
+
+    return _run(args, "gamma_grid", tables)
 
 
 def cmd_oracle(args) -> int:
@@ -328,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -165,21 +165,16 @@ def apply_full_preset(cfg: dict) -> dict:
     return out
 
 
-def make_valve_config(cfg: dict, gamma: float, rwa: bool, bath_size: int | None = None) -> ValveConfig:
+def make_valve_config(cfg: dict, gamma: float, bath_size: int | None = None) -> ValveConfig:
+    """The config's valve at coupling gamma; the experiments set ``rwa`` per kind."""
     ic = cfg.get("internal_coupling")
-    spec = None
-    if ic is not None:
-        spec = InternalCouplingSpec(
-            generator=ic.get("generator", "random_hermitian"),
-            scale=float(ic.get("scale", 0.1)),
-        )
+    spec = None if ic is None else InternalCouplingSpec(scale=float(ic.get("scale", 0.1)))
     return ValveConfig(
         bath_size=bath_size if bath_size is not None else cfg["bath_size"],
         gamma=float(gamma),
         t_hot=float(cfg["t_hot"]),
         t_cold=float(cfg["t_cold"]),
         coupling_dist=CouplingDistribution(cfg["coupling_dist"]),
-        rwa=rwa,
         seed=cfg["seed"],
         internal_coupling=spec,
     )

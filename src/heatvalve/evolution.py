@@ -61,16 +61,19 @@ class ArrowPropagator:
     s are the quasiparticle energies, in the solver's order (not sorted), P
     and Q the left and right singular vectors of the arrow's K = h + Delta, and
     X = Q^T diag(1 - 2n) P the product state with mode occupations n.  All
-    four are real; a complex or mis-shaped factor is refused.
+    four are real; a complex factor, or one not shaped by the arrow's M, is
+    refused.  The arrow is kept, so every current is taken with the arrow
+    the factors were solved from.
     """
 
+    arrow: Arrow
     s: np.ndarray
     P: np.ndarray
     Q: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
-        M = self.s.size
+        M = self.arrow.modes
         for name, shape in (("s", (M,)), ("P", (M, M)), ("Q", (M, M)), ("X", (M, M))):
             arr = getattr(self, name)
             if arr.shape != shape or not np.isrealobj(arr):
@@ -81,7 +84,7 @@ class ArrowPropagator:
 
     @property
     def modes(self) -> int:
-        return self.s.size
+        return self.arrow.modes
 
     def dense(self) -> Propagator:
         """The same realization as a general 2M x 2M ``Propagator``.
@@ -141,7 +144,7 @@ def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
             f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
         )
     s, P, Q, X = arrow_svd(arrow, 1 - 2 * occupations)
-    return ArrowPropagator(s=s, P=P, Q=Q, X=X)
+    return ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=X)
 
 
 def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
@@ -185,10 +188,8 @@ def _phase_parts(s: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cos, np.sin(arg, out=arg)
 
 
-def _checked_levels(prop: ArrowPropagator, arrow: Arrow, levels) -> np.ndarray:
+def _checked_levels(prop: ArrowPropagator, levels) -> np.ndarray:
     M = prop.modes
-    if arrow.modes != M:
-        raise ValueError(f"mode mismatch: propagator M={M}, arrow M={arrow.modes}")
     levels = np.asarray(levels)
     if levels.shape != (M,):
         raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
@@ -207,7 +208,7 @@ def _bilinear(cos: np.ndarray, G: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("jt,jt->t", cos, G @ sin)
 
 
-def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentTrace:
+def heat_current(prop: ArrowPropagator, levels, times) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
     H is the arrow's Hamiltonian, ``levels`` the M mode energies of H_bath,
@@ -224,7 +225,8 @@ def heat_current(prop: ArrowPropagator, arrow: Arrow, levels, times) -> CurrentT
     anomalous part exactly zero; so is a current with w = 0.
     """
     times = np.asarray(times, dtype=float)
-    levels = _checked_levels(prop, arrow, levels)
+    arrow = prop.arrow
+    levels = _checked_levels(prop, levels)
     w = levels * arrow.couplings
     zeros = np.zeros_like(times)
     if not w.any():
@@ -313,7 +315,7 @@ def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
     return rho
 
 
-def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, time_step) -> float:
+def window_mean_current(prop: ArrowPropagator, levels, window, time_step) -> float:
     """Mean over the samples of ``window_times`` of the ``heat_current`` total.
 
     The total is 2 f_Q for every arrow (``heat_current``), so it is
@@ -332,7 +334,7 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
     2 s_max) is refused.
     """
     M = prop.modes
-    levels = _checked_levels(prop, arrow, levels)
+    levels = _checked_levels(prop, levels)
     times = window_times(window, time_step)
     _check_sample_count(len(times), window)
     s = prop.s
@@ -343,11 +345,11 @@ def window_mean_current(prop: ArrowPropagator, arrow: Arrow, levels, window, tim
             f"{s_max * time_step:.4g} >= pi/2 for the highest quasiparticle energy "
             f"s_max={s_max:.6g}; need dt < pi/(2 s_max) = {np.pi / (2 * s_max):.6g}"
         )
-    w = levels * arrow.couplings
+    w = levels * prop.arrow.couplings
     if not w.any():
         return 0.0  # G is exactly zero
     X = prop.X
-    a, b = w @ prop.Q, prop.Q[arrow.center]
+    a, b = w @ prop.Q, prop.Q[prop.arrow.center]
     # centre and spacing of the samples themselves: np.arange steps by
     # fl(t0 + dt) - t0, which on [200, 400] at dt 0.05 puts the last
     # sample 4.5e-11 from t0 + (T - 1) dt

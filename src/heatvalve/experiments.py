@@ -38,6 +38,9 @@ from .valve import (
 DEFAULT_WINDOW = (20.0, 50.0)
 DEFAULT_TIME_STEP = 0.05
 COLD_BATH = 2
+# run_distribution_comparison offsets the grid index of coupling law di by
+# DIST_GRID_MAX (di + 1): a longer grid would give two laws the same seeds.
+DIST_GRID_MAX = 1000
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -78,12 +81,11 @@ def _prepare_bath(config: ValveConfig) -> BathRealization:
 
 
 def _realization(config: ValveConfig, bath: BathRealization | None = None):
-    """Propagator, arrow and cold-bath levels of one realization, bath sampled if not given."""
+    """Propagator and cold-bath levels of one realization, bath sampled if not given."""
     if bath is None:
         bath = _prepare_bath(config)
-    arrow = build_arrow(config, bath)
-    prop = arrow_propagator(arrow, thermal_occupations(config, bath))
-    return prop, arrow, bath_levels(config, bath, COLD_BATH)
+    prop = arrow_propagator(build_arrow(config, bath), thermal_occupations(config, bath))
+    return prop, bath_levels(config, bath, COLD_BATH)
 
 
 def simulate_trace(
@@ -142,10 +144,7 @@ def run_sweep(
                     config_template, gamma=float(gamma), rwa=(kind == "rwa"), seed=seed
                 )
                 jobs.append((cfg, window, time_step))
-    try:
-        means = _parallel_map(jobs, n_jobs)
-    except Exception as exc:
-        raise RuntimeError(f"sweep realization failed: {exc}") from exc
+    means = _parallel_map(jobs, n_jobs)
     means = np.reshape(means, (len(gamma_grid), len(kinds), realizations))
 
     records = []
@@ -212,6 +211,12 @@ def run_distribution_comparison(
     n_jobs: int = 1,
 ) -> dict[str, list[SweepRecord]]:
     """run_sweep repeated for the three matched-second-moment coupling laws."""
+    gamma_grid = list(gamma_grid)
+    if len(gamma_grid) > DIST_GRID_MAX:
+        raise ValueError(
+            f"gamma_grid has {len(gamma_grid)} points; at most {DIST_GRID_MAX} keep "
+            "the coupling laws' seeds apart"
+        )
     out = {}
     for di, dist in enumerate(CouplingDistribution):
         cfg = replace(config_template, coupling_dist=dist)
@@ -223,6 +228,6 @@ def run_distribution_comparison(
             window=window,
             time_step=time_step,
             n_jobs=n_jobs,
-            grid_offset=1000 * (di + 1),
+            grid_offset=DIST_GRID_MAX * (di + 1),
         )
     return out

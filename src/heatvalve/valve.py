@@ -33,14 +33,13 @@ class CouplingDistribution(str, enum.Enum):
 class InternalCouplingSpec:
     """Particle-conserving quadratic couplings among each bath's modes.
 
-    Either explicit Hermitian N x N matrices (one per bath) or the named
-    ``random_hermitian`` generator: i.i.d. Gaussian entries, Hermitized,
-    with off-diagonal standard deviation scale/sqrt(N) so the induced
-    frequency shifts stay of order ``scale``.
+    Either explicit Hermitian N x N matrices (one per bath) or random
+    Hermitian ones: i.i.d. Gaussian entries, Hermitized, with off-diagonal
+    standard deviation scale/sqrt(N) so the induced frequency shifts stay of
+    order ``scale``.
     """
 
     matrices: tuple[np.ndarray, np.ndarray] | None = None
-    generator: str = "random_hermitian"
     scale: float = 0.1
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class InternalCouplingSpec:
                     raise ValueError(
                         f"internal coupling matrix not Hermitian: residual {res:.3e}"
                     )
-        elif self.generator != "random_hermitian":
-            raise ValueError(f"unknown internal-coupling generator {self.generator!r}")
 
     def realize(self, bath_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         if self.matrices is not None:
@@ -158,11 +155,7 @@ def sample_bath(config: ValveConfig) -> BathRealization:
     return BathRealization(frequencies=freqs, couplings=g)
 
 
-def apply_internal_couplings(
-    config: ValveConfig,
-    bath: BathRealization,
-    spec: InternalCouplingSpec | None = None,
-) -> BathRealization:
+def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> BathRealization:
     """Fold particle-conserving intra-bath couplings into the realization.
 
     Diagonalizing diag(w_ak) + coupling matrix per bath gives new level
@@ -173,8 +166,7 @@ def apply_internal_couplings(
     The couplings' sum of squares is preserved.  Transformed frequencies may
     leave the [0, 2*omega0] band.
     """
-    if spec is None:
-        spec = config.internal_coupling
+    spec = config.internal_coupling
     if spec is None:
         raise ValueError("no internal-coupling spec provided")
     # RNG stream decoupled from sample_bath's by a fixed tag.

@@ -147,7 +147,7 @@ def test_criterion_5_rwa_structure(criterion_report):
     arrow = build_arrow(cfg, bath)
     prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
     times = np.linspace(0.0, 50.0, 251)
-    trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
+    trace = heat_current(prop, bath_levels(cfg, bath, 2), times)
     anom_max = float(np.abs(trace.anomalous).max())
     number_op = build_nambu(np.eye(cfg.modes))
     n_series = expectation_series(prop.dense(), number_op, times)
@@ -225,7 +225,7 @@ def test_criterion_7_conservation_and_structure(criterion_report):
             worst["ph"] = max(
                 worst["ph"], float(np.abs(chi.data + X @ chi.data.T @ X - eye).max())
             )
-            current = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [t]).total[0]
+            current = heat_current(prop, bath_levels(cfg, bath, 2), [t]).total[0]
             fd = (
                 expectation(Hb, evolve(dense, t + dt))
                 - expectation(Hb, evolve(dense, t - dt))

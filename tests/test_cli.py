@@ -182,6 +182,17 @@ class TestDist:
         assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 4)]
         assert scales[0]["relaxation_time"] == pytest.approx(relaxation_time(0.2), rel=1e-15)
 
+    def test_grid_longer_than_the_seed_stride_is_refused(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(experiments, "_steady_state_job", never)
+        cfg = write_config(tmp_path, f"gamma_grid: {[0.1] * 1001}\n")
+        out = tmp_path / "out"
+        assert main(["dist", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "'gamma_grid' has 1001 points" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
 
 class TestOracle:
     def test_fermi_value(self, capsys):
@@ -251,6 +262,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "pi/(2 s_max)" in err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", "gamma_grid: [0.2]\n"), ("trace", "gamma: 0.2\n"),
+    ], ids=["sweep", "trace"])
+    def test_out_of_memory_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                  command, extra):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(experiments, "arrow_propagator", no_memory)
+        argv = [command, "--config", str(write_config(tmp_path, extra)), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERICAL
+        # one line, no traceback
+        assert capsys.readouterr().err == (
+            "numerical failure: out of memory: Unable to allocate 596. GiB for an array\n"
+        )
+
+    def test_programming_error_escapes(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken call")
+
+        monkeypatch.setattr(experiments, "arrow_propagator", broken)
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
+        with pytest.raises(TypeError, match="broken call"):
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
     def test_window_with_too_few_samples(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", window="[20, 21]")

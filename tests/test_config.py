@@ -88,7 +88,7 @@ def test_internal_coupling_section(tmp_path):
     cfg = load_config(
         write(tmp_path, BASE + "internal_coupling: {generator: random_hermitian, scale: 0.2}\n")
     )
-    vc = make_valve_config(cfg, gamma=0.1, rwa=False)
+    vc = make_valve_config(cfg, gamma=0.1)
     assert vc.internal_coupling is not None
     assert vc.internal_coupling.scale == 0.2
 
@@ -169,10 +169,10 @@ def test_booleans_rejected_as_numbers(tmp_path, line, key):
 
 def test_make_valve_config(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "coupling_dist: equal\nt_cold: 0.5\n"))
-    vc = make_valve_config(cfg, gamma=0.25, rwa=True, bath_size=7)
+    vc = make_valve_config(cfg, gamma=0.25, bath_size=7)
     assert vc.bath_size == 7
     assert vc.gamma == 0.25
-    assert vc.rwa is True
+    assert vc.rwa is False
     assert vc.t_cold == 0.5
     assert vc.coupling_dist is CouplingDistribution.EQUAL
     assert vc.seed == 5

@@ -137,17 +137,17 @@ class TestExpectationSeries:
 class TestHeatCurrent:
     def test_zero_coupling_zero_current(self):
         cfg, bath, arrow, prop = arrow_setup(gamma=0.0)
-        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), np.linspace(0, 20, 30))
+        trace = heat_current(prop, bath_levels(cfg, bath, 2), np.linspace(0, 20, 30))
         assert np.abs(trace.total).max() == 0.0
 
     def test_starts_at_zero_for_uncorrelated_state(self):
         cfg, bath, arrow, prop = arrow_setup()
-        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [0.0])
+        trace = heat_current(prop, bath_levels(cfg, bath, 2), [0.0])
         assert abs(trace.total[0]) < 1e-12
 
     def test_rwa_anomalous_identically_zero(self):
         cfg, bath, arrow, prop = arrow_setup(rwa=True)
-        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
+        trace = heat_current(prop, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
         assert np.abs(trace.anomalous).max() == 0.0
 
     def test_lowrank_equals_dense(self):
@@ -160,7 +160,7 @@ class TestHeatCurrent:
         times = np.linspace(0, 30, 61)
         for kw in cases:
             cfg, bath, arrow, prop = arrow_setup(**kw)
-            got = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
+            got = heat_current(prop, bath_levels(cfg, bath, 2), times)
             H = build_hamiltonian(cfg, bath)
             normal, anomalous = dense_current(
                 prop.dense(), H, bath_hamiltonian(cfg, bath, 2), times
@@ -176,7 +176,7 @@ class TestHeatCurrent:
         dense = prop.dense()
         dt = 1e-4
         for t0 in (0.5, 7.3, 18.0):
-            current = heat_current(prop, arrow, bath_levels(cfg, bath, 2), [t0]).total[0]
+            current = heat_current(prop, bath_levels(cfg, bath, 2), [t0]).total[0]
             fd = (
                 expectation(Hb, evolve(dense, t0 + dt))
                 - expectation(Hb, evolve(dense, t0 - dt))
@@ -189,15 +189,18 @@ class TestHeatCurrent:
         nambu_diagonal = np.concatenate([levels, -levels])
         for bad in (levels[:-1], np.append(levels, 0.5), nambu_diagonal, np.diag(levels)):
             with pytest.raises(ValueError, match="shape"):
-                heat_current(prop, arrow, bad, [0.0, 1.0])
+                heat_current(prop, bad, [0.0, 1.0])
             with pytest.raises(ValueError, match="shape"):
-                window_mean_current(prop, arrow, bad, (20.0, 30.0), 0.5)
+                window_mean_current(prop, bad, (20.0, 30.0), 0.5)
 
     def test_complex_or_misshaped_factors_are_refused(self):
-        _, _, _, prop = arrow_setup()
-        factors = dict(s=prop.s, P=prop.P, Q=prop.Q, X=prop.X)
+        _, _, arrow, prop = arrow_setup()
+        assert prop.arrow is arrow
+        other_arrow = arrow_setup(bath_size=5)[2]
+        factors = dict(arrow=arrow, s=prop.s, P=prop.P, Q=prop.Q, X=prop.X)
         ArrowPropagator(**factors)
         for bad in (
+            dict(arrow=other_arrow),
             dict(X=prop.X.astype(complex)),
             dict(P=prop.P + 0j),
             dict(s=prop.s[:-1]),
@@ -209,11 +212,11 @@ class TestHeatCurrent:
                 ArrowPropagator(**{**factors, **bad})
 
 
-def assert_equals_grid_mean(prop, arrow, levels, window, time_step):
+def assert_equals_grid_mean(prop, levels, window, time_step):
     """The closed form against the current on every sample, then averaged."""
-    trace = heat_current(prop, arrow, levels, window_times(window, time_step))
+    trace = heat_current(prop, levels, window_times(window, time_step))
     want = steady_state_estimate(trace, window)[0]
-    got = window_mean_current(prop, arrow, levels, window, time_step)
+    got = window_mean_current(prop, levels, window, time_step)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -239,7 +242,7 @@ class TestWindowMeanCurrent:
     def test_equals_grid_mean(self, kw, window, time_step):
         cfg, bath, arrow, prop = arrow_setup(**kw)
         levels = bath_levels(cfg, bath, 2)
-        assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+        assert_equals_grid_mean(prop, levels, window, time_step)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     @pytest.mark.parametrize("bath_size", [20, 32, 64, 128], ids=["M41", "M65", "M129", "M257"])
@@ -249,7 +252,7 @@ class TestWindowMeanCurrent:
         assert MEAN_CHUNK_ROWS == 64
         cfg, bath, arrow, prop = arrow_setup(bath_size=bath_size, gamma=0.2, rwa=rwa)
         levels = bath_levels(cfg, bath, 2)
-        assert_equals_grid_mean(prop, arrow, levels, (20.0, 50.0), 0.05)
+        assert_equals_grid_mean(prop, levels, (20.0, 50.0), 0.05)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_degenerate_and_zero_levels(self, rwa):
@@ -258,7 +261,7 @@ class TestWindowMeanCurrent:
         prop = arrow_propagator(arrow, thermal_occupations(cfg, DEGENERATE))
         levels = bath_levels(cfg, DEGENERATE, 2)
         for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.5)):
-            assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+            assert_equals_grid_mean(prop, levels, window, time_step)
 
     def test_near_degenerate_energies(self):
         # two quasiparticle energies 1e-10 apart dominate the mean: the
@@ -272,32 +275,32 @@ class TestWindowMeanCurrent:
         for rwa in (False, True):
             if rwa:
                 P = Q * np.array([1.0, -1.0, 1.0])  # an RWA basis: P = Q sign(l)
-            prop = ArrowPropagator(s=s, P=P, Q=Q, X=(Q.T * e) @ P)
             arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
                           center=1, rwa=rwa)
+            prop = ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=(Q.T * e) @ P)
             for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
-                assert_equals_grid_mean(prop, arrow, levels, window, time_step)
+                assert_equals_grid_mean(prop, levels, window, time_step)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_zero_coupling_is_exactly_zero(self, rwa):
         cfg, bath, arrow, prop = arrow_setup(gamma=0.0, rwa=rwa)
-        got = window_mean_current(prop, arrow, bath_levels(cfg, bath, 2), (20.0, 50.0), 0.05)
+        got = window_mean_current(prop, bath_levels(cfg, bath, 2), (20.0, 50.0), 0.05)
         assert got == 0.0
 
     def test_sparse_window_rejected(self):
         cfg, bath, arrow, prop = arrow_setup()
         with pytest.raises(ValueError, match="only 5 samples"):
-            window_mean_current(prop, arrow, bath_levels(cfg, bath, 2), (20.0, 22.0), 0.5)
+            window_mean_current(prop, bath_levels(cfg, bath, 2), (20.0, 22.0), 0.5)
 
     def test_aliasing_time_step_is_refused(self):
         cfg, bath, arrow, prop = arrow_setup()
         levels = bath_levels(cfg, bath, 2)
         s_max = prop.s.max()
         bound = np.pi / (2 * s_max)
-        window_mean_current(prop, arrow, levels, (20.0, 50.0), 0.99 * bound)
+        window_mean_current(prop, levels, (20.0, 50.0), 0.99 * bound)
         for dt in (bound, 1.0):
             with pytest.raises(ValueError, match=r"s_max.*pi/\(2 s_max\)") as exc:
-                window_mean_current(prop, arrow, levels, (20.0, 50.0), dt)
+                window_mean_current(prop, levels, (20.0, 50.0), dt)
             assert f"dt={dt}" in str(exc.value)
 
 

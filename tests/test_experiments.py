@@ -220,10 +220,9 @@ class TestWindowMeans:
             self.assert_close(got_dist[dist], want_dist[dist])
 
     def test_aliasing_time_step_is_refused(self):
-        with pytest.raises(RuntimeError, match=r"s_max.*pi/\(2 s_max\)") as exc:
+        with pytest.raises(ValueError, match=r"s_max.*pi/\(2 s_max\)"):
             run_sweep(template(), [0.3], realizations=1, kinds=("exact",),
                       window=(20.0, 50.0), time_step=1.0)
-        assert isinstance(exc.value.__cause__, ValueError)
 
 
 class TestRunTrace:
@@ -280,3 +279,16 @@ class TestDistributionComparison:
         out = run_distribution_comparison(template(), [0.2], realizations=1, **FAST)
         for dist, records in out.items():
             assert all(r.coupling_dist == dist for r in records)
+
+    def test_grid_longer_than_the_seed_stride_is_refused(self, monkeypatch):
+        # law di's grid point gi draws its seed at gi + 1000 (di + 1), so point
+        # 1000 of one law would repeat point 0 of the next
+        seeds = []
+        monkeypatch.setattr(experiments, "_steady_state_job",
+                            lambda config, *_: seeds.append(config.seed) or 0.0)
+        run_distribution_comparison(template(), [0.0] * 1000, realizations=1, kinds=("rwa",))
+        assert len(set(seeds)) == len(seeds) == 3000
+        seeds.clear()
+        with pytest.raises(ValueError, match="gamma_grid has 1001 points"):
+            run_distribution_comparison(template(), [0.0] * 1001, realizations=1)
+        assert seeds == []

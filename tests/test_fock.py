@@ -99,7 +99,7 @@ class TestExactCurrent:
         times = np.linspace(0, 20, 81)
         arrow = build_arrow(cfg, bath)
         prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
-        trace = heat_current(prop, arrow, bath_levels(cfg, bath, 2), times)
+        trace = heat_current(prop, bath_levels(cfg, bath, 2), times)
         dev = np.abs(trace.total - exact_current(cfg, bath, times)).max()
         assert dev < 1e-9
 

@@ -161,8 +161,8 @@ class TestValveHamiltonians:
     def test_heat_current_matches_dense_and_eigh_paths(self, kw):
         cfg, bath, H, chi0 = valve(**kw)
         levels = bath_levels(cfg, bath, 2)
-        arrow, prop = propagate(cfg, bath)
-        got = heat_current(prop, arrow, levels, TIMES)
+        _, prop = propagate(cfg, bath)
+        got = heat_current(prop, levels, TIMES)
         Hb = bath_hamiltonian(cfg, bath, 2)
         dense = prop.dense()
         total = np.array([observable_rate(Hb, H, evolve(dense, t)) for t in TIMES])

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,7 +228,8 @@ class TestInternalCouplings:
         cfg = make_config(bath_size=6)
         bath = sample_bath(cfg)
         zeros = np.zeros((6, 6))
-        out = apply_internal_couplings(cfg, bath, InternalCouplingSpec(matrices=(zeros, zeros)))
+        spec = InternalCouplingSpec(matrices=(zeros, zeros))
+        out = apply_internal_couplings(replace(cfg, internal_coupling=spec), bath)
         for a in range(2):
             assert np.allclose(np.sort(out.frequencies[a]), np.sort(bath.frequencies[a]))
             assert np.allclose(
@@ -252,7 +254,7 @@ class TestInternalCouplings:
             A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             mats.append((A + A.conj().T) / 2)
         spec = InternalCouplingSpec(matrices=tuple(mats))
-        transformed = apply_internal_couplings(cfg, bath, spec)
+        transformed = apply_internal_couplings(replace(cfg, internal_coupling=spec), bath)
 
         # reference: fold the coupling blocks into the untransformed h
         h = np.array(build_hamiltonian(cfg, bath).particle_block, dtype=complex)
