@@ -13,6 +13,7 @@ omega0; exit codes are 0 (success), 2 (usage/config error),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -57,7 +58,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _physical_scales(gammas, sizes, omega0: float) -> list[dict]:
+def _physical_scales(gammas, sizes) -> list[dict]:
     """The scales that decide whether a window mean can be trusted, per (gamma, N).
 
     A steady state needs a window past the relaxation time tau and before
@@ -67,13 +68,13 @@ def _physical_scales(gammas, sizes, omega0: float) -> list[dict]:
     scales = []
     for N in sizes:
         for gamma in gammas:
-            tau = analytics.relaxation_time(gamma, omega0)
+            tau = analytics.relaxation_time(gamma)
             scales.append({
                 "gamma_over_omega0": float(gamma),
                 "bath_size": N,
                 "relaxation_time": tau if math.isfinite(tau) else None,
-                "heisenberg_time": analytics.heisenberg_time(N, omega0),
-                "levels_per_linewidth": analytics.levels_per_linewidth(gamma, N, omega0),
+                "heisenberg_time": analytics.heisenberg_time(N),
+                "levels_per_linewidth": analytics.levels_per_linewidth(gamma, N),
             })
     return scales
 
@@ -130,13 +131,24 @@ def _run(args, required: str, tables) -> int:
     if cfg[required] is None:
         raise ConfigError(f"missing required config key '{required}'")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from exc
     started = time.time()
-    files, sizes = tables(cfg)
+    try:
+        files, sizes = tables(cfg)
+    except BaseException:
+        # a failed run leaves no directory it made behind
+        with contextlib.suppress(OSError):
+            for d in created:
+                d.rmdir()
+        raise
     for name, (header, rows) in files.items():
         _write_csv(out_dir / name, header, rows)
     gammas = cfg[required] if isinstance(cfg[required], list) else [cfg[required]]
-    scales = _physical_scales(gammas, sizes, ValveConfig.omega0)
+    scales = _physical_scales(gammas, sizes)
     _write_manifest(out_dir, cfg, started, list(files), scales)
     print(f"wrote {', '.join(str(out_dir / name) for name in files)}")
     return EXIT_OK

@@ -108,9 +108,9 @@ def _validate(cfg: dict) -> None:
         not isinstance(window, (list, tuple))
         or len(window) != 2
         or not all(_is_number(v) and math.isfinite(v) for v in window)
-        or window[0] >= window[1]
+        or not 0 <= window[0] < window[1]
     ):
-        raise ConfigError("config key 'window' must be finite [t_lo, t_hi] with t_lo < t_hi")
+        raise ConfigError("config key 'window' must be finite [t_lo, t_hi], 0 <= t_lo < t_hi")
     samples = window_sample_count(window, cfg["time_step"])
     if samples < MIN_WINDOW_SAMPLES:
         raise ConfigError(
@@ -129,10 +129,10 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("config key 'gamma_grid' must list one or more floats in [0, inf)")
     if cfg["bath_sizes"] is not None:
         sizes = cfg["bath_sizes"]
-        if not isinstance(sizes, list) or not all(
+        if not isinstance(sizes, list) or not sizes or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes
         ):
-            raise ConfigError("config key 'bath_sizes' must be a list of ints >= 1")
+            raise ConfigError("config key 'bath_sizes' must list one or more ints >= 1")
     ic = cfg["internal_coupling"]
     if ic is not None:
         if not isinstance(ic, dict):
@@ -143,7 +143,7 @@ def _validate(cfg: dict) -> None:
                 f"unknown config key 'internal_coupling.{sorted(map(str, unknown))[0]}'"
             )
         gen = ic.get("generator", "random_hermitian")
-        scale = ic.get("scale", 0.1)
+        scale = ic.get("scale", InternalCouplingSpec.scale)
         if gen != "random_hermitian":
             raise ConfigError(
                 f"config key 'internal_coupling.generator' unknown: {gen!r}"
@@ -168,7 +168,9 @@ def apply_full_preset(cfg: dict) -> dict:
 def make_valve_config(cfg: dict, gamma: float, bath_size: int | None = None) -> ValveConfig:
     """The config's valve at coupling gamma; the experiments set ``rwa`` per kind."""
     ic = cfg.get("internal_coupling")
-    spec = None if ic is None else InternalCouplingSpec(scale=float(ic.get("scale", 0.1)))
+    spec = None
+    if ic is not None:
+        spec = InternalCouplingSpec(scale=float(ic.get("scale", InternalCouplingSpec.scale)))
     return ValveConfig(
         bath_size=bath_size if bath_size is not None else cfg["bath_size"],
         gamma=float(gamma),

@@ -279,7 +279,7 @@ def _check_sample_count(n: int, window) -> None:
         )
 
 
-def steady_state_estimate(trace: CurrentTrace, window=(20.0, 50.0)) -> tuple[float, float]:
+def steady_state_estimate(trace: CurrentTrace, window) -> tuple[float, float]:
     """Mean and standard deviation of the total current inside a time window."""
     mask = _in_window(trace.times, window)
     _check_sample_count(int(mask.sum()), window)

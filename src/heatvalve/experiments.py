@@ -25,6 +25,7 @@ from .evolution import (
     window_mean_current,
 )
 from .valve import (
+    COLD_BATH,
     BathRealization,
     CouplingDistribution,
     ValveConfig,
@@ -35,9 +36,6 @@ from .valve import (
     thermal_occupations,
 )
 
-DEFAULT_WINDOW = (20.0, 50.0)
-DEFAULT_TIME_STEP = 0.05
-COLD_BATH = 2
 # run_distribution_comparison offsets the grid index of coupling law di by
 # DIST_GRID_MAX (di + 1): a longer grid would give two laws the same seeds.
 DIST_GRID_MAX = 1000
@@ -117,16 +115,17 @@ def run_sweep(
     config_template: ValveConfig,
     gamma_grid,
     realizations: int,
-    kinds=("exact", "rwa"),
-    window=DEFAULT_WINDOW,
-    time_step=DEFAULT_TIME_STEP,
+    kinds,
+    window,
+    time_step,
     n_jobs: int = 1,
     grid_offset: int = 0,
 ) -> list[SweepRecord]:
     """Steady-state window averages over a coupling grid, per Hamiltonian kind.
 
     Each (grid point, kind, realization) is an independent job with its own
-    derived seed; output order is deterministic.
+    derived seed; output order is deterministic.  The kinds, window and time
+    step have their defaults in the config schema (``config._DEFAULTS``).
     """
     gamma_grid = list(gamma_grid)
     if realizations < 1:
@@ -149,16 +148,13 @@ def run_sweep(
 
     records = []
     for gi, gamma in enumerate(gamma_grid):
-        spec = UniformBathSpec.from_coupling_scale(
-            float(gamma), config_template.bath_size, config_template.omega0
-        )
+        spec = UniformBathSpec.from_coupling_scale(float(gamma), config_template.bath_size)
         gamma_sd = analytics.spectral_density(spec)
         landauer = analytics.landauer_current(
             spec, spec, config_template.t_hot, config_template.t_cold
         )
         weak = analytics.weak_coupling_current(
-            gamma_sd, gamma_sd, config_template.t_hot, config_template.t_cold,
-            config_template.omega0,
+            gamma_sd, gamma_sd, config_template.t_hot, config_template.t_cold
         )
         for ki, kind in enumerate(kinds):
             vals = means[gi, ki]
@@ -178,7 +174,7 @@ def run_sweep(
 
 
 def run_trace(
-    config_template: ValveConfig, times, kinds=("exact", "rwa")
+    config_template: ValveConfig, times, kinds
 ) -> tuple[dict[str, CurrentTrace], np.ndarray]:
     """Current trace per Hamiltonian kind, with the perturbative anomalous-current overlay.
 
@@ -191,12 +187,12 @@ def run_trace(
         kind: simulate_trace(replace(config_template, rwa=(kind == "rwa")), times, bath=bath)
         for kind in kinds
     }
+    spec = UniformBathSpec.from_coupling_scale(config_template.gamma, config_template.bath_size)
     pert = analytics.anomalous_current_discrete(
         bath.frequencies[COLD_BATH - 1],
         config_template.bath_temperature(COLD_BATH),
-        config_template.gamma**2 / (3 * config_template.bath_size),
+        spec.mean_square_coupling,
         times,
-        config_template.omega0,
     )
     return traces, pert
 
@@ -205,9 +201,9 @@ def run_distribution_comparison(
     config_template: ValveConfig,
     gamma_grid,
     realizations: int,
-    kinds=("rwa",),
-    window=DEFAULT_WINDOW,
-    time_step=DEFAULT_TIME_STEP,
+    kinds,
+    window,
+    time_step,
     n_jobs: int = 1,
 ) -> dict[str, list[SweepRecord]]:
     """run_sweep repeated for the three matched-second-moment coupling laws."""

@@ -17,6 +17,7 @@ from scipy import sparse
 
 from .nambu import NambuMatrix
 from .valve import (
+    COLD_BATH,
     BathRealization,
     ValveConfig,
     bath_hamiltonian,
@@ -87,13 +88,12 @@ def thermal_state(config: ValveConfig, bath: BathRealization) -> np.ndarray:
     return np.diag(diag)
 
 
-def exact_current(config: ValveConfig, bath: BathRealization, times,
-                  which_bath: int = 2) -> np.ndarray:
-    """-i tr(rho(t) [H_bath, H]) via dense Fock-space evolution."""
+def exact_current(config: ValveConfig, bath: BathRealization, times) -> np.ndarray:
+    """-i tr(rho(t) [H_bath, H]) of the cold bath via dense Fock-space evolution."""
     _check_cap(config.modes)
     times = np.asarray(times, dtype=float)
     H = lift(build_hamiltonian(config, bath)).matrix
-    Hb = lift(bath_hamiltonian(config, bath, which_bath)).matrix
+    Hb = lift(bath_hamiltonian(config, bath, COLD_BATH)).matrix
     rho0 = thermal_state(config, bath)
     evals, S = np.linalg.eigh(H)
     rho_rot = S.conj().T @ rho0 @ S

@@ -21,7 +21,7 @@ with pairing and under the RWA.  The dense 2M x 2M matrix and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -160,13 +160,12 @@ class Arrow:
 def build_nambu(
     particle_block: np.ndarray,
     anomalous_block: np.ndarray | None = None,
-    const_offset: float | None = None,
 ) -> NambuMatrix:
     """Assemble a NambuMatrix from the M x M particle and pairing blocks.
 
     The pairing block is antisymmetrized internally (its symmetric part is
-    the zero operator).  The additive constant defaults to tr(h)/2, which
-    makes (1/2) A^dag O A + const the normal-ordered operator.
+    the zero operator).  The additive constant is tr(h)/2, which makes
+    (1/2) A^dag O A + const the normal-ordered operator.
     """
     h = np.asarray(particle_block)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -190,9 +189,7 @@ def build_nambu(
     data[:M, M:] = delta
     data[M:, :M] = -delta.conj()
     data[M:, M:] = -data[:M, :M].T
-    if const_offset is None:
-        const_offset = 0.5 * float(np.real(np.trace(h)))
-    return NambuMatrix(modes=M, data=data, const_offset=const_offset)
+    return NambuMatrix(modes=M, data=data, const_offset=0.5 * float(np.real(np.trace(h))))
 
 
 def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import occupation
+from .analytics import BAND_TOP, occupation
 from .nambu import STRUCT_TOL, Arrow, CorrelationMatrix, NambuMatrix, build_nambu
 
 
@@ -66,6 +66,11 @@ class InternalCouplingSpec:
         return tuple(out)
 
 
+# the bath (``ValveConfig.bath_slice``) whose heat current the experiments
+# and the Fock oracle measure
+COLD_BATH = 2
+
+
 @dataclass(frozen=True)
 class ValveConfig:
     """Full specification of one valve realization."""
@@ -77,7 +82,6 @@ class ValveConfig:
     coupling_dist: CouplingDistribution = CouplingDistribution.UNIFORM
     rwa: bool = False
     seed: int = 0
-    omega0: float = 1.0
     internal_coupling: InternalCouplingSpec | None = None
 
     def __post_init__(self):
@@ -136,12 +140,12 @@ class BathRealization:
 def sample_bath(config: ValveConfig) -> BathRealization:
     """Draw one bath realization, deterministic given config.seed.
 
-    Frequencies are i.i.d. uniform on [0, 2*omega0].  All three coupling
+    Frequencies are i.i.d. uniform on [0, BAND_TOP] = [0, 2].  All three coupling
     distributions share the second moment gamma^2/(3N).
     """
     rng = np.random.default_rng(config.seed)
     N = config.bath_size
-    freqs = rng.uniform(0.0, 2 * config.omega0, size=(2, N))
+    freqs = rng.uniform(0.0, BAND_TOP, size=(2, N))
     bound = config.gamma / np.sqrt(N)
     dist = config.coupling_dist
     if dist is CouplingDistribution.UNIFORM:
@@ -164,7 +168,7 @@ def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> Bath
     arbitrary in eigh anyway, is chosen so that its coupling is real and
     non-negative, which keeps a complex coupling matrix on the real valve.
     The couplings' sum of squares is preserved.  Transformed frequencies may
-    leave the [0, 2*omega0] band.
+    leave the [0, 2] band.
     """
     spec = config.internal_coupling
     if spec is None:
@@ -183,7 +187,7 @@ def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> Bath
 
 
 def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:
-    """The valve's K = h + Delta: bath levels and omega0, central couplings."""
+    """The valve's K = h + Delta: bath levels and omega0 = 1, central couplings."""
     if bath.bath_size != config.bath_size:
         raise ValueError(
             f"bath realization N={bath.bath_size} != config N={config.bath_size}"
@@ -194,7 +198,7 @@ def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:
     for which_bath in (1, 2):
         levels[config.bath_slice(which_bath)] = bath.frequencies[which_bath - 1]
         couplings[config.bath_slice(which_bath)] = bath.couplings[which_bath - 1]
-    levels[config.center] = config.omega0
+    levels[config.center] = 1.0
     return Arrow(levels=levels, couplings=couplings, center=config.center, rwa=config.rwa)
 
 

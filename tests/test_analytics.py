@@ -7,6 +7,7 @@ from scipy import integrate
 from heatvalve import analytics
 from heatvalve import (
     UniformBathSpec,
+    ValveConfig,
     anomalous_current_continuum,
     anomalous_current_discrete,
     empirical_gamma,
@@ -16,6 +17,7 @@ from heatvalve import (
     levels_per_linewidth,
     occupation,
     relaxation_time,
+    sample_bath,
     self_energy,
     spectral_density,
     transmission,
@@ -91,6 +93,18 @@ class TestSelfEnergy:
         with pytest.raises(ValueError, match="band"):
             self_energy(spec_for(0.2), omega)
 
+    def test_band_is_the_sampled_band(self):
+        spec = spec_for(0.2, n=2000)
+        lo, hi = spec.band
+        freqs = sample_bath(ValveConfig(bath_size=2000, gamma=0.2, t_hot=1.0, t_cold=0.0)).frequencies
+        assert lo <= freqs.min() < lo + 0.01 and hi - 0.01 < freqs.max() <= hi
+        assert spec.level_density == 2000 / (hi - lo)
+        for w in (0.3, 1.0, 1.7):
+            assert self_energy(spec, w) == pytest.approx(
+                -spectral_density(spec) / (2 * np.pi) * np.log((hi - w) / (w - lo)),
+                rel=1e-12, abs=1e-18,
+            )
+
 
 class TestTransmission:
     def test_resonant_unit_transmission(self):
@@ -143,7 +157,7 @@ def composed_landauer(spec1, spec2, t1, t2):
         df = occupation(w, t1) - occupation(w, t2)
         return transmission(spec1, spec2, w) * w * df / (2 * np.pi)
 
-    return integrate.quad(integrand, *spec1.band, points=[spec1.omega0], limit=500,
+    return integrate.quad(integrand, *spec1.band, points=[1.0], limit=500,
                           epsabs=1e-10, epsrel=1e-10)[0]
 
 
@@ -193,7 +207,6 @@ class TestPhysicalScales:
 
     def test_heisenberg_time(self):
         assert heisenberg_time(250) == pytest.approx(785.398, abs=1e-3)
-        assert heisenberg_time(1200, omega0=2.0) == pytest.approx(600 * np.pi, rel=1e-15)
 
     def test_levels_per_linewidth(self):
         spec = spec_for(0.1, 1200)

@@ -191,7 +191,7 @@ class TestDist:
         out = tmp_path / "out"
         assert main(["dist", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "'gamma_grid' has 1001 points" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
 
 class TestOracle:
@@ -234,6 +234,36 @@ class TestExitCodes:
         assert main(["trace", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "bath_sizes" in capsys.readouterr().err
 
+    def test_empty_bath_sizes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma: 0.2\nbath_sizes: []\n")
+        out = tmp_path / "o"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "'bath_sizes'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(experiments, "_steady_state_job", never)
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "output directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(experiments, "arrow_propagator", no_memory)
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "a" / "b"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert (tmp_path / "kept").exists() and not (tmp_path / "kept" / "a").exists()
+
     def test_fock_check_passes(self, capsys):
         assert main(["fock-check", "--n", "2", "--gamma", "0.3"]) == EXIT_OK
 
@@ -261,7 +291,7 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure" in err and "pi/(2 s_max)" in err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("sweep", "gamma_grid: [0.2]\n"), ("trace", "gamma: 0.2\n"),

@@ -17,7 +17,7 @@ from heatvalve.evolution import (
     window_sample_count,
     window_times,
 )
-from heatvalve.valve import CouplingDistribution
+from heatvalve.valve import CouplingDistribution, InternalCouplingSpec
 
 
 BASE = """\
@@ -67,6 +67,10 @@ def test_unknown_key_named(tmp_path):
 def test_invalid_window(tmp_path):
     with pytest.raises(ConfigError, match="window"):
         load_config(write(tmp_path, BASE + "window: [50, 20]\n"))
+    # a window before t = 0 would average the time-reversed evolution
+    with pytest.raises(ConfigError, match="'window'"):
+        load_config(write(tmp_path, BASE + "window: [-30, 0]\n"))
+    assert load_config(write(tmp_path, BASE + "window: [0, 30]\n"))["window"] == [0, 30]
 
 
 def test_invalid_kind(tmp_path):
@@ -91,6 +95,12 @@ def test_internal_coupling_section(tmp_path):
     vc = make_valve_config(cfg, gamma=0.1)
     assert vc.internal_coupling is not None
     assert vc.internal_coupling.scale == 0.2
+
+
+def test_internal_coupling_scale_defaults_to_the_spec(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "internal_coupling: {}\n"))
+    spec = make_valve_config(cfg, gamma=0.3).internal_coupling
+    assert spec.scale == InternalCouplingSpec().scale
 
 
 def test_internal_coupling_bad_generator(tmp_path):

@@ -313,13 +313,13 @@ class TestSteadyStateEstimate:
 
     def test_constant_trace(self):
         times = np.linspace(20, 50, 61)
-        mean, std = steady_state_estimate(self._trace(times, np.full(61, 3.25)))
+        mean, std = steady_state_estimate(self._trace(times, np.full(61, 3.25)), (20.0, 50.0))
         assert (mean, std) == (3.25, 0.0)
 
     def test_sinusoid_over_integer_periods_averages_out(self):
         times = np.linspace(20, 50, 3001)
         total = np.sin(2 * np.pi * times / 5)  # 6 full periods on [20, 50]
-        mean, std = steady_state_estimate(self._trace(times, total))
+        mean, std = steady_state_estimate(self._trace(times, total), (20.0, 50.0))
         assert abs(mean) < 1e-3
         assert std == pytest.approx(np.sqrt(0.5), rel=1e-3)
 

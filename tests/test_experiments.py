@@ -171,7 +171,7 @@ class TestRunSweep:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            run_sweep(template(), [], realizations=1, **FAST)
+            run_sweep(template(), [], realizations=1, kinds=("rwa",), **FAST)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="realizations"):
@@ -270,13 +270,17 @@ class TestRunTrace:
 
 class TestDistributionComparison:
     def test_zero_coupling_identical(self):
-        out = run_distribution_comparison(template(), [0.0], realizations=2, **FAST)
+        out = run_distribution_comparison(
+            template(), [0.0], realizations=2, kinds=("rwa",), **FAST
+        )
         assert set(out) == {"uniform", "gaussian", "equal"}
         for records in out.values():
             assert all(r.mean_current == 0.0 for r in records)
 
     def test_records_tagged_with_distribution(self):
-        out = run_distribution_comparison(template(), [0.2], realizations=1, **FAST)
+        out = run_distribution_comparison(
+            template(), [0.2], realizations=1, kinds=("rwa",), **FAST
+        )
         for dist, records in out.items():
             assert all(r.coupling_dist == dist for r in records)
 
@@ -286,9 +290,11 @@ class TestDistributionComparison:
         seeds = []
         monkeypatch.setattr(experiments, "_steady_state_job",
                             lambda config, *_: seeds.append(config.seed) or 0.0)
-        run_distribution_comparison(template(), [0.0] * 1000, realizations=1, kinds=("rwa",))
+        run_distribution_comparison(template(), [0.0] * 1000, realizations=1, kinds=("rwa",),
+                                    **FAST)
         assert len(set(seeds)) == len(seeds) == 3000
         seeds.clear()
         with pytest.raises(ValueError, match="gamma_grid has 1001 points"):
-            run_distribution_comparison(template(), [0.0] * 1001, realizations=1)
+            run_distribution_comparison(template(), [0.0] * 1001, realizations=1,
+                                        kinds=("rwa",), **FAST)
         assert seeds == []

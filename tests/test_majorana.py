@@ -35,6 +35,8 @@ from heatvalve import (
     sample_bath,
     thermal_occupations,
 )
+import heatvalve.experiments as experiments
+import heatvalve.valve as valve_module
 from heatvalve import fock, nambu
 from heatvalve.experiments import simulate_trace
 from heatvalve.nambu import NambuMatrix
@@ -49,8 +51,30 @@ def as_complex(H: NambuMatrix) -> NambuMatrix:
                        const_offset=H.const_offset)
 
 
-def valve(bath_size=40, edit=None, **kw):
-    """A valve realization; ``edit(freqs, couplings)`` may change the bath in place."""
+def center_level_at(monkeypatch, level):
+    """Has ``build_arrow`` put the central level at ``level`` instead of omega0 = 1.
+
+    No config moves the centre off the unit; this reaches the solver paths
+    of a zero central level through the whole valve pipeline (the engine,
+    ``build_hamiltonian`` and the Fock oracle).
+    """
+    def moved(config, bath):
+        arrow = build_arrow(config, bath)
+        levels = arrow.levels.copy()
+        levels[arrow.center] = level
+        return dataclasses.replace(arrow, levels=levels)
+
+    for module in (valve_module, experiments):
+        monkeypatch.setattr(module, "build_arrow", moved)
+
+
+def valve(bath_size=40, edit=None, center_level=None, monkeypatch=None, **kw):
+    """A valve realization; ``edit(freqs, couplings)`` may change the bath in place.
+
+    A ``center_level`` is set through ``center_level_at`` on ``monkeypatch``.
+    """
+    if center_level is not None:
+        center_level_at(monkeypatch, center_level)
     cfg = ValveConfig(bath_size=bath_size, t_hot=1.0, t_cold=0.0, seed=11, **kw)
     bath = sample_bath(cfg)
     if cfg.internal_coupling is not None:
@@ -74,6 +98,10 @@ def zero_level(freqs, g):
     freqs[0, 0] = 0.0  # coincides with the pole at 0 of the central column
 
 
+def zero_levels(freqs, g):
+    freqs[:] = 0.0
+
+
 def equal_run(freqs, g):
     # four equal levels, two in each bath: hot and cold occupations differ
     freqs[0, 1] = freqs[0, 2] = freqs[1, 0] = freqs[1, 3] = freqs[0, 0]
@@ -87,8 +115,8 @@ VALVES = [
     for dist in CouplingDistribution
 ] + [
     pytest.param(dict(gamma=0.0), id="gamma0"),
-    # omega0 = 0 draws every level at 0: K = 0
-    pytest.param(dict(gamma=0.0, omega0=0.0), id="zero_arrow"),
+    # every level at 0 and no coupling: K = 0
+    pytest.param(dict(gamma=0.0, edit=zero_levels, center_level=0.0), id="zero_arrow"),
     pytest.param(dict(gamma=0.3, rwa=True), id="rwa"),
     # every coupling under the deflation tolerance: the centre is the one root
     pytest.param(dict(gamma=1e-15), id="tiny_coupling"),
@@ -108,7 +136,7 @@ VALVES = [
 
 def propagate(cfg, bath):
     """The arrow and its propagator, as ``simulate_trace`` builds them."""
-    arrow = build_arrow(cfg, bath)
+    arrow = valve_module.build_arrow(cfg, bath)
     return arrow, arrow_propagator(arrow, thermal_occupations(cfg, bath))
 
 
@@ -141,7 +169,7 @@ def test_negative_levels_present():
 @pytest.mark.parametrize("kw", VALVES)
 class TestValveHamiltonians:
     def test_svd_basis_matches_eigh(self, kw, monkeypatch):
-        cfg, bath, H, _ = valve(**kw)
+        cfg, bath, H, _ = valve(monkeypatch=monkeypatch, **kw)
         prop, calls = solvers_called(monkeypatch, cfg, bath)
         assert calls == {"dlasd4"}
         ref = diagonalize(as_complex(H))
@@ -152,14 +180,14 @@ class TestValveHamiltonians:
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
         assert np.abs(U.T @ U - np.eye(2 * cfg.modes)).max() < 1e-13
 
-    def test_rotated_initial_state_matches_dense_rotation(self, kw):
-        cfg, bath, _, chi0 = valve(**kw)
+    def test_rotated_initial_state_matches_dense_rotation(self, kw, monkeypatch):
+        cfg, bath, _, chi0 = valve(monkeypatch=monkeypatch, **kw)
         dense = propagate(cfg, bath)[1].dense()
         U = dense.basis.transform
         assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
-    def test_heat_current_matches_dense_and_eigh_paths(self, kw):
-        cfg, bath, H, chi0 = valve(**kw)
+    def test_heat_current_matches_dense_and_eigh_paths(self, kw, monkeypatch):
+        cfg, bath, H, chi0 = valve(monkeypatch=monkeypatch, **kw)
         levels = bath_levels(cfg, bath, 2)
         _, prop = propagate(cfg, bath)
         got = heat_current(prop, levels, TIMES)
@@ -264,10 +292,10 @@ class TestSolverPaths:
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_zero_center_level_matches_fock(self, rwa, monkeypatch):
-        # the bath drawn at omega0 = 1, the centre at 0: with pairing its
+        # the bath drawn on (0, 2), the centre at 0: with pairing its
         # z_c = 0 is raised to the deflation tolerance
-        cfg, bath, _, _ = valve(bath_size=4, gamma=0.6, rwa=rwa)
-        cfg = dataclasses.replace(cfg, omega0=0.0)
+        cfg, bath, _, _ = valve(bath_size=4, gamma=0.6, rwa=rwa, center_level=0.0,
+                                monkeypatch=monkeypatch)
         assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
         times = np.linspace(0.0, 20.0, 81)
         got = simulate_trace(cfg, times, bath=bath).total
@@ -378,11 +406,29 @@ def dense_matrix(arrow):
     return K
 
 
+def assert_matches_dense_svd(levels, g, c, e):
+    """``arrow_svd`` of the arrow, with pairing and under the RWA, against the dense SVD.
+
+    Errors are relative to max(||K||, 1): under the RWA the shift mu >= 1
+    sets an absolute floor of O(eps).
+    """
+    M = len(levels)
+    for rwa in (False, True):
+        arrow = nambu.Arrow(levels=levels, couplings=g, center=c, rwa=rwa)
+        K = dense_matrix(arrow)
+        scale = max(np.linalg.norm(K, 2), 1.0)
+        s, P, Q, X = nambu.arrow_svd(arrow, e)
+        ref = np.linalg.svd(K, compute_uv=False)
+        assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
+        assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
+        assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
+        assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
+        assert np.abs(X - (Q.T * e) @ P).max() < 1e-13
+
+
 def test_small_arrows_match_dense_svd():
     # levels on a coarse grid (repeats and zeros), zero couplings and a
-    # centre at 0 are common here; each arrow goes through dlasd4.  Errors
-    # are relative to max(||K||, 1): under the RWA the shift mu >= 1 sets
-    # an absolute floor of O(eps)
+    # centre at 0 are common here; each arrow goes through dlasd4
     rng = np.random.default_rng(12)
     for _ in range(300):
         M = int(rng.integers(2, 13))
@@ -392,15 +438,7 @@ def test_small_arrows_match_dense_svd():
         if rng.random() < 0.3:
             g = g * rng.uniform(0.5, 1.5, M)
         g[c] = 0.0
-        e = rng.uniform(-1.0, 1.0, M)
-        for rwa in (False, True):
-            arrow = nambu.Arrow(levels=levels.astype(float), couplings=g, center=c, rwa=rwa)
-            K = dense_matrix(arrow)
-            scale = max(np.linalg.norm(K, 2), 1.0)
-            s, P, Q, X = nambu.arrow_svd(arrow, e)
-            ref = np.linalg.svd(K, compute_uv=False)
-            assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
-            assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
-            assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
-            assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
-            assert np.abs(X - (Q.T * e) @ P).max() < 1e-13
+        assert_matches_dense_svd(levels.astype(float), g, c, rng.uniform(-1.0, 1.0, M))
+    # K = 0 has no scale of its own: the solver takes 1
+    for M in (2, 5):
+        assert_matches_dense_svd(np.zeros(M), np.zeros(M), M // 2, rng.uniform(-1.0, 1.0, M))
