@@ -7,40 +7,23 @@ formulas, and a brute-force Fock-space oracle for verification.
 
 __version__ = "0.1.0"
 
-from .nambu import (
-    Arrow,
-    CorrelationMatrix,
-    NambuMatrix,
-    QuasiparticleBasis,
-    build_nambu,
-    diagonalize,
-    expectation,
-    observable_rate,
-)
+from .nambu import Arrow
 from .valve import (
     BathRealization,
     CouplingDistribution,
     InternalCouplingSpec,
     ValveConfig,
     apply_internal_couplings,
-    bath_hamiltonian,
     bath_levels,
     build_arrow,
-    build_hamiltonian,
-    initial_correlation,
     sample_bath,
     thermal_occupations,
 )
 from .evolution import (
     ArrowPropagator,
     CurrentTrace,
-    Propagator,
     arrow_propagator,
-    evolve,
-    expectation_series,
     heat_current,
-    make_propagator,
-    steady_state_estimate,
     window_mean_current,
 )
 from .analytics import (

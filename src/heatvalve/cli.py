@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, experiments, fock
+from . import __version__, analytics, fock
 from .config import (
     ConfigError,
     apply_full_preset,
@@ -195,12 +195,6 @@ def cmd_trace(args) -> int:
 
 def cmd_dist(args) -> int:
     def tables(cfg):
-        points = len(cfg["gamma_grid"])
-        if points > experiments.DIST_GRID_MAX:
-            raise ConfigError(
-                f"config key 'gamma_grid' has {points} points; "
-                f"dist takes at most {experiments.DIST_GRID_MAX}"
-            )
         by_dist = run_distribution_comparison(**_sweep_args(cfg, args))
         files = {f"sweep_{d}.csv": (SWEEP_HEADER, _sweep_rows(r)) for d, r in by_dist.items()}
         return files, [cfg["bath_size"]]

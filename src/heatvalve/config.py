@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from .evolution import MIN_WINDOW_SAMPLES, window_sample_count
+from .evolution import MIN_WINDOW_SAMPLES, window_times
 from .valve import CouplingDistribution, InternalCouplingSpec, ValveConfig
 
 SCHEMA_VERSION = 1
@@ -36,7 +36,7 @@ _DEFAULTS = {
 _KNOWN_KEYS = set(_DEFAULTS) | {"schema_version", "bath_size"}
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or missing configuration; message names the offending key/path."""
 
 
@@ -111,7 +111,7 @@ def _validate(cfg: dict) -> None:
         or not 0 <= window[0] < window[1]
     ):
         raise ConfigError("config key 'window' must be finite [t_lo, t_hi], 0 <= t_lo < t_hi")
-    samples = window_sample_count(window, cfg["time_step"])
+    samples = len(window_times(window, cfg["time_step"]))
     if samples < MIN_WINDOW_SAMPLES:
         raise ConfigError(
             f"config key 'window' holds {samples} samples at time_step "

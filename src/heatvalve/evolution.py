@@ -17,11 +17,6 @@ and sin(st) (``heat_current``).  The mean over a window's samples needs
 no time grid (``window_mean_current``): each pair of singular values is
 weighted by the window's Dirichlet kernel, over one triangle of pairs, a
 chunk of rows at a time.
-
-``make_propagator``, ``evolve`` and ``expectation_series`` are the general
-route, the 2M x 2M eigh of a dense H and the dense rotation of any chi(0),
-kept as the reference; ``ArrowPropagator.dense`` puts an arrow realization
-into that form.
 """
 
 from __future__ import annotations
@@ -30,28 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nambu import (
-    Arrow,
-    CorrelationMatrix,
-    NambuMatrix,
-    QuasiparticleBasis,
-    arrow_svd,
-    diagonalize,
-)
-
-@dataclass(frozen=True)
-class Propagator:
-    """Eigenbasis of the total Hamiltonian plus the rotated initial state."""
-
-    basis: QuasiparticleBasis
-    rotated_initial: np.ndarray  # U^dag chi(0) U
-
-    def __post_init__(self):
-        self.rotated_initial.setflags(write=False)
-
-    @property
-    def modes(self) -> int:
-        return self.basis.modes
+from .nambu import Arrow, arrow_svd
 
 
 @dataclass(frozen=True)
@@ -86,32 +60,6 @@ class ArrowPropagator:
     def modes(self) -> int:
         return self.arrow.modes
 
-    def dense(self) -> Propagator:
-        """The same realization as a general 2M x 2M ``Propagator``.
-
-        The eigenvectors of [[0, K^T], [K, 0]] are [q; +-p]/sqrt(2) with
-        energies +-s; through W they give U = [[lo, hi J], [hi, lo J]] with
-        lo = (Q - P)/2, hi = (Q + P)/2 and J reversing column order, for the
-        spectrum [-s, s[::-1]].  U^T chi(0) U has blocks 1/2 - (X + X^T)/4
-        (negative energies), 1/2 + (X + X^T)/4 (positive) and (X - X^T)/4
-        between them, the positive side in reversed order.  The factors are
-        sorted by descending s first, so the spectrum ascends.
-        """
-        order = np.argsort(-self.s, kind="stable")
-        s, P, Q = self.s[order], self.P[:, order], self.Q[:, order]
-        X = self.X[np.ix_(order, order)]
-        lo = (Q - P) / 2
-        hi = (Q + P) / 2
-        U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])
-        S = (X + X.T) / 4
-        A = (X - X.T) / 4
-        rotated = np.block([[-S, A[:, ::-1]], [A.T[::-1, :], S[::-1, ::-1]]])
-        rotated[np.diag_indices(2 * self.modes)] += 0.5
-        basis = QuasiparticleBasis(
-            modes=self.modes, eigenvalues=np.concatenate([-s, s[::-1]]), transform=U
-        )
-        return Propagator(basis=basis, rotated_initial=rotated)
-
 
 @dataclass(frozen=True)
 class CurrentTrace:
@@ -145,40 +93,6 @@ def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
         )
     s, P, Q, X = arrow_svd(arrow, 1 - 2 * occupations)
     return ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=X)
-
-
-def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
-    """Eigenbasis of a dense H (``nambu.diagonalize``) and U^dag chi(0) U."""
-    if H.modes != chi0.modes:
-        raise ValueError(f"mode mismatch: H M={H.modes}, chi0 M={chi0.modes}")
-    basis = diagonalize(H)
-    U = basis.transform
-    return Propagator(basis=basis, rotated_initial=U.conj().T @ chi0.data @ U)
-
-
-def evolve(prop: Propagator, t: float) -> CorrelationMatrix:
-    """chi(t) by unitary conjugation; negative t is time reversal."""
-    U = prop.basis.transform
-    z = np.exp(-1j * prop.basis.eigenvalues * t)
-    rotated_t = (z[:, None] * prop.rotated_initial) * z.conj()[None, :]
-    data = U @ rotated_t @ U.conj().T
-    return CorrelationMatrix(modes=prop.modes, data=data)
-
-
-def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
-    """<O>(t) = -(1/2) Re tr(O chi(t)) + const_offset over a time grid.
-
-    tr(O chi(t)) = sum_jk B_jk z_j(t) conj(z_k(t)) with z_j = exp(-i E_j t)
-    and B = (U^dag chi(0) U) * (U^dag O U)^T.
-    """
-    times = np.asarray(times, dtype=float)
-    if O.modes != prop.modes:
-        raise ValueError(f"mode mismatch: O M={O.modes}, propagator M={prop.modes}")
-    U = prop.basis.transform
-    B = prop.rotated_initial * (U.conj().T @ O.data @ U).T
-    z = np.exp(-1j * np.multiply.outer(prop.basis.eigenvalues, times))
-    vals = np.einsum("jt,jt->t", z, B @ z.conj())
-    return -0.5 * vals.real + O.const_offset
 
 
 def _phase_parts(s: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +178,6 @@ def window_times(window, time_step) -> np.ndarray:
     return times[_in_window(times, window)]
 
 
-def window_sample_count(window, time_step) -> int:
-    """Samples of ``window_times`` that ``steady_state_estimate`` averages over."""
-    return len(window_times(window, time_step))
-
-
 def _check_sample_count(n: int, window) -> None:
     lo, hi = window
     if n == 0:
@@ -277,14 +186,6 @@ def _check_sample_count(n: int, window) -> None:
         raise ValueError(
             f"only {n} samples inside window [{lo}, {hi}]; need >= {MIN_WINDOW_SAMPLES}"
         )
-
-
-def steady_state_estimate(trace: CurrentTrace, window) -> tuple[float, float]:
-    """Mean and standard deviation of the total current inside a time window."""
-    mask = _in_window(trace.times, window)
-    _check_sample_count(int(mask.sum()), window)
-    vals = trace.total[mask]
-    return float(vals.mean()), float(vals.std())
 
 
 def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:

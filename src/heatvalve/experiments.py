@@ -18,6 +18,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import UniformBathSpec
+from .config import ConfigError
 from .evolution import (
     CurrentTrace,
     arrow_propagator,
@@ -79,7 +80,7 @@ def _prepare_bath(config: ValveConfig) -> BathRealization:
 
 
 def _realization(config: ValveConfig, bath: BathRealization | None = None):
-    """Propagator and cold-bath levels of one realization, bath sampled if not given."""
+    """Arrow propagator and cold-bath levels of one realization, bath sampled if not given."""
     if bath is None:
         bath = _prepare_bath(config)
     prop = arrow_propagator(build_arrow(config, bath), thermal_occupations(config, bath))
@@ -209,9 +210,9 @@ def run_distribution_comparison(
     """run_sweep repeated for the three matched-second-moment coupling laws."""
     gamma_grid = list(gamma_grid)
     if len(gamma_grid) > DIST_GRID_MAX:
-        raise ValueError(
-            f"gamma_grid has {len(gamma_grid)} points; at most {DIST_GRID_MAX} keep "
-            "the coupling laws' seeds apart"
+        raise ConfigError(
+            f"config key 'gamma_grid' has {len(gamma_grid)} points; at most "
+            f"{DIST_GRID_MAX} keep the coupling laws' seeds apart"
         )
     out = {}
     for di, dist in enumerate(CouplingDistribution):

@@ -1,27 +1,28 @@
 """Exact many-body verification oracle on the full 2^M Fock space.
 
 Ladder operators are built with the Jordan-Wigner string construction and
-kept sparse; everything else is dense.  The hard size cap M <= 12 keeps
-oracle runs at desk scale.  This module exists to ground the
+kept sparse; everything else is dense.  A quadratic operator is lifted from
+its M x M particle and pairing blocks (``valve.hamiltonian_blocks`` for the
+valve), with no Nambu doubling, so the oracle shares nothing with the
+correlation-matrix engine beyond the valve's arrow.  The hard size cap
+M <= 12 keeps oracle runs at desk scale.  This module exists to ground the
 correlation-matrix method against brute-force evolution of the density
 matrix, nothing here is performance oriented.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .nambu import NambuMatrix
 from .valve import (
     COLD_BATH,
     BathRealization,
     ValveConfig,
-    bath_hamiltonian,
-    build_hamiltonian,
+    bath_levels,
+    hamiltonian_blocks,
     thermal_occupations,
 )
 
@@ -51,32 +52,26 @@ def ladder_operators(modes: int) -> tuple:
     return tuple(ops)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    modes: int
-    matrix: np.ndarray
+def lift(h, delta=None) -> np.ndarray:
+    """sum_ij h_ij a_i^dag a_j + (1/2) sum_ij (Delta_ij a_i^dag a_j^dag + h.c.) on Fock space.
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def lift(O: NambuMatrix) -> FockOperator:
-    """Assemble (1/2) sum_ij O_ij A_i^dag A_j + const_offset on Fock space."""
-    _check_cap(O.modes)
-    M = O.modes
+    The operator of the M x M particle block h and pairing block Delta as a
+    dense 2^M x 2^M matrix.  It is normal-ordered as written, so the vacuum
+    has energy 0, and Delta's symmetric part drops out.
+    """
+    h = np.asarray(h)
+    M = len(h)
+    _check_cap(M)
     a = ladder_operators(M)
-    A = list(a) + [op.conj().T.tocsr() for op in a]
-    dim = 2**M
-    acc = sparse.csr_matrix((dim, dim), dtype=complex)
-    for i in range(2 * M):
-        row = O.data[i]
-        cols = np.nonzero(row)[0]
-        if len(cols) == 0:
-            continue
-        S = sum(row[j] * A[j] for j in cols)
-        acc = acc + 0.5 * (A[i].conj().T @ S)
-    out = acc.toarray() + O.const_offset * np.eye(dim)
-    return FockOperator(modes=M, matrix=out)
+    dim = 2**M  # the ladder operators are real: a^dag = a^T
+    hop = sparse.csr_matrix((dim, dim), dtype=complex)
+    pair = sparse.csr_matrix((dim, dim), dtype=complex)
+    for i, j in zip(*np.nonzero(h)):
+        hop = hop + h[i, j] * (a[i].T @ a[j])
+    if delta is not None:
+        for i, j in zip(*np.nonzero(delta)):
+            pair = pair + 0.5 * delta[i, j] * (a[i].T @ a[j].T)
+    return (hop + pair + pair.conj().T).toarray()
 
 
 def thermal_state(config: ValveConfig, bath: BathRealization) -> np.ndarray:
@@ -92,8 +87,8 @@ def exact_current(config: ValveConfig, bath: BathRealization, times) -> np.ndarr
     """-i tr(rho(t) [H_bath, H]) of the cold bath via dense Fock-space evolution."""
     _check_cap(config.modes)
     times = np.asarray(times, dtype=float)
-    H = lift(build_hamiltonian(config, bath)).matrix
-    Hb = lift(bath_hamiltonian(config, bath, COLD_BATH)).matrix
+    H = lift(*hamiltonian_blocks(config, bath))
+    Hb = lift(np.diag(bath_levels(config, bath, COLD_BATH)))
     rho0 = thermal_state(config, bath)
     evals, S = np.linalg.eigh(H)
     rho_rot = S.conj().T @ rho0 @ S

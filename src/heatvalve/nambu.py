@@ -1,22 +1,13 @@
-"""Particle-hole symmetrized representation of quadratic fermionic operators.
+"""Quadratic fermionic operators coupled through one mode, in the Majorana form.
 
-A quadratic operator is stored as the 2M x 2M matrix O acting on the mode
-vector (a_1, ..., a_M, a_1^dag, ..., a_M^dag), with block structure
-
-    O = [[ h,      Delta ],
-         [ -Delta*, -h^T ]],
-
-where h is the Hermitian particle block and Delta the antisymmetric pairing
-block.  The operator itself is (1/2) A^dag O A + const_offset.  All
-observables follow from the single-particle correlation matrix
-chi_ij = <A_i A_j^dag>.
-
-A real operator whose modes couple only through one central mode (the heat
-valve) is carried instead by its ``Arrow``: the M x M matrix K = h + Delta,
-a diagonal plus the central column (and row), whose SVD ``arrow_svd``
-gives the Nambu eigenbasis in the Majorana form, from one secular solver
-with pairing and under the RWA.  The dense 2M x 2M matrix and its
-``diagonalize`` stay as the general route and the reference.
+A quadratic operator sum h_ij a_i^dag a_j + (1/2) sum (Delta_ij a_i^dag a_j^dag
++ h.c.) has the Hermitian particle block h and the antisymmetric pairing
+block Delta.  A real operator whose modes couple only through one central
+mode (the heat valve) is carried by its ``Arrow``: the M x M matrix
+K = h + Delta, a diagonal plus the central column (and row).  Its SVD
+``arrow_svd`` gives the eigenbasis of the 2M x 2M Nambu matrix
+[[h, Delta], [-Delta*, -h^T]] in the Majorana form, from one secular
+solver with pairing and under the RWA, in O(M^2).
 """
 
 from __future__ import annotations
@@ -30,100 +21,6 @@ from scipy.linalg import lapack
 # tolerance for spectral / round-trip checks.
 STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
-
-
-def ph_swap(modes: int) -> np.ndarray:
-    """Permutation matrix exchanging particle index i with hole index i+M."""
-    X = np.zeros((2 * modes, 2 * modes))
-    X[:modes, modes:] = np.eye(modes)
-    X[modes:, :modes] = np.eye(modes)
-    return X
-
-
-def _ph_transpose(A: np.ndarray) -> np.ndarray:
-    """ph_swap(M) @ A.T @ ph_swap(M), by swapping blocks instead of multiplying."""
-    M = A.shape[0] // 2
-    return np.roll(A.T, (M, M), axis=(0, 1))
-
-
-def _hermiticity_residual(A: np.ndarray) -> float:
-    scale = max(np.abs(A).max(), 1.0)
-    return float(np.abs(A - A.conj().T).max() / scale)
-
-
-@dataclass(frozen=True)
-class NambuMatrix:
-    """2M x 2M particle-hole-symmetrized matrix of a quadratic operator."""
-
-    modes: int
-    data: np.ndarray
-    const_offset: float = 0.0
-
-    def __post_init__(self):
-        self.data.setflags(write=False)
-
-    @property
-    def particle_block(self) -> np.ndarray:
-        return self.data[: self.modes, : self.modes]
-
-    @property
-    def anomalous_block(self) -> np.ndarray:
-        return self.data[: self.modes, self.modes :]
-
-    def validate(self, tol: float = STRUCT_TOL) -> None:
-        """Raise ValueError if Hermiticity or particle-hole symmetry fails."""
-        res = _hermiticity_residual(self.data)
-        if res > tol:
-            raise ValueError(f"matrix is not Hermitian: residual {res:.3e}")
-        scale = max(np.abs(self.data).max(), 1.0)
-        ph = np.abs(self.data + _ph_transpose(self.data)).max() / scale
-        if ph > tol:
-            raise ValueError(f"particle-hole symmetry violated: residual {ph:.3e}")
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Single-particle correlation matrix chi_ij = <A_i A_j^dag>."""
-
-    modes: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data.setflags(write=False)
-
-    def validate(self, tol: float = SPECTRAL_TOL) -> None:
-        res = _hermiticity_residual(self.data)
-        if res > STRUCT_TOL * 100:
-            raise ValueError(f"correlation matrix not Hermitian: residual {res:.3e}")
-        evals = np.linalg.eigvalsh(self.data)
-        if evals.min() < -tol or evals.max() > 1 + tol:
-            raise ValueError(
-                f"correlation spectrum outside [0,1]: [{evals.min():.3e}, {evals.max():.3e}]"
-            )
-        tr = self.data.trace()
-        if abs(tr - self.modes) > tol * self.modes:
-            raise ValueError(f"trace {tr} != M = {self.modes}")
-        ph = np.abs(self.data + _ph_transpose(self.data) - np.eye(2 * self.modes)).max()
-        if ph > tol:
-            raise ValueError(f"particle-hole constraint violated: residual {ph:.3e}")
-
-
-@dataclass(frozen=True)
-class QuasiparticleBasis:
-    """Eigenbasis of a Nambu matrix: H = U diag(eigenvalues) U^dag.
-
-    The spectrum is exactly particle-hole symmetric, eigenvalues[j] ==
-    -eigenvalues[2M - 1 - j], so the negative half E[:M] fixes every phase
-    of the time evolution.
-    """
-
-    modes: int
-    eigenvalues: np.ndarray
-    transform: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.transform.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -155,41 +52,6 @@ class Arrow:
     def column(self) -> np.ndarray:
         """K[:, c] off the diagonal: g under the RWA, 2g with pairing."""
         return self.couplings if self.rwa else 2 * self.couplings
-
-
-def build_nambu(
-    particle_block: np.ndarray,
-    anomalous_block: np.ndarray | None = None,
-) -> NambuMatrix:
-    """Assemble a NambuMatrix from the M x M particle and pairing blocks.
-
-    The pairing block is antisymmetrized internally (its symmetric part is
-    the zero operator).  The additive constant is tr(h)/2, which makes
-    (1/2) A^dag O A + const the normal-ordered operator.
-    """
-    h = np.asarray(particle_block)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"particle block must be square, got shape {h.shape}")
-    M = h.shape[0]
-    res = _hermiticity_residual(h)
-    if res > STRUCT_TOL:
-        raise ValueError(f"particle block is not Hermitian: residual {res:.3e}")
-    if anomalous_block is None:
-        delta = np.zeros((M, M))
-    else:
-        delta = np.asarray(anomalous_block)
-        if delta.shape != h.shape:
-            raise ValueError(
-                f"anomalous block shape {delta.shape} != particle block {h.shape}"
-            )
-    delta = (delta - delta.T) / 2
-    dtype = np.result_type(h, delta, float)
-    data = np.zeros((2 * M, 2 * M), dtype=dtype)
-    data[:M, :M] = (h + h.conj().T) / 2
-    data[:M, M:] = delta
-    data[M:, :M] = -delta.conj()
-    data[M:, M:] = -data[:M, :M].T
-    return NambuMatrix(modes=M, data=data, const_offset=0.5 * float(np.real(np.trace(h))))
 
 
 def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, float]:
@@ -393,51 +255,3 @@ def arrow_svd(arrow: Arrow, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray
             f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
         )
     return s, P, Q, X
-
-
-def diagonalize(H: NambuMatrix) -> QuasiparticleBasis:
-    """Eigendecomposition by the 2M x 2M Hermitian eigh, eigenvalues ascending.
-
-    The particle-hole pairing of the spectrum (every eigenvalue comes with
-    its negative) is verified to SPECTRAL_TOL, so construction bugs raise
-    ValueError here rather than propagating, and then made exact: the
-    basis stores (E - E[::-1]) / 2.  This is the general route and the
-    tests' reference; a valve is solved from its arrow (``arrow_svd``).
-    """
-    try:
-        evals, U = np.linalg.eigh(H.data)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed on {2 * H.modes}x{2 * H.modes} Nambu matrix: {exc}"
-        ) from exc
-    scale = max(np.abs(evals).max(), 1.0)
-    pairing = np.abs(evals + evals[::-1]).max() / scale
-    if not pairing <= SPECTRAL_TOL:  # NaN included
-        raise ValueError(
-            f"spectrum not particle-hole symmetric: pairing residual {pairing:.3e}"
-        )
-    return QuasiparticleBasis(
-        modes=H.modes, eigenvalues=(evals - evals[::-1]) / 2, transform=U
-    )
-
-
-def expectation(O: NambuMatrix, chi: CorrelationMatrix) -> float:
-    """Expectation value <O> = -(1/2) Re tr(O chi) + const_offset."""
-    if O.modes != chi.modes:
-        raise ValueError(f"mode mismatch: operator M={O.modes}, state M={chi.modes}")
-    tr = np.trace(O.data @ chi.data)
-    return -0.5 * float(tr.real) + O.const_offset
-
-
-def observable_rate(O: NambuMatrix, H: NambuMatrix, chi: CorrelationMatrix) -> float:
-    """Instantaneous d<O>/dt = -(1/2i) tr(chi [O, H]) under evolution by H."""
-    if O.modes != H.modes or O.modes != chi.modes:
-        raise ValueError(
-            f"mode mismatch: O M={O.modes}, H M={H.modes}, chi M={chi.modes}"
-        )
-    comm = O.data @ H.data - H.data @ O.data
-    val = np.trace(chi.data @ comm) / (-2j)
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) / scale > SPECTRAL_TOL:
-        raise ValueError(f"rate has spurious imaginary part {val.imag:.3e}")
-    return float(val.real)

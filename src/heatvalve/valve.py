@@ -7,9 +7,8 @@ index is N.  Couplings of the central level to every bath mode carry both
 the particle-conserving hopping and, unless the rotating-wave approximation
 is requested, the particle-non-conserving pairing terms.  The engine takes
 a realization as its arrow (``build_arrow``) and its initial state as the
-occupation vector (``thermal_occupations``); ``build_hamiltonian`` and
-``initial_correlation`` give the dense 2M x 2M forms, the references for
-the Fock oracle and the tests.
+occupation vector (``thermal_occupations``).  ``hamiltonian_blocks`` spells
+the arrow out as the M x M particle and pairing blocks, for the Fock oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import BAND_TOP, occupation
-from .nambu import STRUCT_TOL, Arrow, CorrelationMatrix, NambuMatrix, build_nambu
+from .nambu import STRUCT_TOL, Arrow
 
 
 class CouplingDistribution(str, enum.Enum):
@@ -202,24 +201,23 @@ def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:
     return Arrow(levels=levels, couplings=couplings, center=config.center, rwa=config.rwa)
 
 
-def build_hamiltonian(config: ValveConfig, bath: BathRealization) -> NambuMatrix:
-    """Total valve Hamiltonian in Nambu form, built from ``build_arrow``.
+def hamiltonian_blocks(config: ValveConfig, bath: BathRealization) -> tuple[np.ndarray, np.ndarray]:
+    """The valve's particle block h and pairing block Delta, built from ``build_arrow``.
 
-    The dense 2M x 2M reference for the Fock oracle and the tests; the
-    engine itself runs from the arrow.
+    The couplings g hop on the central row and column of h.  Unless ``rwa``
+    they also pair: g_j (a_j^dag a_c^dag + a_c a_j) is Delta[j, c] = g_j,
+    antisymmetrized.  Under the RWA Delta is zero.
     """
     arrow = build_arrow(config, bath)
     c, g = arrow.center, arrow.couplings
     h = np.diag(arrow.levels)
     h[:, c] += g
     h[c] += g
-    delta = None
+    delta = np.zeros_like(h)
     if not arrow.rwa:
-        # g * (a^dag d^dag + d a) corresponds to Delta[bath, center] = g.
-        delta = np.zeros_like(h)
         delta[:, c] = g
         delta = delta - delta.T
-    return build_nambu(h, delta)
+    return h, delta
 
 
 def bath_levels(config: ValveConfig, bath: BathRealization, which_bath: int) -> np.ndarray:
@@ -227,11 +225,6 @@ def bath_levels(config: ValveConfig, bath: BathRealization, which_bath: int) -> 
     levels = np.zeros(config.modes)
     levels[config.bath_slice(which_bath)] = bath.frequencies[which_bath - 1]
     return levels
-
-
-def bath_hamiltonian(config: ValveConfig, bath: BathRealization, which_bath: int) -> NambuMatrix:
-    """Diagonal Nambu matrix of one bath's free Hamiltonian."""
-    return build_nambu(np.diag(bath_levels(config, bath, which_bath)))
 
 
 def thermal_occupations(config: ValveConfig, bath: BathRealization) -> np.ndarray:
@@ -242,9 +235,3 @@ def thermal_occupations(config: ValveConfig, bath: BathRealization) -> np.ndarra
             bath.frequencies[which_bath - 1], config.bath_temperature(which_bath)
         )
     return occ
-
-
-def initial_correlation(config: ValveConfig, bath: BathRealization) -> CorrelationMatrix:
-    """Diagonal chi(0) of the thermal initial state, as a dense 2M x 2M matrix."""
-    occ = thermal_occupations(config, bath)
-    return CorrelationMatrix(modes=config.modes, data=np.diag(np.concatenate([1 - occ, occ])))

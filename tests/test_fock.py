@@ -5,11 +5,8 @@ from heatvalve import (
     BathRealization,
     ValveConfig,
     arrow_propagator,
-    bath_hamiltonian,
     bath_levels,
     build_arrow,
-    build_hamiltonian,
-    build_nambu,
     heat_current,
     sample_bath,
     fermi,
@@ -23,6 +20,7 @@ from heatvalve.fock import (
     lift,
     thermal_state,
 )
+from heatvalve.valve import hamiltonian_blocks
 
 
 def small_valve(**kw):
@@ -51,21 +49,21 @@ class TestLadderOperators:
 
 class TestLift:
     def test_single_mode_number_spectrum(self):
-        H = lift(build_nambu(np.array([[1.0]])))
-        assert np.allclose(H.matrix, np.diag([0.0, 1.0]))
+        H = lift(np.array([[1.0]]))
+        assert np.allclose(H, np.diag([0.0, 1.0]))
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         h1 = rng.normal(size=(3, 3))
         h2 = rng.normal(size=(3, 3))
         h1, h2 = (h1 + h1.T) / 2, (h2 + h2.T) / 2
-        got = lift(build_nambu(h1 + h2)).matrix
-        want = lift(build_nambu(h1)).matrix + lift(build_nambu(h2)).matrix
+        got = lift(h1 + h2)
+        want = lift(h1) + lift(h2)
         assert np.abs(got - want).max() < 1e-12
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            lift(build_nambu(np.zeros((13, 13))))
+            lift(np.zeros((13, 13)))
 
 
 class TestThermalState:
@@ -122,8 +120,8 @@ class TestExactCurrent:
             delta = np.zeros((M, M), dtype=complex)
             delta[:, c] = g
             delta = delta - delta.T
-        H = lift(build_nambu(h, delta)).matrix
-        Hb = lift(bath_hamiltonian(cfg, real, 2)).matrix
+        H = lift(h, delta)
+        Hb = lift(np.diag(bath_levels(cfg, real, 2)))
         evals, S = np.linalg.eigh(H)
         rho = S.conj().T @ thermal_state(cfg, real) @ S
         K = S.conj().T @ (Hb @ H - H @ Hb) @ S
@@ -137,7 +135,7 @@ class TestExactCurrent:
 
     def test_rwa_conserves_particle_number(self):
         cfg, bath = small_valve(rwa=True, t_hot=1.0, t_cold=0.5)
-        H = lift(build_hamiltonian(cfg, bath)).matrix
+        H = lift(*hamiltonian_blocks(cfg, bath))
         ops = ladder_operators(cfg.modes)
         n_op = sum((a.conj().T @ a).toarray() for a in ops)
         rho0 = thermal_state(cfg, bath)

@@ -15,23 +15,14 @@ import pytest
 
 from heatvalve import (
     BathRealization,
-    CorrelationMatrix,
     CouplingDistribution,
     InternalCouplingSpec,
     ValveConfig,
     apply_internal_couplings,
     arrow_propagator,
-    bath_hamiltonian,
     bath_levels,
     build_arrow,
-    build_hamiltonian,
-    build_nambu,
-    diagonalize,
-    evolve,
     heat_current,
-    initial_correlation,
-    make_propagator,
-    observable_rate,
     sample_bath,
     thermal_occupations,
 )
@@ -39,9 +30,21 @@ import heatvalve.experiments as experiments
 import heatvalve.valve as valve_module
 from heatvalve import fock, nambu
 from heatvalve.experiments import simulate_trace
-from heatvalve.nambu import NambuMatrix
 
-from conftest import dense_current
+from reference import (
+    CorrelationMatrix,
+    NambuMatrix,
+    bath_hamiltonian,
+    build_hamiltonian,
+    build_nambu,
+    dense,
+    dense_current,
+    diagonalize,
+    evolve,
+    initial_correlation,
+    make_propagator,
+    observable_rate,
+)
 
 TIMES = np.linspace(0.0, 30.0, 121)
 
@@ -173,8 +176,8 @@ class TestValveHamiltonians:
         prop, calls = solvers_called(monkeypatch, cfg, bath)
         assert calls == {"dlasd4"}
         ref = diagonalize(as_complex(H))
-        dense = prop.dense()
-        U, E = dense.basis.transform, dense.basis.eigenvalues
+        dense_prop = dense(prop)
+        U, E = dense_prop.transform, dense_prop.eigenvalues
         assert np.isrealobj(U)
         assert np.abs(E - ref.eigenvalues).max() < 1e-13
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-13
@@ -182,9 +185,9 @@ class TestValveHamiltonians:
 
     def test_rotated_initial_state_matches_dense_rotation(self, kw, monkeypatch):
         cfg, bath, _, chi0 = valve(monkeypatch=monkeypatch, **kw)
-        dense = propagate(cfg, bath)[1].dense()
-        U = dense.basis.transform
-        assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
+        dense_prop = dense(propagate(cfg, bath)[1])
+        U = dense_prop.transform
+        assert np.abs(dense_prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
     def test_heat_current_matches_dense_and_eigh_paths(self, kw, monkeypatch):
         cfg, bath, H, chi0 = valve(monkeypatch=monkeypatch, **kw)
@@ -192,8 +195,8 @@ class TestValveHamiltonians:
         _, prop = propagate(cfg, bath)
         got = heat_current(prop, levels, TIMES)
         Hb = bath_hamiltonian(cfg, bath, 2)
-        dense = prop.dense()
-        total = np.array([observable_rate(Hb, H, evolve(dense, t)) for t in TIMES])
+        dense_prop = dense(prop)
+        total = np.array([observable_rate(Hb, H, evolve(dense_prop, t)) for t in TIMES])
         assert np.abs(got.total - total).max() < 1e-13
         # the 2M x 2M eigh route, split into parts by the blocks of H
         normal, anomalous = dense_current(make_propagator(as_complex(H), chi0), H, Hb, TIMES)
@@ -212,8 +215,8 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     cfg, bath, H, _ = valve(bath_size=450, **kw)
     prop, calls = solvers_called(monkeypatch, cfg, bath)
     assert calls == {"dlasd4"}
-    dense = prop.dense()
-    U, E = dense.basis.transform, dense.basis.eigenvalues
+    dense_prop = dense(prop)
+    U, E = dense_prop.transform, dense_prop.eigenvalues
     M = cfg.modes
     s = np.linalg.svd(H.particle_block + H.anomalous_block, compute_uv=False)
     assert np.abs(E[M:][::-1] - s).max() < 1e-13
@@ -234,13 +237,13 @@ def test_exact_degeneracies_and_zero_modes(monkeypatch):
         assert calls == {"dlasd4"}
         H = build_hamiltonian(cfg, bath)
         ref = diagonalize(as_complex(H))
-        dense = prop.dense()
-        U, E = dense.basis.transform, dense.basis.eigenvalues
+        dense_prop = dense(prop)
+        U, E = dense_prop.transform, dense_prop.eigenvalues
         assert np.abs(E - ref.eigenvalues).max() < 1e-14
         assert np.abs((U * E) @ U.T - H.data).max() < 1e-14
         assert np.abs(U.T @ U - np.eye(14)).max() < 1e-14
         chi0 = initial_correlation(cfg, bath)
-        assert np.abs(dense.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
+        assert np.abs(dense_prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 
 def test_non_physical_diagonal_state_uses_dense_rotation():
@@ -248,7 +251,7 @@ def test_non_physical_diagonal_state_uses_dense_rotation():
     # a + b != 1: no thermal product state
     chi0 = CorrelationMatrix(modes=cfg.modes, data=np.diag(np.linspace(0.1, 0.9, 2 * cfg.modes)))
     prop = make_propagator(H, chi0)
-    U = prop.basis.transform
+    U = prop.transform
     assert np.abs(prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-14
 
 

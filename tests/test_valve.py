@@ -10,18 +10,23 @@ from heatvalve import (
     InternalCouplingSpec,
     ValveConfig,
     apply_internal_couplings,
-    bath_hamiltonian,
     bath_levels,
+    fermi,
+    occupation,
+    sample_bath,
+)
+from heatvalve.fock import lift
+from heatvalve.valve import hamiltonian_blocks
+
+from reference import (
+    bath_hamiltonian,
     build_hamiltonian,
     build_nambu,
     diagonalize,
+    evolve,
     expectation,
-    fermi,
     initial_correlation,
     make_propagator,
-    occupation,
-    sample_bath,
-    evolve,
 )
 
 
@@ -131,20 +136,22 @@ class TestBuildHamiltonian:
             build_hamiltonian(cfg, bath)
 
     def test_single_bath_mode_many_body_spectrum(self):
-        """Lifted N=1 valve spectrum = const + all +-quasienergy sums."""
-        from heatvalve.fock import lift
-
+        """Lifted spectrum = const + all +-quasienergy sums: the N=1 valve, random complex blocks."""
         cfg = make_config(bath_size=1, gamma=0.4, seed=3)
-        H = build_hamiltonian(cfg, sample_bath(cfg))
-        basis = diagonalize(H)
-        eps = basis.eigenvalues[H.modes:]  # positive branch
-        ground = H.const_offset - 0.5 * eps.sum()
-        want = sorted(
-            ground + sum(itertools.compress(eps, bits))
-            for bits in itertools.product([0, 1], repeat=H.modes)
-        )
-        got = np.sort(np.linalg.eigvalsh(lift(H).matrix))
-        assert np.abs(got - np.array(want)).max() < 1e-10
+        rng = np.random.default_rng(13)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        delta = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        for blocks in (hamiltonian_blocks(cfg, sample_bath(cfg)), ((h + h.conj().T) / 2, delta)):
+            H = build_nambu(*blocks)
+            basis = diagonalize(H)
+            eps = basis.eigenvalues[H.modes:]  # positive branch
+            ground = H.const_offset - 0.5 * eps.sum()
+            want = sorted(
+                ground + sum(itertools.compress(eps, bits))
+                for bits in itertools.product([0, 1], repeat=H.modes)
+            )
+            got = np.sort(np.linalg.eigvalsh(lift(*blocks)))
+            assert np.abs(got - np.array(want)).max() < 1e-10
 
 
 class TestBathHamiltonian:
