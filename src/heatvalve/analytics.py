@@ -4,6 +4,10 @@ Everything here assumes the natural units hbar = k_B = 1 with energies in
 units of the central-level frequency omega0 = 1, and a uniform bath band on
 [0, BAND_TOP] = [0, 2] with constant density of states nu0 = N / 2.
 Currents are in units of hbar*omega0^2.
+
+The Landauer integral is a fixed tanh-sinh rule in numpy, so importing
+this module loads no scipy; only ``anomalous_current_continuum`` imports
+``scipy.integrate``, when it is called.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
 
 EDGE_TOL = 1e-12
 BAND_TOP = 2.0  # bath levels are uniform on [0, BAND_TOP]
@@ -22,8 +24,12 @@ EMPIRICAL_HALFWIDTH = 0.1
 
 
 def fermi(x) -> np.ndarray | float:
-    """Fermi-Dirac function 1/(e^x + 1); handles +-inf and arrays."""
-    return expit(np.negative(x))
+    """Fermi-Dirac function 1/(e^x + 1); handles +-inf and arrays.
+
+    e^x overflows to inf above x = 709, where the value is 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(x))
 
 
 def occupation(omega, temperature: float):
@@ -95,45 +101,37 @@ def transmission(spec1: UniformBathSpec, spec2: UniformBathSpec, omega: float) -
     return g1 * g2 / denom
 
 
-def _scalar_occupation(temperature: float):
-    """``occupation(., temperature)`` of one float, in scalar math."""
-    if temperature == 0:
-        return lambda w: 1.0 if w < 0 else 0.0 if w > 0 else 0.5
+def _tanh_sinh_rule():
+    """Nested tanh-sinh rule (Takahasi & Mori 1974) on (0, 1) and (1, BAND_TOP).
 
-    def fermi_dirac(w):
-        try:
-            return 1 / (1 + math.exp(w / temperature))
-        except OverflowError:  # as in numpy: 1 / (1 + inf) = 0
-            return 0.0
-
-    return fermi_dirac
-
-
-def _landauer_integrand(spec1: UniformBathSpec, spec2: UniformBathSpec, t1: float, t2: float):
-    """w -> (1/2pi) |tau(w)|^2 w [f1(w) - f2(w)] for one float w.
-
-    The composition of ``occupation`` and ``transmission`` (with
-    ``self_energy``) with the constants hoisted and Python floats in place
-    of numpy 0-d calls: quad evaluates it about a thousand times.  Outside
-    the open band it raises ``self_energy``'s ValueError.
+    x(u) = 1/(1 + e^(-pi sinh u)) at u = k h, h = 2^-6, |u| <= 3.5 (449
+    nodes); the same x serves both halves, w = x and w = 1 + x.  The nodes
+    crowd double-exponentially toward 0, the centre level and BAND_TOP.
+    x(-u) = 1 - x(u) holds to relative accuracy at both ends, so the
+    reversed x gives each node's distance to the end it nears without
+    cancellation.  The outermost nodes lie 3e-23 from an end: the centre
+    peak is O(1) high, so a cut at 3e-17 (|u| <= 3.2) would drop 2e-11 of
+    the current at gamma = 0.001.  Returns the nodes w, their offsets
+    w - 1 and BAND_TOP - w, and the weights at step h and of the half rule
+    at step 2h.
     """
-    g1, g2 = spectral_density(spec1), spectral_density(spec2)
-    # self_energy: -Gamma/(2 pi) ln(BAND_TOP/w - 1) per bath
-    k1, k2 = -g1 / (2 * np.pi), -g2 / (2 * np.pi)
-    lo, hi = spec1.band[0] + EDGE_TOL, spec1.band[1] - EDGE_TOL
-    width, strength = (g1 / 2 + g2 / 2) ** 2, g1 * g2
-    f1, f2 = _scalar_occupation(t1), _scalar_occupation(t2)
+    step = 2.0**-6
+    k = np.arange(-224, 225)
+    u = k * step
+    x = 1 / (1 + np.exp(-np.pi * np.sinh(u)))
+    y = x[::-1]  # 1 - x
+    weight = step * np.pi / 4 * np.cosh(u) / np.cosh(np.pi / 2 * np.sinh(u)) ** 2
+    half = np.where(k % 2 == 0, 2 * weight, 0.0)
+    return (
+        np.concatenate([x, 1 + x]),
+        np.concatenate([-y, x]),
+        np.concatenate([1 + y, y]),
+        np.tile(weight, 2),
+        np.tile(half, 2),
+    )
 
-    def integrand(w):
-        if not lo < w < hi:
-            self_energy(spec1, w)
-            self_energy(spec2, w)
-        ln = math.log(BAND_TOP / w - 1)
-        sigma = k1 * ln + k2 * ln
-        tau2 = strength / ((w - 1 - sigma) ** 2 + width)
-        return tau2 * w * (f1(w) - f2(w)) / (2 * np.pi)
 
-    return integrand
+_NODES, _FROM_CENTRE, _BELOW_TOP, _WEIGHTS, _HALF_WEIGHTS = _tanh_sinh_rule()
 
 
 def landauer_current(
@@ -141,30 +139,32 @@ def landauer_current(
 ) -> float:
     """Steady-state heat current (1/2pi) int |tau|^2 w [f1 - f2] dw over the band.
 
-    Adaptive quadrature; the integrand has integrable log-singular behavior
-    at the band edges, which the open (interior-node) rule never evaluates.
+    A fixed tanh-sinh rule on (0, 1) and (1, 2), one vectorized evaluation
+    of ``transmission``'s formula.  The integrand is log-singular at the
+    band edges, and its Lorentzian of width Gamma1 + Gamma2 peaks exactly
+    at the centre level, where sigma(1) = 0; the rule's nodes crowd at all
+    three and never reach an edge.  The error estimate is the difference
+    from the nested rule at twice the step.
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("temperatures must be >= 0")
     if t1 == t2:
         return 0.0
-    if spectral_density(spec1) == 0 or spectral_density(spec2) == 0:
+    g1, g2 = spectral_density(spec1), spectral_density(spec2)
+    if g1 == 0 or g2 == 0:
         return 0.0
-    lo, hi = spec1.band
-    val, err = integrate.quad(
-        _landauer_integrand(spec1, spec2, t1, t2),
-        lo,
-        hi,
-        points=[1.0],  # the central level
-        limit=500,
-        epsabs=LANDAUER_ABS_TOL,
-        epsrel=1e-10,
-    )
+    w = _NODES
+    # self_energy of both baths: -(Gamma/2pi) ln(BAND_TOP/w - 1) each
+    sigma = -(g1 + g2) / (2 * np.pi) * np.log(_BELOW_TOP / w)
+    tau2 = g1 * g2 / ((_FROM_CENTRE - sigma) ** 2 + (g1 / 2 + g2 / 2) ** 2)
+    f = tau2 * w * (occupation(w, t1) - occupation(w, t2)) / (2 * np.pi)
+    val = float(f @ _WEIGHTS)
+    err = abs(val - float(f @ _HALF_WEIGHTS))
     if err > max(LANDAUER_ABS_TOL * 10, 1e-8 * abs(val)):
         raise RuntimeError(
             f"Landauer quadrature did not converge: estimate {val:.6e}, error {err:.3e}"
         )
-    return float(val)
+    return val
 
 
 def weak_coupling_current(gamma1: float, gamma2: float, t1: float, t2: float) -> float:
@@ -233,6 +233,8 @@ def anomalous_current_continuum(spec: UniformBathSpec, temperature: float, t: fl
 
     if t == 0:
         return 0.0
+    from scipy import integrate  # only here: a module import would load it for every run
+
     # sin((1+w)t) = sin(wt)cos(t) + cos(wt)sin(t)
     s, _ = integrate.quad(envelope, lo, hi, weight="sin", wvar=t, limit=500)
     c, _ = integrate.quad(envelope, lo, hi, weight="cos", wvar=t, limit=500)

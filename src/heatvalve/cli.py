@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, fock
+from . import __version__, analytics
 from .config import (
     ConfigError,
     apply_full_preset,
@@ -223,6 +223,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fock_check(args) -> int:
+    from . import fock  # scipy.sparse; no other command loads it
+
     rng = np.random.default_rng(args.seed)
     cfg = ValveConfig(
         bath_size=args.n,
@@ -255,6 +257,13 @@ def _in_range(kind, lo, hi):
 
 # the 64-bit range that the config key `seed` accepts
 _seed = _in_range(int, 0, 2**64 - 1)
+
+
+def _fock_bath_size(text: str) -> int:
+    """argparse type of fock-check's --n: a bath the Fock oracle can hold, M = 2N+1 modes."""
+    from . import fock
+
+    return _in_range(int, 1, (fock.MAX_MODES - 1) // 2)(text)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -309,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # debug command, intentionally undocumented in the top-level help
     p = sub.add_parser("fock-check")
-    p.add_argument("--n", type=_in_range(int, 1, (fock.MAX_MODES - 1) // 2), default=2,
-                   help=f"bath size (M = 2N+1 <= {fock.MAX_MODES})")
+    p.add_argument("--n", type=_fock_bath_size, default=2,
+                   help="bath size (M = 2N+1 modes, within the Fock oracle's cap)")
     p.add_argument("--gamma", type=non_negative, default=0.3)
     p.add_argument("--rwa", action="store_true")
     p.add_argument("--seed", type=_seed, default=0)

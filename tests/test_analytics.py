@@ -1,8 +1,9 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from heatvalve import analytics
 from heatvalve import (
@@ -43,6 +44,21 @@ class TestFermi:
     def test_array_input(self):
         x = np.array([-2.0, 0.0, 3.0])
         assert np.allclose(fermi(x), 1 / (np.exp(x) + 1))
+
+    def test_overflow_is_silent(self):
+        # e^800 overflows a float; the limit is exact and no RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fermi(800.0) == 0.0
+            assert fermi(-800.0) == 1.0
+
+    def test_within_one_ulp_of_exact(self):
+        # 1/(1 + e^x) in 40-digit decimal arithmetic, rounded once to a float
+        x = np.concatenate([np.linspace(-40, 40, 801), np.linspace(-700, 700, 701)])
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = np.array([float(1 / (1 + Decimal(v).exp())) for v in x])
+        np.testing.assert_array_max_ulp(fermi(x), want, maxulp=1)
 
 
 class TestOccupation:
@@ -151,43 +167,63 @@ class TestLandauer:
         assert full == pytest.approx(weak, rel=1e-3)
 
 
-def composed_landauer(spec1, spec2, t1, t2):
-    """The Landauer quad over the composed public functions, as landauer_current sets it up."""
-    def integrand(w):
-        df = occupation(w, t1) - occupation(w, t2)
-        return transmission(spec1, spec2, w) * w * df / (2 * np.pi)
+# (1/2pi) int |tau|^2 w [f1 - f2] dw over (0, 2) by mpmath.quad at 30 digits
+# (40 digits agree), for the double values of gamma and T; the band split at
+# 1 -+ 10^-k, k = 1..12, around the centre peak and at 10^-k, k = 1..7, for
+# T < 0.1; rounded to the nearest double.  The current does not depend on N.
+LANDAUER_REFERENCE = {
+    (0.02, (1.0, 0.0)): 5.6318537946154356e-05,
+    (0.02, (0.5, 0.2)): 2.3557897520806138e-05,
+    (0.1, (1.0, 0.0)): 1.4029107467186538e-03,
+    (0.1, (0.5, 0.2)): 5.85247419685542e-04,
+    (0.4, (1.0, 0.0)): 2.1184554909269886e-02,
+    (0.4, (0.5, 0.2)): 8.424315345562336e-03,
+    (0.1, (1e-3, 0.0)): 1.5120546936679044e-11,
+    (0.003, (1.0, 0.0)): 1.2673523269744134e-06,
+    (0.001, (1.0, 0.0)): 1.4081734630170262e-07,
+}
 
-    return integrate.quad(integrand, *spec1.band, points=[1.0], limit=500,
-                          epsabs=1e-10, epsrel=1e-10)[0]
 
-
-class TestLandauerScalarIntegrand:
+class TestLandauerReference:
     @pytest.mark.parametrize("temps", [(1.0, 0.0), (0.5, 0.2), (0.0, 1.0)])
     @pytest.mark.parametrize("n", [60, 450])
     @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.4])
-    def test_matches_composed_public_functions(self, gamma, n, temps):
+    def test_matches_mpmath(self, gamma, n, temps):
         spec = spec_for(gamma, n)
-        want = composed_landauer(spec, spec, *temps)
+        # the current is odd under swapping the baths
+        want = np.sign(temps[0] - temps[1]) * LANDAUER_REFERENCE[gamma, (max(temps), min(temps))]
         assert landauer_current(spec, spec, *temps) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_low_temperature_does_not_overflow(self):
         # w/T reaches 2000 > 709, where e^x overflows a float
         spec = spec_for(0.1, 450)
-        want = composed_landauer(spec, spec, 1e-3, 0.0)
+        want = LANDAUER_REFERENCE[0.1, (1e-3, 0.0)]
         assert landauer_current(spec, spec, 1e-3, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("temperature", [0.0, 1e-3, 0.5])
-    def test_scalar_occupation_matches_occupation(self, temperature):
-        # the T = 0 step is 1/2 at exactly 0; w/T = 1000 overflows e^x
-        f = analytics._scalar_occupation(temperature)
-        for w in (-1.0, -1e-300, 0.0, 1e-300, 0.3, 1.0):
-            assert f(w) == occupation(w, temperature)
+    @pytest.mark.parametrize("gamma", [0.003, 0.001])
+    def test_narrow_centre_peak(self, gamma):
+        # the Lorentzian has width 2 Gamma = 2 pi gamma^2/3 < 2e-5; adaptive
+        # quadrature stepped over it and returned a current of the wrong sign
+        spec = spec_for(gamma)
+        want = LANDAUER_REFERENCE[gamma, (1.0, 0.0)]
+        assert landauer_current(spec, spec, 1.0, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("omega", [-0.5, 0.0, 2.0, 2.5])
-    def test_band_edges_rejected(self, omega):
-        f = analytics._landauer_integrand(spec_for(0.1), spec_for(0.1), 1.0, 0.0)
-        with pytest.raises(ValueError, match="open band"):
-            f(omega)
+    def test_rule_nodes_inside_band(self):
+        # every node and its offsets from the centre and the top are exact and
+        # nonzero, and the node set is symmetric under w -> 2 - w
+        w = analytics._NODES
+        assert np.all(w > 0) and np.all(analytics._BELOW_TOP > 0)
+        assert np.all(analytics._FROM_CENTRE != 0)
+        np.testing.assert_allclose(analytics._BELOW_TOP, analytics.BAND_TOP - w, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(analytics._FROM_CENTRE, w - 1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.sort(w), np.sort(analytics._BELOW_TOP), rtol=1e-15)
+
+    def test_rule_integrates_log_singularities(self):
+        # int_0^2 ln(w) ln(2 - w) dw = 4 - 4 ln 2 - pi^2/3 + 2 ln(2)^2: log-singular at both edges
+        f = np.log(analytics._NODES) * np.log(analytics._BELOW_TOP)
+        want = 4 - 4 * math.log(2) - math.pi**2 / 3 + 2 * math.log(2) ** 2
+        assert f @ analytics._WEIGHTS == pytest.approx(want, rel=1e-14)
+        assert f @ analytics._HALF_WEIGHTS == pytest.approx(want, rel=1e-12)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):

@@ -32,3 +32,16 @@ def test_benchmark_oracle_runs(tmp_path):
     )
     assert res.returncode == 0, res.stdout + res.stderr
     assert json.loads(result.read_text())["max_abs_dev"] <= 1e-9
+
+
+def test_cli_import_loads_no_optional_scipy():
+    # sweep, trace and dist need numpy, PyYAML and scipy.linalg alone; oracle
+    # anomalous loads scipy.integrate and fock-check scipy.sparse when they run
+    code = ("import sys, heatvalve.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "[['scipy', p] for p in ('integrate', 'optimize', 'special', 'sparse')]))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
