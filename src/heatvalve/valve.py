@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# loaded with the module: every run samples a bath, and numpy loads its
+# random module only on first use, which would put that cost inside the run
+import numpy.random
+
 from .analytics import BAND_TOP, occupation
 from .nambu import STRUCT_TOL, Arrow
 

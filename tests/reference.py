@@ -14,7 +14,8 @@ eigenbasis of the 2M x 2M Hermitian ``eigh`` of H.
 
 This route stays independent of the engine: it builds a dense H and calls
 ``np.linalg.eigh``, never ``nambu.arrow_svd``.  Only ``dense`` converts an
-``ArrowPropagator``, the solver's output, into its form.
+``ArrowPropagator``, the solver's output, into its form.  ``secular_roots``
+is LAPACK's ``dlasd4``, the reference for the engine's numpy secular solver.
 """
 
 from dataclasses import dataclass
@@ -282,6 +283,22 @@ def initial_correlation(config: ValveConfig, bath: BathRealization) -> Correlati
     """Diagonal chi(0) of the thermal initial state, as a dense 2M x 2M matrix."""
     occ = thermal_occupations(config, bath)
     return CorrelationMatrix(modes=config.modes, data=np.diag(np.concatenate([1 - occ, occ])))
+
+
+def secular_roots(ds, zn, rho):
+    """LAPACK ``dlasd4`` root by root: s and D2_ij = ds_j^2 - s_i^2, as ``nambu._secular_roots``."""
+    from scipy.linalg import lapack
+
+    k = len(ds)
+    sig, D2 = np.empty(k), np.empty((k, k))
+    for i in range(k):
+        delta, sig[i], work, info = lapack.dlasd4(i, ds, zn, rho)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dlasd4 failed on root {i}: info {info}")
+        np.multiply(delta, work, out=D2[i])
+    if k == 1:  # dlasd4 returns delta = work = 1 for a single root
+        D2[0, 0] = -sig[0] ** 2
+    return sig, D2
 
 
 def random_nambu(rng, modes, pairing=True):

@@ -3,9 +3,10 @@
 The dense Nambu matrix from ``build_hamiltonian`` and its ``diagonalize``
 (the 2M x 2M eigh, on a complex copy where a complex basis is wanted)
 serve as the reference throughout.  Every valve's K = h + Delta must be
-solved by LAPACK dlasd4 on its broken arrow (under the RWA, the broken
-arrow of the shifted arrowhead), coincident and zero levels included; a
-dense SVD or eigh call fails the check.
+solved by the numpy secular solver ``nambu._secular_roots`` on its broken
+arrow (under the RWA, the broken arrow of the shifted arrowhead),
+coincident and zero levels included; a dense SVD or eigh call fails the
+check.
 """
 
 import dataclasses
@@ -157,7 +158,7 @@ def solvers_called(monkeypatch, cfg, bath):
         raise AssertionError("dense SVD called")
 
     with monkeypatch.context() as m:
-        m.setattr(nambu.lapack, "dlasd4", counting("dlasd4", nambu.lapack.dlasd4))
+        m.setattr(nambu, "_secular_roots", counting("secular", nambu._secular_roots))
         m.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         m.setattr(np.linalg, "svd", refused)
         _, prop = propagate(cfg, bath)
@@ -174,7 +175,7 @@ class TestValveHamiltonians:
     def test_svd_basis_matches_eigh(self, kw, monkeypatch):
         cfg, bath, H, _ = valve(monkeypatch=monkeypatch, **kw)
         prop, calls = solvers_called(monkeypatch, cfg, bath)
-        assert calls == {"dlasd4"}
+        assert calls == {"secular"}
         ref = diagonalize(as_complex(H))
         dense_prop = dense(prop)
         U, E = dense_prop.transform, dense_prop.eigenvalues
@@ -214,7 +215,7 @@ def test_broken_arrow_accuracy_at_large_n(kw, monkeypatch):
     # reach 1.7e-12 here
     cfg, bath, H, _ = valve(bath_size=450, **kw)
     prop, calls = solvers_called(monkeypatch, cfg, bath)
-    assert calls == {"dlasd4"}
+    assert calls == {"secular"}
     dense_prop = dense(prop)
     U, E = dense_prop.transform, dense_prop.eigenvalues
     M = cfg.modes
@@ -234,7 +235,7 @@ def test_exact_degeneracies_and_zero_modes(monkeypatch):
         cfg = ValveConfig(bath_size=3, gamma=0.3, t_hot=1.0, t_cold=0.5, rwa=rwa)
         bath = BathRealization(frequencies=freqs.copy(), couplings=scale * couplings)
         prop, calls = solvers_called(monkeypatch, cfg, bath)
-        assert calls == {"dlasd4"}
+        assert calls == {"secular"}
         H = build_hamiltonian(cfg, bath)
         ref = diagonalize(as_complex(H))
         dense_prop = dense(prop)
@@ -267,7 +268,7 @@ class TestSolverPaths:
         spec = InternalCouplingSpec(matrices=tuple(mats))
         cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
         assert np.isrealobj(bath.couplings) and (bath.couplings >= 0).all()
-        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"secular"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
@@ -275,7 +276,7 @@ class TestSolverPaths:
     def test_real_internal_couplings_run_from_arrow_and_match_fock(self, monkeypatch):
         spec = InternalCouplingSpec(scale=0.3)
         cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
-        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"secular"}
         times = np.linspace(0.0, 20.0, 81)
         dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
         assert dev.max() < 1e-9
@@ -287,7 +288,7 @@ class TestSolverPaths:
                                   "equal_run", "rwa_equal_run"])
     def test_broken_arrow_matches_fock(self, kw, monkeypatch):
         cfg, bath, _, _ = valve(bath_size=4, **kw)
-        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"secular"}
         times = np.linspace(0.0, 20.0, 81)
         got = simulate_trace(cfg, times, bath=bath).total
         dev = np.abs(got - fock.exact_current(cfg, bath, times))
@@ -299,7 +300,7 @@ class TestSolverPaths:
         # z_c = 0 is raised to the deflation tolerance
         cfg, bath, _, _ = valve(bath_size=4, gamma=0.6, rwa=rwa, center_level=0.0,
                                 monkeypatch=monkeypatch)
-        assert solvers_called(monkeypatch, cfg, bath)[1] == {"dlasd4"}
+        assert solvers_called(monkeypatch, cfg, bath)[1] == {"secular"}
         times = np.linspace(0.0, 20.0, 81)
         got = simulate_trace(cfg, times, bath=bath).total
         dev = np.abs(got - fock.exact_current(cfg, bath, times))
@@ -355,15 +356,11 @@ class TestSolverPaths:
         with pytest.raises(ValueError, match="probe.*nan"):
             propagate(cfg, bath)
 
-    def test_dlasd4_failure_raises(self, monkeypatch):
+    def test_secular_root_that_does_not_converge_raises(self, monkeypatch):
+        # one step from the midpoint leaves the roots short of the stopping test
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
-        good = nambu.lapack.dlasd4
-
-        def failing(*args):
-            return *good(*args)[:3], 1
-
-        monkeypatch.setattr(nambu.lapack, "dlasd4", failing)
-        with pytest.raises(np.linalg.LinAlgError, match="dlasd4"):
+        monkeypatch.setattr(nambu, "SECULAR_MAX_ITER", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="secular root .* did not converge"):
             propagate(cfg, bath)
 
     def test_probe_catches_bad_rotated_state(self, monkeypatch):
@@ -396,7 +393,7 @@ def test_lowner_state_matches_product(cfg, monkeypatch):
     if cfg.internal_coupling is not None:
         bath = apply_internal_couplings(cfg, bath)
     prop, calls = solvers_called(monkeypatch, cfg, bath)
-    assert calls == {"dlasd4"}
+    assert calls == {"secular"}
     e = 1 - 2 * thermal_occupations(cfg, bath)
     assert np.abs(prop.X - (prop.Q.T * e) @ prop.P).max() <= 1e-13
 
@@ -412,8 +409,7 @@ def dense_matrix(arrow):
 def assert_matches_dense_svd(levels, g, c, e):
     """``arrow_svd`` of the arrow, with pairing and under the RWA, against the dense SVD.
 
-    Errors are relative to max(||K||, 1): under the RWA the shift mu >= 1
-    sets an absolute floor of O(eps).
+    Errors are relative to max(||K||, 1), as K = 0 has no scale of its own.
     """
     M = len(levels)
     for rwa in (False, True):
@@ -431,7 +427,7 @@ def assert_matches_dense_svd(levels, g, c, e):
 
 def test_small_arrows_match_dense_svd():
     # levels on a coarse grid (repeats and zeros), zero couplings and a
-    # centre at 0 are common here; each arrow goes through dlasd4
+    # centre at 0 are common here; each arrow goes through the secular solver
     rng = np.random.default_rng(12)
     for _ in range(300):
         M = int(rng.integers(2, 13))
@@ -445,3 +441,13 @@ def test_small_arrows_match_dense_svd():
     # K = 0 has no scale of its own: the solver takes 1
     for M in (2, 5):
         assert_matches_dense_svd(np.zeros(M), np.zeros(M), M // 2, rng.uniform(-1.0, 1.0, M))
+
+
+def test_rwa_shift_keeps_relative_accuracy():
+    # the RWA shift mu = 2 (max|d| + ||g||) scales with the arrow, so a small
+    # K keeps its relative accuracy; a shift of at least 1 left this 2-mode
+    # arrow 1.6e-13 off
+    arrow = nambu.Arrow(levels=np.zeros(2), couplings=np.array([0.0, 1e-3]), center=0, rwa=True)
+    s, P, Q, X = nambu.arrow_svd(arrow, np.ones(2))
+    ref = np.linalg.svd(dense_matrix(arrow), compute_uv=False)
+    assert np.abs(np.sort(s)[::-1] - ref).max() <= 4 * np.finfo(float).eps * ref.max()
