@@ -27,7 +27,6 @@ from .evolution import (
     window_mean_current,
 )
 from .analytics import (
-    UniformBathSpec,
     anomalous_current_continuum,
     anomalous_current_discrete,
     empirical_gamma,

@@ -13,13 +13,12 @@ this module loads no scipy; only ``anomalous_current_continuum`` imports
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 EDGE_TOL = 1e-12
 BAND_TOP = 2.0  # bath levels are uniform on [0, BAND_TOP]
-LANDAUER_ABS_TOL = 1e-10
+LANDAUER_ABS_TOL = 1e-9  # absolute bound on the Landauer error estimate; the relative one is 1e-8
 EMPIRICAL_HALFWIDTH = 0.1
 
 
@@ -48,57 +47,51 @@ def occupation(omega, temperature: float):
     return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class UniformBathSpec:
-    """Uniform-band bath: N levels on [0, 2] with mean-square coupling."""
+def spectral_density(gamma: float) -> float:
+    """Each bath's flat in-band linewidth Gamma = 2 pi nu0 <g^2> = pi gamma^2 / 3.
 
-    bath_size: int
-    mean_square_coupling: float
-
-    def __post_init__(self):
-        if self.bath_size < 1:
-            raise ValueError(f"bath_size must be >= 1, got {self.bath_size}")
-        if self.mean_square_coupling < 0:
-            raise ValueError("mean_square_coupling must be >= 0")
-
-    @classmethod
-    def from_coupling_scale(cls, gamma: float, bath_size: int):
-        """Spec with the ensemble second moment gamma^2/(3N) of the sampled couplings."""
-        return cls(bath_size, gamma**2 / (3 * bath_size))
-
-    @property
-    def level_density(self) -> float:
-        return self.bath_size / BAND_TOP
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return (0.0, BAND_TOP)
+    nu0 = N / BAND_TOP and <g^2> = gamma^2 / (3N), the second moment of the
+    sampled couplings, so the bath size N cancels.
+    """
+    return np.pi * gamma**2 / 3
 
 
-def spectral_density(spec: UniformBathSpec) -> float:
-    """Flat in-band spectral density Gamma = 2*pi*nu0*<g^2>."""
-    return 2 * np.pi * spec.level_density * spec.mean_square_coupling
+def _check_in_band(omega: float) -> None:
+    if omega <= EDGE_TOL or omega >= BAND_TOP - EDGE_TOL:
+        raise ValueError(f"omega={omega} at or outside the open band (0.0, {BAND_TOP})")
 
 
-def self_energy(spec: UniformBathSpec, omega: float) -> float:
-    """Level shift Sigma(omega) = -(Gamma/2pi) ln(BAND_TOP/omega - 1).
+def self_energy(gamma: float, omega: float) -> float:
+    """Level shift Sigma(omega) = -(Gamma/2pi) ln(BAND_TOP/omega - 1) of one bath.
 
     Defined strictly inside the band; the logarithm diverges at the edges.
     """
-    lo, hi = spec.band
-    if omega <= lo + EDGE_TOL or omega >= hi - EDGE_TOL:
-        raise ValueError(f"omega={omega} at or outside the open band ({lo}, {hi})")
-    gamma_a = spectral_density(spec)
-    return -gamma_a / (2 * np.pi) * np.log(BAND_TOP / omega - 1)
+    _check_in_band(omega)
+    return -spectral_density(gamma) / (2 * np.pi) * np.log(BAND_TOP / omega - 1)
 
 
-def transmission(spec1: UniformBathSpec, spec2: UniformBathSpec, omega: float) -> float:
-    """Lorentzian-with-shift transmission coefficient |tau(omega)|^2."""
-    g1 = spectral_density(spec1)
-    g2 = spectral_density(spec2)
-    sigma = self_energy(spec1, omega) + self_energy(spec2, omega)
-    denom = (omega - 1 - sigma) ** 2 + (g1 / 2 + g2 / 2) ** 2
-    return g1 * g2 / denom
+def _transmission(from_centre, top_ratio, gamma_sd: float):
+    """|tau|^2 = 1/(1 + x^2) between two baths of linewidth Gamma > 0.
+
+    x = (omega - 1 - 2 Sigma(omega)) / Gamma = (omega - 1)/Gamma + ln(top_ratio)/pi,
+    from the offset omega - 1 and the ratio (BAND_TOP - omega)/omega.  Where
+    x^2 overflows, |tau|^2 is 0 to within underflow.
+    """
+    with np.errstate(over="ignore"):
+        x = from_centre / gamma_sd + np.log(top_ratio) / np.pi
+        return 1 / (1 + x * x)
+
+
+def transmission(gamma: float, omega: float) -> float:
+    """Lorentzian-with-shift transmission coefficient |tau(omega)|^2 of the valve.
+
+    1 at the centre level for any Gamma > 0, and 0 at Gamma = 0.
+    """
+    _check_in_band(omega)
+    gamma_sd = spectral_density(gamma)
+    if gamma_sd == 0:
+        return 0.0
+    return float(_transmission(omega - 1, (BAND_TOP - omega) / omega, gamma_sd))
 
 
 def _tanh_sinh_rule():
@@ -134,33 +127,29 @@ def _tanh_sinh_rule():
 _NODES, _FROM_CENTRE, _BELOW_TOP, _WEIGHTS, _HALF_WEIGHTS = _tanh_sinh_rule()
 
 
-def landauer_current(
-    spec1: UniformBathSpec, spec2: UniformBathSpec, t1: float, t2: float
-) -> float:
+def landauer_current(gamma: float, t1: float, t2: float) -> float:
     """Steady-state heat current (1/2pi) int |tau|^2 w [f1 - f2] dw over the band.
 
     A fixed tanh-sinh rule on (0, 1) and (1, 2), one vectorized evaluation
     of ``transmission``'s formula.  The integrand is log-singular at the
-    band edges, and its Lorentzian of width Gamma1 + Gamma2 peaks exactly
-    at the centre level, where sigma(1) = 0; the rule's nodes crowd at all
-    three and never reach an edge.  The error estimate is the difference
-    from the nested rule at twice the step.
+    band edges, and its Lorentzian of width 2 Gamma peaks exactly at the
+    centre level, where sigma(1) = 0; the rule's nodes crowd at all three
+    and never reach an edge.  The error estimate is the difference from
+    the nested rule at twice the step.
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("temperatures must be >= 0")
     if t1 == t2:
         return 0.0
-    g1, g2 = spectral_density(spec1), spectral_density(spec2)
-    if g1 == 0 or g2 == 0:
+    gamma_sd = spectral_density(gamma)
+    if gamma_sd == 0:
         return 0.0
     w = _NODES
-    # self_energy of both baths: -(Gamma/2pi) ln(BAND_TOP/w - 1) each
-    sigma = -(g1 + g2) / (2 * np.pi) * np.log(_BELOW_TOP / w)
-    tau2 = g1 * g2 / ((_FROM_CENTRE - sigma) ** 2 + (g1 / 2 + g2 / 2) ** 2)
+    tau2 = _transmission(_FROM_CENTRE, _BELOW_TOP / w, gamma_sd)
     f = tau2 * w * (occupation(w, t1) - occupation(w, t2)) / (2 * np.pi)
     val = float(f @ _WEIGHTS)
     err = abs(val - float(f @ _HALF_WEIGHTS))
-    if err > max(LANDAUER_ABS_TOL * 10, 1e-8 * abs(val)):
+    if err > max(LANDAUER_ABS_TOL, 1e-8 * abs(val)):
         raise RuntimeError(
             f"Landauer quadrature did not converge: estimate {val:.6e}, error {err:.3e}"
         )
@@ -178,14 +167,14 @@ def weak_coupling_current(gamma1: float, gamma2: float, t1: float, t2: float) ->
 
 
 def relaxation_time(gamma: float) -> float:
-    """tau = 1/(Gamma1 + Gamma2) = 3/(2 pi gamma^2), the relaxation time of the valve.
+    """tau = 1/(2 Gamma) = 3/(2 pi gamma^2), the relaxation time of the valve.
 
-    Gamma = pi gamma^2/3 is each bath's ``spectral_density`` at
-    coupling scale gamma, whatever N; infinite at gamma = 0.
+    Infinite at Gamma = 0.
     """
-    if gamma == 0:
+    gamma_sd = spectral_density(gamma)
+    if gamma_sd == 0:
         return math.inf
-    return 3 / (2 * np.pi * gamma**2)
+    return 1 / (2 * gamma_sd)
 
 
 def heisenberg_time(bath_size: int) -> float:
@@ -195,38 +184,37 @@ def heisenberg_time(bath_size: int) -> float:
 
 def levels_per_linewidth(gamma: float, bath_size: int) -> float:
     """Gamma nu0, the bath levels inside one linewidth of the central level."""
-    spec = UniformBathSpec.from_coupling_scale(gamma, bath_size)
-    return spectral_density(spec) * spec.level_density
+    return spectral_density(gamma) * bath_size / BAND_TOP
 
 
 def anomalous_current_discrete(
     frequencies: np.ndarray,
     temperature: float,
-    mean_square_coupling: float,
+    gamma: float,
     t,
 ):
     """First-order transient anomalous current for one bath's sampled levels.
 
     2<g^2> sum_k w_k [1 - f(w_k/T)] / (omega0 + w_k) * sin((omega0 + w_k) t),
-    omega0 = 1, vectorized over t.
+    omega0 = 1, with <g^2> = gamma^2/(3N) over the N levels, vectorized over t.
     """
     w = np.asarray(frequencies, dtype=float)
     t = np.asarray(t, dtype=float)
+    mean_square_coupling = gamma**2 / (3 * len(w))
     weight = 2 * mean_square_coupling * w * (1 - occupation(w, temperature)) / (1 + w)
     phases = np.sin(np.multiply.outer(t, 1 + w))
     out = phases @ weight
     return out if out.ndim else float(out)
 
 
-def anomalous_current_continuum(spec: UniformBathSpec, temperature: float, t: float) -> float:
+def anomalous_current_continuum(gamma: float, temperature: float, t: float) -> float:
     """Continuum limit of the transient anomalous current.
 
-    2<g^2> int nu(w) w [1 - f(w/T)] / (omega0 + w) sin((omega0 + w) t) dw
-    over the band, omega0 = 1, with oscillation handled by sin/cos-weighted
-    quadrature.
+    2<g^2> nu0 int w [1 - f(w/T)] / (omega0 + w) sin((omega0 + w) t) dw
+    over the band, omega0 = 1, with 2<g^2> nu0 = Gamma/pi and oscillation
+    handled by sin/cos-weighted quadrature.
     """
-    pref = 2 * spec.mean_square_coupling * spec.level_density
-    lo, hi = spec.band
+    pref = spectral_density(gamma) / np.pi
 
     def envelope(w):
         return w * (1 - occupation(w, temperature)) / (1 + w)
@@ -236,8 +224,8 @@ def anomalous_current_continuum(spec: UniformBathSpec, temperature: float, t: fl
     from scipy import integrate  # only here: a module import would load it for every run
 
     # sin((1+w)t) = sin(wt)cos(t) + cos(wt)sin(t)
-    s, _ = integrate.quad(envelope, lo, hi, weight="sin", wvar=t, limit=500)
-    c, _ = integrate.quad(envelope, lo, hi, weight="cos", wvar=t, limit=500)
+    s, _ = integrate.quad(envelope, 0.0, BAND_TOP, weight="sin", wvar=t, limit=500)
+    c, _ = integrate.quad(envelope, 0.0, BAND_TOP, weight="cos", wvar=t, limit=500)
     return pref * (s * np.cos(t) + c * np.sin(t))
 
 

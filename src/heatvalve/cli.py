@@ -206,18 +206,17 @@ def cmd_oracle(args) -> int:
     if args.formula == "fermi":
         val = analytics.fermi(args.x)
     else:
-        spec = analytics.UniformBathSpec.from_coupling_scale(args.gamma, args.n)
-        gamma_sd = analytics.spectral_density(spec)
+        gamma_sd = analytics.spectral_density(args.gamma)
         if args.formula == "weak":
             val = analytics.weak_coupling_current(gamma_sd, gamma_sd, args.t1, args.t2)
         elif args.formula == "landauer":
-            val = analytics.landauer_current(spec, spec, args.t1, args.t2)
+            val = analytics.landauer_current(args.gamma, args.t1, args.t2)
         elif args.formula == "transmission":
-            val = analytics.transmission(spec, spec, args.omega)
+            val = analytics.transmission(args.gamma, args.omega)
         elif args.formula == "selfenergy":
-            val = analytics.self_energy(spec, args.omega)
+            val = analytics.self_energy(args.gamma, args.omega)
         else:  # anomalous (continuum limit)
-            val = analytics.anomalous_current_continuum(spec, args.temp, args.t)
+            val = analytics.anomalous_current_continuum(args.gamma, args.temp, args.t)
     print(repr(float(val)))
     return EXIT_OK
 
@@ -303,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", choices=[
         "fermi", "weak", "landauer", "transmission", "selfenergy", "anomalous",
     ])
-    p.add_argument("--x", type=float, default=1.0, help="fermi argument beta*omega")
+    p.add_argument("--x", type=_in_range(float, -np.inf, np.inf), default=1.0,
+                   help="fermi argument beta*omega")
     p.add_argument("--gamma", type=non_negative, default=0.1,
                    help="coupling scale gamma/omega0")
-    p.add_argument("--n", type=_in_range(int, 1, np.inf), default=1200, help="bath size")
     p.add_argument("--t1", type=non_negative, default=1.0, help="hot bath temperature")
     p.add_argument("--t2", type=non_negative, default=0.0, help="cold bath temperature")
     p.add_argument("--omega", type=float, default=1.0,
@@ -331,7 +330,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle" and args.formula in ("transmission", "selfenergy"):
-        lo, hi = analytics.UniformBathSpec.from_coupling_scale(args.gamma, args.n).band
+        lo, hi = 0.0, analytics.BAND_TOP
         if not lo + analytics.EDGE_TOL < args.omega < hi - analytics.EDGE_TOL:
             parser.error(f"argument --omega: {args.omega} is outside the open band ({lo}, {hi})")
     try:

@@ -166,6 +166,8 @@ MIN_WINDOW_SAMPLES = 10
 # set is a few (rows x M) arrays instead of the whole M x M form.  64 rows
 # ran faster than 128 at M = 2401 and no slower at M = 901 (one thread).
 MEAN_CHUNK_ROWS = 64
+# k < j inside a chunk's diagonal block; a last, shorter chunk takes its corner
+_BELOW_DIAGONAL = np.tri(MEAN_CHUNK_ROWS, k=-1, dtype=bool)
 
 
 def _in_window(times: np.ndarray, window) -> np.ndarray:
@@ -271,9 +273,10 @@ def window_mean_current(prop: ArrowPropagator, levels, window, time_step) -> flo
         anti *= pair
         del pair
         # only k > j inside the diagonal block (both are 0 at k = j)
-        lower = np.tril_indices(j1 - j0, -1)
-        sym[lower] = 0.0
-        anti[lower] = 0.0
+        n = j1 - j0
+        lower = _BELOW_DIAGONAL[:n, :n]
+        sym[:, :n][lower] = 0.0
+        anti[:, :n][lower] = 0.0
         # sin((s_j + s_k) tau) = sin_j cos_k + cos_j sin_k: two matrix-vector
         # products; their rounding is damped by rho(s_j + s_k) unless both
         # are small, where they are accurate

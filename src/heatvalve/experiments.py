@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .analytics import UniformBathSpec
 from .config import ConfigError
 from .evolution import (
     CurrentTrace,
@@ -63,7 +62,6 @@ class SweepRecord:
     landauer: float
     weak_coupling: float
     realizations: int
-    coupling_dist: str = CouplingDistribution.UNIFORM.value
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -149,11 +147,9 @@ def run_sweep(
 
     records = []
     for gi, gamma in enumerate(gamma_grid):
-        spec = UniformBathSpec.from_coupling_scale(float(gamma), config_template.bath_size)
-        gamma_sd = analytics.spectral_density(spec)
-        landauer = analytics.landauer_current(
-            spec, spec, config_template.t_hot, config_template.t_cold
-        )
+        gamma = float(gamma)
+        gamma_sd = analytics.spectral_density(gamma)
+        landauer = analytics.landauer_current(gamma, config_template.t_hot, config_template.t_cold)
         weak = analytics.weak_coupling_current(
             gamma_sd, gamma_sd, config_template.t_hot, config_template.t_cold
         )
@@ -161,14 +157,13 @@ def run_sweep(
             vals = means[gi, ki]
             records.append(
                 SweepRecord(
-                    gamma_over_omega0=float(gamma),
+                    gamma_over_omega0=gamma,
                     kind=kind,
                     mean_current=float(np.mean(vals)),
                     std_current=float(np.std(vals)),
                     landauer=landauer,
                     weak_coupling=weak,
                     realizations=realizations,
-                    coupling_dist=config_template.coupling_dist.value,
                 )
             )
     return records
@@ -188,11 +183,10 @@ def run_trace(
         kind: simulate_trace(replace(config_template, rwa=(kind == "rwa")), times, bath=bath)
         for kind in kinds
     }
-    spec = UniformBathSpec.from_coupling_scale(config_template.gamma, config_template.bath_size)
     pert = analytics.anomalous_current_discrete(
         bath.frequencies[COLD_BATH - 1],
         config_template.bath_temperature(COLD_BATH),
-        spec.mean_square_coupling,
+        config_template.gamma,
         times,
     )
     return traces, pert

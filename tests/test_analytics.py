@@ -7,7 +7,6 @@ import pytest
 
 from heatvalve import analytics
 from heatvalve import (
-    UniformBathSpec,
     ValveConfig,
     anomalous_current_continuum,
     anomalous_current_discrete,
@@ -24,10 +23,6 @@ from heatvalve import (
     transmission,
     weak_coupling_current,
 )
-
-
-def spec_for(gamma, n=1200):
-    return UniformBathSpec.from_coupling_scale(gamma, n)
 
 
 class TestFermi:
@@ -77,64 +72,68 @@ class TestOccupation:
 
 class TestSpectralDensity:
     def test_zero_coupling(self):
-        assert spectral_density(UniformBathSpec(100, 0.0)) == 0.0
+        assert spectral_density(0.0) == 0.0
 
     def test_uniform_second_moment(self):
         # 2*pi * (N/2) * gamma^2/(3N) = pi*gamma^2/3 for any N
         for n in (10, 1200):
-            assert spectral_density(spec_for(0.3, n)) == pytest.approx(
-                np.pi * 0.09 / 3, rel=1e-14
+            assert spectral_density(0.3) == pytest.approx(
+                2 * np.pi * (n / 2) * (0.09 / (3 * n)), rel=1e-14
             )
+        assert spectral_density(0.3) == pytest.approx(np.pi * 0.09 / 3, rel=1e-14)
 
     def test_reference_value(self):
-        assert spectral_density(spec_for(0.1)) == pytest.approx(0.010472, abs=1e-6)
+        assert spectral_density(0.1) == pytest.approx(0.010472, abs=1e-6)
 
 
 class TestSelfEnergy:
     def test_zero_at_center(self):
-        assert self_energy(spec_for(0.2), 1.0) == 0.0
+        assert self_energy(0.2, 1.0) == 0.0
 
     def test_odd_around_center(self):
-        spec = spec_for(0.2)
         for x in (0.1, 0.4, 0.9):
-            assert self_energy(spec, 1 - x) == pytest.approx(
-                -self_energy(spec, 1 + x), rel=1e-12
+            assert self_energy(0.2, 1 - x) == pytest.approx(
+                -self_energy(0.2, 1 + x), rel=1e-12
             )
 
     def test_negative_below_center(self):
-        assert self_energy(spec_for(0.2), 0.5) < 0
+        assert self_energy(0.2, 0.5) < 0
 
     @pytest.mark.parametrize("omega", [0.0, 2.0, -0.5, 2.5])
     def test_band_edges_rejected(self, omega):
         with pytest.raises(ValueError, match="band"):
-            self_energy(spec_for(0.2), omega)
+            self_energy(0.2, omega)
 
     def test_band_is_the_sampled_band(self):
-        spec = spec_for(0.2, n=2000)
-        lo, hi = spec.band
+        lo, hi = 0.0, analytics.BAND_TOP
         freqs = sample_bath(ValveConfig(bath_size=2000, gamma=0.2, t_hot=1.0, t_cold=0.0)).frequencies
         assert lo <= freqs.min() < lo + 0.01 and hi - 0.01 < freqs.max() <= hi
-        assert spec.level_density == 2000 / (hi - lo)
         for w in (0.3, 1.0, 1.7):
-            assert self_energy(spec, w) == pytest.approx(
-                -spectral_density(spec) / (2 * np.pi) * np.log((hi - w) / (w - lo)),
+            assert self_energy(0.2, w) == pytest.approx(
+                -spectral_density(0.2) / (2 * np.pi) * np.log((hi - w) / (w - lo)),
                 rel=1e-12, abs=1e-18,
             )
 
 
 class TestTransmission:
     def test_resonant_unit_transmission(self):
-        spec = spec_for(0.3)
-        assert transmission(spec, spec, 1.0) == 1.0
+        assert transmission(0.3, 1.0) == 1.0
 
     def test_vanishes_without_second_bath(self):
-        spec = spec_for(0.3)
-        dead = UniformBathSpec(1200, 0.0)
-        assert transmission(spec, dead, 0.8) == 0.0
+        # gamma = 0: neither bath is coupled
+        assert transmission(0.0, 0.8) == 0.0
+
+    def test_resonance_at_vanishing_coupling(self):
+        # Gamma = pi gamma^2/3 is 1e-200 at gamma = 1e-100, and Gamma^2 underflows
+        # to 0: the resonance is 1 for any Gamma > 0, and 0 only at Gamma = 0
+        assert transmission(1e-100, 1.0) == 1.0
+        assert transmission(0.0, 1.0) == 0.0
+        # off resonance x^2 overflows, and |tau|^2 is 0 without a warning
+        assert transmission(1e-100, 1.1) == 0.0
+        assert transmission(1e-160, 0.9) == 0.0
 
     def test_off_resonance_value(self):
-        spec = spec_for(0.2)
-        got = transmission(spec, spec, 1.1)
+        got = transmission(0.2, 1.1)
         # independent scalar evaluation of the same formula
         g = np.pi * 0.04 / 3
         sigma = 2 * (-(g / (2 * np.pi)) * math.log(2 / 1.1 - 1))
@@ -145,24 +144,20 @@ class TestTransmission:
 
 class TestLandauer:
     def test_equal_temperatures(self):
-        spec = spec_for(0.3)
-        assert landauer_current(spec, spec, 0.7, 0.7) == 0.0
+        assert landauer_current(0.3, 0.7, 0.7) == 0.0
 
     def test_zero_coupling(self):
-        dead = UniformBathSpec(1200, 0.0)
-        assert landauer_current(dead, spec_for(0.3), 1.0, 0.0) == 0.0
+        assert landauer_current(0.0, 1.0, 0.0) == 0.0
 
     def test_antisymmetric_in_temperatures(self):
-        spec = spec_for(0.2)
-        fwd = landauer_current(spec, spec, 1.0, 0.0)
-        bwd = landauer_current(spec, spec, 0.0, 1.0)
+        fwd = landauer_current(0.2, 1.0, 0.0)
+        bwd = landauer_current(0.2, 0.0, 1.0)
         assert fwd > 0
         assert bwd == pytest.approx(-fwd, rel=1e-8)
 
     def test_weak_coupling_limit(self):
-        spec = spec_for(0.01)
-        g = spectral_density(spec)
-        full = landauer_current(spec, spec, 1.0, 0.0)
+        g = spectral_density(0.01)
+        full = landauer_current(0.01, 1.0, 0.0)
         weak = weak_coupling_current(g, g, 1.0, 0.0)
         assert full == pytest.approx(weak, rel=1e-3)
 
@@ -170,7 +165,7 @@ class TestLandauer:
 # (1/2pi) int |tau|^2 w [f1 - f2] dw over (0, 2) by mpmath.quad at 30 digits
 # (40 digits agree), for the double values of gamma and T; the band split at
 # 1 -+ 10^-k, k = 1..12, around the centre peak and at 10^-k, k = 1..7, for
-# T < 0.1; rounded to the nearest double.  The current does not depend on N.
+# T < 0.1; rounded to the nearest double.
 LANDAUER_REFERENCE = {
     (0.02, (1.0, 0.0)): 5.6318537946154356e-05,
     (0.02, (0.5, 0.2)): 2.3557897520806138e-05,
@@ -189,24 +184,25 @@ class TestLandauerReference:
     @pytest.mark.parametrize("n", [60, 450])
     @pytest.mark.parametrize("gamma", [0.02, 0.1, 0.4])
     def test_matches_mpmath(self, gamma, n, temps):
-        spec = spec_for(gamma, n)
+        # one reference serves a bath of any size n: its linewidth
+        # 2 pi nu0 <g^2>, nu0 = n/BAND_TOP and <g^2> = gamma^2/(3n), is free of n
+        linewidth = 2 * np.pi * (n / analytics.BAND_TOP) * (gamma**2 / (3 * n))
+        assert spectral_density(gamma) == pytest.approx(linewidth, rel=1e-14)
         # the current is odd under swapping the baths
         want = np.sign(temps[0] - temps[1]) * LANDAUER_REFERENCE[gamma, (max(temps), min(temps))]
-        assert landauer_current(spec, spec, *temps) == pytest.approx(want, rel=1e-12, abs=0)
+        assert landauer_current(gamma, *temps) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_low_temperature_does_not_overflow(self):
         # w/T reaches 2000 > 709, where e^x overflows a float
-        spec = spec_for(0.1, 450)
         want = LANDAUER_REFERENCE[0.1, (1e-3, 0.0)]
-        assert landauer_current(spec, spec, 1e-3, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
+        assert landauer_current(0.1, 1e-3, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("gamma", [0.003, 0.001])
     def test_narrow_centre_peak(self, gamma):
         # the Lorentzian has width 2 Gamma = 2 pi gamma^2/3 < 2e-5; adaptive
         # quadrature stepped over it and returned a current of the wrong sign
-        spec = spec_for(gamma)
         want = LANDAUER_REFERENCE[gamma, (1.0, 0.0)]
-        assert landauer_current(spec, spec, 1.0, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
+        assert landauer_current(gamma, 1.0, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_rule_nodes_inside_band(self):
         # every node and its offsets from the centre and the top are exact and
@@ -227,7 +223,7 @@ class TestLandauerReference:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            landauer_current(spec_for(0.1), spec_for(0.1), -0.1, 0.0)
+            landauer_current(0.1, -0.1, 0.0)
 
 
 class TestPhysicalScales:
@@ -237,16 +233,14 @@ class TestPhysicalScales:
         assert relaxation_time(0.0) == math.inf
 
     def test_relaxation_time_is_the_inverse_total_linewidth(self):
-        for n in (60, 1200):
-            g = spectral_density(spec_for(0.2, n))
-            assert relaxation_time(0.2) == pytest.approx(1 / (2 * g), rel=1e-14)
+        g = spectral_density(0.2)
+        assert relaxation_time(0.2) == pytest.approx(1 / (2 * g), rel=1e-14)
 
     def test_heisenberg_time(self):
         assert heisenberg_time(250) == pytest.approx(785.398, abs=1e-3)
 
     def test_levels_per_linewidth(self):
-        spec = spec_for(0.1, 1200)
-        want = spectral_density(spec) * spec.level_density
+        want = spectral_density(0.1) * 1200 / 2  # Gamma nu0, nu0 = N/2
         assert levels_per_linewidth(0.1, 1200) == pytest.approx(want, rel=1e-15)
         assert levels_per_linewidth(0.1, 1200) == pytest.approx(2 * np.pi, rel=1e-12)
         assert levels_per_linewidth(0.0, 1200) == 0.0
@@ -265,25 +259,29 @@ class TestWeakCoupling:
         )
 
     def test_reference_value(self):
-        g = spectral_density(spec_for(0.1))
+        g = spectral_density(0.1)
         assert weak_coupling_current(g, g, 1.0, 0.0) == pytest.approx(
             1.4082e-3, abs=1e-7
         )
+
+
+# the coupling scale at which 50 levels have <g^2> = gamma^2/(3 * 50) = 1e-4
+GAMMA_50 = math.sqrt(3 * 50 * 1e-4)
 
 
 class TestAnomalousTransient:
     def test_zero_at_t0(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(0, 2, size=50)
-        assert anomalous_current_discrete(w, 0.0, 1e-4, 0.0) == 0.0
-        assert anomalous_current_continuum(spec_for(0.1), 0.0, 0.0) == 0.0
+        assert anomalous_current_discrete(w, 0.0, GAMMA_50, 0.0) == 0.0
+        assert anomalous_current_continuum(0.1, 0.0, 0.0) == 0.0
 
     def test_infinite_temperature_halves_amplitude(self):
         rng = np.random.default_rng(1)
         w = rng.uniform(0, 2, size=50)
         t = np.linspace(0.1, 10, 40)
-        cold = anomalous_current_discrete(w, 0.0, 1e-4, t)
-        hot = anomalous_current_discrete(w, 1e12, 1e-4, t)
+        cold = anomalous_current_discrete(w, 0.0, GAMMA_50, t)
+        hot = anomalous_current_discrete(w, 1e12, GAMMA_50, t)
         assert np.allclose(hot, cold / 2, atol=1e-12)
 
     def test_discrete_converges_to_continuum(self):
@@ -291,21 +289,18 @@ class TestAnomalousTransient:
         n = 10_000
         rng = np.random.default_rng(2)
         w = rng.uniform(0, 2, size=n)
-        spec = spec_for(0.1, n)
         t = np.linspace(0.25, 20, 80)
-        disc = anomalous_current_discrete(w, 0.0, spec.mean_square_coupling, t)
+        disc = anomalous_current_discrete(w, 0.0, 0.1, t)
         cont = np.array(
-            [anomalous_current_continuum(spec, 0.0, ti) for ti in t]
+            [anomalous_current_continuum(0.1, 0.0, ti) for ti in t]
         )
         rms = np.sqrt(np.mean((disc - cont) ** 2)) / np.sqrt(np.mean(cont**2))
         assert rms < 0.05
 
     def test_amplitude_decays(self):
-        spec = spec_for(0.1)
-
         def rms(lo, hi):
             t = np.linspace(lo, hi, 30)
-            vals = [anomalous_current_continuum(spec, 0.0, ti) for ti in t]
+            vals = [anomalous_current_continuum(0.1, 0.0, ti) for ti in t]
             return np.sqrt(np.mean(np.square(vals)))
 
         assert rms(40, 50) < rms(0.1, 10)

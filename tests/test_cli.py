@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -213,6 +214,12 @@ class TestOracle:
         weak = float(capsys.readouterr().out)
         assert landauer / weak == pytest.approx(1.0, abs=1e-3)
 
+    def test_every_formula_at_zero_coupling(self, capsys):
+        # every formula is finite at gamma = 0, resonant transmission included
+        for formula in ("fermi", "weak", "landauer", "transmission", "selfenergy", "anomalous"):
+            assert main(["oracle", formula, "--gamma", "0"]) == EXIT_OK
+            assert math.isfinite(float(capsys.readouterr().out))
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -354,7 +361,7 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command, e
 
 
 @pytest.mark.parametrize("argv", [
-    ["oracle", "landauer", "--n", "0"],
+    ["oracle", "fermi", "--x", "nan"],
     ["oracle", "weak", "--gamma", "-0.5"],
     ["oracle", "landauer", "--t1", "-1"],
     ["oracle", "landauer", "--t2", "-0.1"],
@@ -372,7 +379,7 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command, e
     ["fock-check", "--seed", "-1"],
     ["sweep", "--config", "c.yaml", "--out", "o", "--jobs", "0"],
     ["dist", "--config", "c.yaml", "--out", "o", "--jobs", "-4"],
-], ids=["n", "gamma", "t1", "t2", "temp", "fock-check-gamma", "t", "selfenergy-omega",
+], ids=["x-nan", "gamma", "t1", "t2", "temp", "fock-check-gamma", "t", "selfenergy-omega",
         "transmission-omega-edge", "selfenergy-omega-zero", "sweep-seed-negative",
         "sweep-seed-2**64", "sweep-seed-2**64+1", "trace-seed-negative", "dist-seed-negative",
         "fock-check-seed-negative", "sweep-jobs-zero", "dist-jobs-negative"])

@@ -18,7 +18,7 @@ from heatvalve import (
     thermal_occupations,
     window_mean_current,
 )
-from heatvalve.evolution import MEAN_CHUNK_ROWS, window_times
+from heatvalve.evolution import _BELOW_DIAGONAL, MEAN_CHUNK_ROWS, window_times
 
 from reference import (
     CorrelationMatrix,
@@ -255,6 +255,10 @@ class TestWindowMeanCurrent:
         # four chunks: the triangle's diagonal blocks and a last, one-row chunk
         assert MEAN_CHUNK_ROWS == 64
         cfg, bath, arrow, prop = arrow_setup(bath_size=bath_size, gamma=0.2, rwa=rwa)
+        # the last chunk's mask zeroes exactly the entries np.tril_indices(n, -1)
+        # names, so the mean is bit-equal to zeroing through those indices
+        n = prop.modes % MEAN_CHUNK_ROWS or MEAN_CHUNK_ROWS
+        assert np.array_equal(np.nonzero(_BELOW_DIAGONAL[:n, :n]), np.tril_indices(n, -1))
         levels = bath_levels(cfg, bath, 2)
         assert_equals_grid_mean(prop, levels, (20.0, 50.0), 0.05)
 

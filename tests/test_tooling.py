@@ -47,13 +47,16 @@ for command, extra in (("sweep", "gamma_grid: [0.0, 0.3]\n"), ("trace", "gamma: 
     cfg = tmp / f"{command}.yaml"
     cfg.write_text(base + extra)
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp / command)]) == 0
+for formula in ("fermi", "weak", "landauer", "transmission", "selfenergy"):
+    assert cli.main(["oracle", formula]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_sweep_trace_and_dist_load_no_scipy(tmp_path):
-    # sweep, trace and dist need numpy and PyYAML alone; oracle anomalous
-    # loads scipy.integrate and fock-check scipy.sparse when they run
+    # sweep, trace, dist and every closed-form oracle need numpy and PyYAML
+    # alone; oracle anomalous loads scipy.integrate and fock-check
+    # scipy.sparse when they run
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_SCIPY, str(tmp_path)], cwd=ROOT,
                          env=env, capture_output=True, text=True, timeout=300)
