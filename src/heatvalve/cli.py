@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -33,7 +34,13 @@ from .config import (
     load_config,
     make_valve_config,
 )
-from .experiments import run_distribution_comparison, run_sweep, run_trace, simulate_trace
+from .experiments import (
+    SweepRecord,
+    run_distribution_comparison,
+    run_sweep,
+    run_trace,
+    simulate_trace,
+)
 from .valve import ValveConfig, sample_bath
 
 EXIT_OK = 0
@@ -42,10 +49,7 @@ EXIT_NUMERICAL = 3
 
 UNITS_COMMENT = "# units: omega0 = 1; time in 1/omega0; currents in hbar*omega0^2\n"
 
-SWEEP_HEADER = [
-    "gamma_over_omega0", "kind", "mean_current", "std_current",
-    "landauer", "weak_coupling", "realizations",
-]
+SWEEP_HEADER = [f.name for f in fields(SweepRecord)]
 TRACE_HEADER = ["time", "kind", "N", "total", "normal", "anomalous", "pert_anomalous"]
 
 
@@ -112,14 +116,6 @@ def _kinds(cfg: dict) -> tuple[str, ...]:
     return ("exact", "rwa") if cfg["kind"] == "both" else (cfg["kind"],)
 
 
-def _sweep_rows(records):
-    for r in records:
-        yield (
-            r.gamma_over_omega0, r.kind, r.mean_current, r.std_current,
-            r.landauer, r.weak_coupling, r.realizations,
-        )
-
-
 def _run(args, required: str, tables) -> int:
     """Config in, CSV files and manifest out: the body of sweep, trace and dist.
 
@@ -170,7 +166,7 @@ def _sweep_args(cfg: dict, args) -> dict:
 def cmd_sweep(args) -> int:
     def tables(cfg):
         records = run_sweep(**_sweep_args(cfg, args))
-        return {"sweep.csv": (SWEEP_HEADER, _sweep_rows(records))}, [cfg["bath_size"]]
+        return {"sweep.csv": (SWEEP_HEADER, map(astuple, records))}, [cfg["bath_size"]]
 
     return _run(args, "gamma_grid", tables)
 
@@ -196,7 +192,7 @@ def cmd_trace(args) -> int:
 def cmd_dist(args) -> int:
     def tables(cfg):
         by_dist = run_distribution_comparison(**_sweep_args(cfg, args))
-        files = {f"sweep_{d}.csv": (SWEEP_HEADER, _sweep_rows(r)) for d, r in by_dist.items()}
+        files = {f"sweep_{d}.csv": (SWEEP_HEADER, map(astuple, r)) for d, r in by_dist.items()}
         return files, [cfg["bath_size"]]
 
     return _run(args, "gamma_grid", tables)

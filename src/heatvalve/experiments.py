@@ -70,17 +70,10 @@ class SweepRecord:
             raise ValueError("std_current must be >= 0")
 
 
-def _prepare_bath(config: ValveConfig) -> BathRealization:
-    bath = sample_bath(config)
-    if config.internal_coupling is not None:
-        bath = apply_internal_couplings(config, bath)
-    return bath
-
-
 def _realization(config: ValveConfig, bath: BathRealization | None = None):
     """Arrow propagator and cold-bath levels of one realization, bath sampled if not given."""
     if bath is None:
-        bath = _prepare_bath(config)
+        bath = apply_internal_couplings(config, sample_bath(config))
     prop = arrow_propagator(build_arrow(config, bath), thermal_occupations(config, bath))
     return prop, bath_levels(config, bath, COLD_BATH)
 
@@ -178,7 +171,7 @@ def run_trace(
     sampled bath and shares one overlay.
     """
     times = np.asarray(times, dtype=float)
-    bath = _prepare_bath(config_template)
+    bath = apply_internal_couplings(config_template, sample_bath(config_template))
     traces = {
         kind: simulate_trace(replace(config_template, rwa=(kind == "rwa")), times, bath=bath)
         for kind in kinds

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Construction-time structural tolerance and accumulated-floating-error
-# tolerance for spectral / round-trip checks.
-STRUCT_TOL = 1e-12
+# Accumulated-floating-error tolerance for spectral / round-trip checks.
 SPECTRAL_TOL = 1e-10
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import numpy.random
 
 from .analytics import BAND_TOP, occupation
-from .nambu import STRUCT_TOL, Arrow
+from .nambu import Arrow
 
 
 class CouplingDistribution(str, enum.Enum):
@@ -34,39 +34,15 @@ class CouplingDistribution(str, enum.Enum):
 
 @dataclass(frozen=True)
 class InternalCouplingSpec:
-    """Particle-conserving quadratic couplings among each bath's modes.
+    """Random particle-conserving couplings among each bath's modes, of one real scale.
 
-    Either explicit Hermitian N x N matrices (one per bath) or random
-    Hermitian ones: i.i.d. Gaussian entries, Hermitized, with off-diagonal
-    standard deviation scale/sqrt(N) so the induced frequency shifts stay of
-    order ``scale``.
+    ``apply_internal_couplings`` draws them per bath as the real symmetric
+    N x N matrix (A + A^T)/2, where A has i.i.d. normal entries of standard
+    deviation scale/sqrt(N), so the induced frequency shifts stay of order
+    ``scale``.
     """
 
-    matrices: tuple[np.ndarray, np.ndarray] | None = None
     scale: float = 0.1
-
-    def __post_init__(self):
-        if self.matrices is not None:
-            for m in self.matrices:
-                res = np.abs(m - m.conj().T).max() / max(np.abs(m).max(), 1.0)
-                if res > STRUCT_TOL:
-                    raise ValueError(
-                        f"internal coupling matrix not Hermitian: residual {res:.3e}"
-                    )
-
-    def realize(self, bath_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if self.matrices is not None:
-            for m in self.matrices:
-                if m.shape != (bath_size, bath_size):
-                    raise ValueError(
-                        f"internal coupling matrix shape {m.shape} != ({bath_size}, {bath_size})"
-                    )
-            return self.matrices
-        out = []
-        for _ in range(2):
-            A = rng.normal(scale=self.scale / np.sqrt(bath_size), size=(bath_size, bath_size))
-            out.append((A + A.T) / 2)
-        return tuple(out)
 
 
 # the bath (``ValveConfig.bath_slice``) whose heat current the experiments
@@ -128,10 +104,7 @@ class BathRealization:
         if self.frequencies.shape != self.couplings.shape or self.frequencies.ndim != 2:
             raise ValueError("frequencies and couplings must both be (2, N) arrays")
         if np.iscomplexobj(self.couplings):
-            raise ValueError(
-                "couplings must be real; fold complex phases into the modes "
-                "(apply_internal_couplings)"
-            )
+            raise ValueError("couplings must be real")
         self.frequencies.setflags(write=False)
         self.couplings.setflags(write=False)
 
@@ -163,29 +136,30 @@ def sample_bath(config: ValveConfig) -> BathRealization:
 
 
 def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> BathRealization:
-    """Fold particle-conserving intra-bath couplings into the realization.
+    """Fold each bath's random internal couplings into its levels and couplings.
 
-    Diagonalizing diag(w_ak) + coupling matrix per bath gives new level
-    frequencies (the eigenvalues) and unitarily rotated couplings
-    g_aj -> |sum_k conj(U_kj) g_ak|: each new mode's eigenvector phase,
-    arbitrary in eigh anyway, is chosen so that its coupling is real and
-    non-negative, which keeps a complex coupling matrix on the real valve.
-    The couplings' sum of squares is preserved.  Transformed frequencies may
-    leave the [0, 2] band.
+    A config without internal couplings folds to itself: the bath is
+    returned as drawn.  Otherwise one real symmetric matrix per bath (bath 1,
+    then bath 2, see ``InternalCouplingSpec``) comes from the stream
+    ``default_rng([seed, 0x1C])``, decoupled from ``sample_bath``'s by the
+    fixed tag.  Diagonalizing diag(w_ak) + that matrix gives new level
+    frequencies (the eigenvalues) and rotated couplings g_a -> |U^T g_a|:
+    the modulus fixes each eigenvector's sign, arbitrary in eigh anyway, so
+    that every coupling is non-negative.  The couplings' sum of squares is
+    preserved.  Transformed frequencies may leave the [0, 2] band.
     """
     spec = config.internal_coupling
     if spec is None:
-        raise ValueError("no internal-coupling spec provided")
-    # RNG stream decoupled from sample_bath's by a fixed tag.
+        return bath
+    N = config.bath_size
     rng = np.random.default_rng([config.seed, 0x1C])
-    matrices = spec.realize(config.bath_size, rng)
     new_freqs = np.empty_like(bath.frequencies)
     new_g = np.empty_like(bath.couplings)
     for a in range(2):
-        h_bath = np.diag(bath.frequencies[a]) + matrices[a]
-        evals, U = np.linalg.eigh(h_bath)
+        A = rng.normal(scale=spec.scale / np.sqrt(N), size=(N, N))
+        evals, U = np.linalg.eigh(np.diag(bath.frequencies[a]) + (A + A.T) / 2)
         new_freqs[a] = evals
-        new_g[a] = np.abs(U.conj().T @ bath.couplings[a])
+        new_g[a] = np.abs(U.T @ bath.couplings[a])
     return BathRealization(frequencies=new_freqs, couplings=new_g)
 
 

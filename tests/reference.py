@@ -23,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from heatvalve.evolution import ArrowPropagator, CurrentTrace, _check_sample_count, _in_window
-from heatvalve.nambu import SPECTRAL_TOL, STRUCT_TOL
+from heatvalve.nambu import SPECTRAL_TOL
 from heatvalve.valve import (
     BathRealization, ValveConfig, bath_levels, hamiltonian_blocks, thermal_occupations,
 )
+
+# construction-time structural tolerance of the dense operators
+STRUCT_TOL = 1e-12
 
 
 def ph_swap(modes: int) -> np.ndarray:

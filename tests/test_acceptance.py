@@ -69,9 +69,7 @@ def test_criterion_1_fock_oracle_equivalence(criterion_report):
             internal_coupling=InternalCouplingSpec(scale=0.2) if i % 3 == 0 else None,
         )
         trace = simulate_trace(cfg, times)
-        bath = sample_bath(cfg)
-        if cfg.internal_coupling is not None:
-            bath = apply_internal_couplings(cfg, bath)
+        bath = apply_internal_couplings(cfg, sample_bath(cfg))
         dev = np.abs(trace.total - fock.exact_current(cfg, bath, times)).max()
         worst = max(worst, float(dev))
     elapsed = time.monotonic() - start
@@ -201,9 +199,7 @@ def test_criterion_7_conservation_and_structure(criterion_report):
     )
     dt = 1e-4
     for cfg in instances:
-        bath = sample_bath(cfg)
-        if cfg.internal_coupling is not None:
-            bath = apply_internal_couplings(cfg, bath)
+        bath = apply_internal_couplings(cfg, sample_bath(cfg))
         arrow = build_arrow(cfg, bath)
         prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
         # dense references

@@ -179,6 +179,20 @@ LANDAUER_REFERENCE = {
 }
 
 
+# the same integral at 40 digits, band split at 1 -+ 10^-k, k = 1..24, for
+# couplings whose linewidth Gamma = pi gamma^2/3 is 1e-16 to 1e-10
+LANDAUER_SMALL_REFERENCE = {
+    (1e-5, (1.0, 0.0)): 1.4081739893173211e-11,
+    (1e-5, (0.5, 0.2)): 5.891013546545511e-12,
+    (3e-6, (1.0, 0.0)): 1.2673565904286972e-12,
+    (3e-6, (0.5, 0.2)): 5.301912192206082e-13,
+    (1e-6, (1.0, 0.0)): 1.4081739893694297e-13,
+    (1e-6, (0.5, 0.2)): 5.891013546926428e-14,
+    (1e-8, (1.0, 0.0)): 1.408173989369956e-17,
+    (1e-8, (0.5, 0.2)): 5.891013546930275e-18,
+}
+
+
 class TestLandauerReference:
     @pytest.mark.parametrize("temps", [(1.0, 0.0), (0.5, 0.2), (0.0, 1.0)])
     @pytest.mark.parametrize("n", [60, 450])
@@ -203,6 +217,22 @@ class TestLandauerReference:
         # quadrature stepped over it and returned a current of the wrong sign
         want = LANDAUER_REFERENCE[gamma, (1.0, 0.0)]
         assert landauer_current(gamma, 1.0, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gamma, temps", LANDAUER_SMALL_REFERENCE,
+                             ids=[f"{g}-T{t1}-{t2}" for g, (t1, t2) in LANDAUER_SMALL_REFERENCE])
+    def test_small_couplings(self, gamma, temps):
+        # gamma 1e-5 is just above the switch to the weak-coupling limit, the
+        # rest below it; at 1e-6 and 1e-8 the rule alone is off by 1.4e-10 and
+        # 4.4e-8, under its absolute error bound
+        want = LANDAUER_SMALL_REFERENCE[gamma, temps]
+        assert landauer_current(gamma, *temps) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_vanishing_coupling_is_the_weak_limit(self):
+        # the Lorentzian, 1e-200 wide, falls between the rule's nodes
+        got = landauer_current(1e-100, 1.0, 0.0)
+        g = spectral_density(1e-100)
+        assert got > 0
+        assert got == weak_coupling_current(g, g, 1.0, 0.0)
 
     def test_rule_nodes_inside_band(self):
         # every node and its offsets from the centre and the top are exact and
@@ -264,6 +294,17 @@ class TestWeakCoupling:
             1.4082e-3, abs=1e-7
         )
 
+    @pytest.mark.parametrize("ratio", [1.0, 3.0])
+    def test_vanishing_linewidths_do_not_underflow(self, ratio):
+        # G1 G2 is about 1e-400, below the smallest double
+        mp = pytest.importorskip("mpmath")
+        g1, g2 = spectral_density(1e-100), ratio * spectral_density(1e-100)
+        with mp.workdps(40):
+            G1, G2 = mp.mpf(g1), mp.mpf(g2)
+            want = G1 * G2 / (G1 + G2) / (1 + mp.e)
+        got = weak_coupling_current(g1, g2, 1.0, 0.0)
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0)
+
 
 # the coupling scale at which 50 levels have <g^2> = gamma^2/(3 * 50) = 1e-4
 GAMMA_50 = math.sqrt(3 * 50 * 1e-4)
@@ -322,7 +363,7 @@ class TestEmpiricalGamma:
         assert empirical_gamma(np.array([0.1]), np.array([1.0]), 1.0) == 0.0
 
     def test_complex_couplings_count_by_modulus(self):
-        # internal couplings with complex matrices rotate the couplings complex
+        # complex couplings, given from outside, count by their modulus
         freqs = np.array([0.95, 1.02, 1.05, 1.4])
         g = np.array([0.1j, 0.1, (0.03 - 0.04j), 0.2j])
         want = empirical_gamma(freqs, np.abs(g), 1.0)

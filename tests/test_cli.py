@@ -108,8 +108,12 @@ class TestSweep:
         cfg = write_config(tmp_path, "gamma_grid: [1.0e-15]\n", bath_size=20, kind="exact")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        _, rows = read_csv(out / "sweep.csv")
+        header, rows = read_csv(out / "sweep.csv")
         assert [row[1] for row in rows] == ["exact"]
+        # a linewidth of 1e-30 is far under the Landauer switch to the weak limit
+        row = dict(zip(header, rows[0]))
+        assert float(row["landauer"]) > 0
+        assert row["landauer"] == row["weak_coupling"]
 
     def test_missing_gamma_grid(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -89,8 +89,7 @@ def test_internal_coupling_section(tmp_path):
         write(tmp_path, BASE + "internal_coupling: {generator: random_hermitian, scale: 0.2}\n")
     )
     vc = make_valve_config(cfg, gamma=0.1)
-    assert vc.internal_coupling is not None
-    assert vc.internal_coupling.scale == 0.2
+    assert vc.internal_coupling == InternalCouplingSpec(scale=0.2)
 
 
 def test_internal_coupling_scale_defaults_to_the_spec(tmp_path):

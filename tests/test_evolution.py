@@ -42,21 +42,10 @@ def arrow_setup(**kw):
     base = dict(bath_size=6, gamma=0.3, t_hot=1.0, t_cold=0.0, seed=5)
     base.update(kw)
     cfg = ValveConfig(**base)
-    bath = sample_bath(cfg)
-    if cfg.internal_coupling is not None:
-        bath = apply_internal_couplings(cfg, bath)
+    bath = apply_internal_couplings(cfg, sample_bath(cfg))
     arrow = build_arrow(cfg, bath)
     prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))
     return cfg, bath, arrow, prop
-
-
-def complex_internal_coupling(bath_size, scale=0.2, seed=8):
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(2):
-        A = rng.normal(size=(bath_size, bath_size)) + 1j * rng.normal(size=(bath_size, bath_size))
-        mats.append(scale * (A + A.conj().T) / (2 * np.sqrt(bath_size)))
-    return InternalCouplingSpec(matrices=tuple(mats))
 
 
 class TestEvolve:
@@ -159,7 +148,7 @@ class TestHeatCurrent:
             dict(bath_size=25),
             dict(bath_size=25, rwa=True, t_cold=0.3),
             dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)),
-            dict(bath_size=6, internal_coupling=complex_internal_coupling(6)),
+            dict(bath_size=6, internal_coupling=InternalCouplingSpec(scale=0.2)),
         ]
         times = np.linspace(0, 30, 61)
         for kw in cases:
@@ -240,9 +229,9 @@ class TestWindowMeanCurrent:
         (dict(bath_size=450, gamma=0.2, rwa=True, t_cold=0.3), (20.0, 50.0), 0.05),
         (dict(bath_size=450, gamma=0.2, rwa=True), (200.0, 400.0), 0.5),
         (dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)), (20.0, 50.0), 0.05),
-        (dict(bath_size=6, internal_coupling=complex_internal_coupling(6)), (20.0, 30.0), 0.5),
+        (dict(bath_size=6, internal_coupling=InternalCouplingSpec(scale=0.2)), (20.0, 30.0), 0.5),
     ], ids=["exact-short", "exact-long", "rwa-short", "rwa-long", "real_internal",
-            "complex_internal"])
+            "internal_n6"])
     def test_equals_grid_mean(self, kw, window, time_step):
         cfg, bath, arrow, prop = arrow_setup(**kw)
         levels = bath_levels(cfg, bath, 2)

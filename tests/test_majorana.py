@@ -80,9 +80,7 @@ def valve(bath_size=40, edit=None, center_level=None, monkeypatch=None, **kw):
     if center_level is not None:
         center_level_at(monkeypatch, center_level)
     cfg = ValveConfig(bath_size=bath_size, t_hot=1.0, t_cold=0.0, seed=11, **kw)
-    bath = sample_bath(cfg)
-    if cfg.internal_coupling is not None:
-        bath = apply_internal_couplings(cfg, bath)
+    bath = apply_internal_couplings(cfg, sample_bath(cfg))
     if edit is not None:
         freqs, g = bath.frequencies.copy(), bath.couplings.copy()
         edit(freqs, g)
@@ -257,22 +255,6 @@ def test_non_physical_diagonal_state_uses_dense_rotation():
 
 
 class TestSolverPaths:
-    def test_complex_internal_couplings_fold_to_real_arrow_and_match_fock(self, monkeypatch):
-        # eigh folds the complex matrices in; the eigenvector phases make the
-        # new couplings real, so the valve runs from its arrow
-        rng = np.random.default_rng(7)
-        mats = []
-        for _ in range(2):
-            A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            mats.append(0.2 * (A + A.conj().T) / 2)
-        spec = InternalCouplingSpec(matrices=tuple(mats))
-        cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
-        assert np.isrealobj(bath.couplings) and (bath.couplings >= 0).all()
-        assert solvers_called(monkeypatch, cfg, bath)[1] == {"secular"}
-        times = np.linspace(0.0, 20.0, 81)
-        dev = np.abs(simulate_trace(cfg, times).total - fock.exact_current(cfg, bath, times))
-        assert dev.max() < 1e-9
-
     def test_real_internal_couplings_run_from_arrow_and_match_fock(self, monkeypatch):
         spec = InternalCouplingSpec(scale=0.3)
         cfg, bath, _, _ = valve(bath_size=3, gamma=0.6, internal_coupling=spec)
@@ -389,9 +371,7 @@ class TestSolverPaths:
 ], ids=["uniform", "random_hermitian", "close_pair", "rwa_uniform", "rwa_negative_levels",
         "rwa_close_pair"])
 def test_lowner_state_matches_product(cfg, monkeypatch):
-    bath = sample_bath(cfg)
-    if cfg.internal_coupling is not None:
-        bath = apply_internal_couplings(cfg, bath)
+    bath = apply_internal_couplings(cfg, sample_bath(cfg))
     prop, calls = solvers_called(monkeypatch, cfg, bath)
     assert calls == {"secular"}
     e = 1 - 2 * thermal_occupations(cfg, bath)

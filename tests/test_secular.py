@@ -45,9 +45,7 @@ def solver_inputs(monkeypatch, arrow, weights):
 def valve_arrow(N, gamma, rwa=False, seed=0, scale=None):
     cfg = ValveConfig(bath_size=N, gamma=gamma, t_hot=1.0, t_cold=0.0, rwa=rwa, seed=seed,
                       internal_coupling=None if scale is None else InternalCouplingSpec(scale=scale))
-    bath = sample_bath(cfg)
-    if scale is not None:
-        bath = apply_internal_couplings(cfg, bath)
+    bath = apply_internal_couplings(cfg, sample_bath(cfg))
     return build_arrow(cfg, bath), 1 - 2 * thermal_occupations(cfg, bath)
 
 
