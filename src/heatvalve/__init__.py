@@ -7,7 +7,7 @@ formulas, and a brute-force Fock-space oracle for verification.
 
 __version__ = "0.1.0"
 
-from .nambu import Arrow
+from .nambu import Arrow, ArrowPropagator, arrow_propagator
 from .valve import (
     BathRealization,
     CouplingDistribution,
@@ -19,13 +19,7 @@ from .valve import (
     sample_bath,
     thermal_occupations,
 )
-from .evolution import (
-    ArrowPropagator,
-    CurrentTrace,
-    arrow_propagator,
-    heat_current,
-    window_mean_current,
-)
+from .evolution import CurrentTrace, heat_current, window_mean_current
 from .analytics import (
     anomalous_current_continuum,
     anomalous_current_discrete,

@@ -235,6 +235,8 @@ def anomalous_current_continuum(gamma: float, temperature: float, t: float) -> f
 
     if t == 0:
         return 0.0
+    if not abs(t) * np.finfo(float).eps < 1:  # the phase (1 + w) t would be rounding noise
+        raise ValueError(f"t={t} is beyond 1/eps, where no phase (1 + w) t is resolved")
     from scipy import integrate  # only here: a module import would load it for every run
 
     # sin((1+w)t) = sin(wt)cos(t) + cos(wt)sin(t)

@@ -28,6 +28,8 @@ import numpy as np
 
 from . import __version__, analytics
 from .config import (
+    KINDS,
+    SEED_BOUND,
     ConfigError,
     apply_full_preset,
     config_hash,
@@ -213,6 +215,8 @@ def cmd_oracle(args) -> int:
             val = analytics.self_energy(args.gamma, args.omega)
         else:  # anomalous (continuum limit)
             val = analytics.anomalous_current_continuum(args.gamma, args.temp, args.t)
+    if not math.isfinite(val):
+        raise FloatingPointError(f"oracle {args.formula} gave {val}")
     print(repr(float(val)))
     return EXIT_OK
 
@@ -250,8 +254,8 @@ def _in_range(kind, lo, hi):
     return parse
 
 
-# the 64-bit range that the config key `seed` accepts
-_seed = _in_range(int, 0, 2**64 - 1)
+# the range that the config key `seed` accepts
+_seed = _in_range(int, 0, SEED_BOUND - 1)
 
 
 def _fock_bath_size(text: str) -> int:
@@ -268,7 +272,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--full", action="store_true", help="apply the figure-scale preset")
     p.add_argument("--jobs", type=_in_range(int, 1, np.inf), default=1,
                    help="parallel worker processes")
-    p.add_argument("--kind", choices=["exact", "rwa", "both"], default=None,
+    p.add_argument("--kind", choices=KINDS, default=None,
                    help="override the Hamiltonian kind")
 
 
@@ -281,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"heatvalve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     non_negative = _in_range(float, 0.0, np.inf)
+    coupling = _in_range(float, 0.0, sys.float_info.max)  # finite, as the config's gamma
 
     p = sub.add_parser("sweep", help="steady-state current vs coupling strength")
     _add_run_flags(p)
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     p.add_argument("--x", type=_in_range(float, -np.inf, np.inf), default=1.0,
                    help="fermi argument beta*omega")
-    p.add_argument("--gamma", type=non_negative, default=0.1,
+    p.add_argument("--gamma", type=coupling, default=0.1,
                    help="coupling scale gamma/omega0")
     p.add_argument("--t1", type=non_negative, default=1.0, help="hot bath temperature")
     p.add_argument("--t2", type=non_negative, default=0.0, help="cold bath temperature")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fock-check")
     p.add_argument("--n", type=_fock_bath_size, default=2,
                    help="bath size (M = 2N+1 modes, within the Fock oracle's cap)")
-    p.add_argument("--gamma", type=non_negative, default=0.3)
+    p.add_argument("--gamma", type=coupling, default=0.3)
     p.add_argument("--rwa", action="store_true")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_fock_check)
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import yaml
@@ -15,6 +16,7 @@ from .valve import CouplingDistribution, InternalCouplingSpec, ValveConfig
 SCHEMA_VERSION = 1
 
 KINDS = ("exact", "rwa", "both")
+SEED_BOUND = 2**64  # seeds are 64-bit: 0 <= seed < SEED_BOUND
 
 _DEFAULTS = {
     "t_hot": 1.0,
@@ -35,9 +37,21 @@ _DEFAULTS = {
 
 _KNOWN_KEYS = set(_DEFAULTS) | {"schema_version", "bath_size"}
 
+# a YAML 1.1 float has a decimal point and a signed exponent: 1e-3, 1.0e3 are text
+_FLOAT_AS_TEXT = re.compile(r"([-+]?\d+)(?:\.(\d*))?[eE]([-+]?)(\d+)")
+
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; message names the offending key/path."""
+
+
+def _refuse_float_text(key: str, value) -> None:
+    """ConfigError naming the fix for a float (or list item) that YAML read as text."""
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, str) and (m := _FLOAT_AS_TEXT.fullmatch(v)):
+            whole, frac, sign, exp = m.groups()
+            raise ConfigError(f"config key '{key}' holds {v!r}, which YAML reads as text: "
+                              f"write {whole}.{frac or 0}e{sign or '+'}{exp}")
 
 
 def _require(cfg: dict, key: str, types, pred=None, what: str = ""):
@@ -45,6 +59,8 @@ def _require(cfg: dict, key: str, types, pred=None, what: str = ""):
         raise ConfigError(f"missing required config key '{key}'")
     val = cfg[key]
     if not isinstance(val, types) or isinstance(val, bool):
+        if isinstance(0.0, types):
+            _refuse_float_text(key, val)
         raise ConfigError(f"config key '{key}' has wrong type {type(val).__name__}")
     if pred is not None and not pred(val):
         raise ConfigError(f"config key '{key}' invalid: {what}")
@@ -90,7 +106,7 @@ def _validate(cfg: dict) -> None:
     _require(cfg, "bath_size", int, lambda v: v >= 1, "must be >= 1")
     _require(cfg, "t_hot", (int, float), lambda v: v >= 0, "must be >= 0")
     _require(cfg, "t_cold", (int, float), lambda v: v >= 0, "must be >= 0")
-    _require(cfg, "seed", int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
+    _require(cfg, "seed", int, lambda v: 0 <= v < SEED_BOUND, "must fit in 64 bits")
     _require(cfg, "time_step", (int, float), lambda v: 0 < v < math.inf, "must be in (0, inf)")
     _require(cfg, "realizations", int, lambda v: v >= 1, "must be >= 1")
     _require(cfg, "t_max", (int, float), lambda v: 0 < v < math.inf, "must be in (0, inf)")
@@ -110,6 +126,7 @@ def _validate(cfg: dict) -> None:
         or not all(_is_number(v) and math.isfinite(v) for v in window)
         or not 0 <= window[0] < window[1]
     ):
+        _refuse_float_text("window", window)
         raise ConfigError("config key 'window' must be finite [t_lo, t_hi], 0 <= t_lo < t_hi")
     samples = len(window_times(window, cfg["time_step"]))
     if samples < MIN_WINDOW_SAMPLES:
@@ -126,6 +143,7 @@ def _validate(cfg: dict) -> None:
             or not grid
             or not all(_is_number(v) and 0 <= v < math.inf for v in grid)
         ):
+            _refuse_float_text("gamma_grid", grid)
             raise ConfigError("config key 'gamma_grid' must list one or more floats in [0, inf)")
     if cfg["bath_sizes"] is not None:
         sizes = cfg["bath_sizes"]
@@ -149,6 +167,7 @@ def _validate(cfg: dict) -> None:
                 f"config key 'internal_coupling.generator' unknown: {gen!r}"
             )
         if not _is_number(scale) or not 0 <= scale < math.inf:
+            _refuse_float_text("internal_coupling.scale", scale)
             raise ConfigError("config key 'internal_coupling.scale' must be a float in [0, inf)")
     full = cfg["full"]
     if full is not None and not isinstance(full, dict):

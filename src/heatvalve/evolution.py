@@ -1,13 +1,7 @@
-"""Exact time evolution of the correlation matrix and heat-current traces.
+"""Heat-current traces and window means of a solved arrow realization.
 
 The Hamiltonian is time independent, so chi(t) = e^{-iHt} chi(0) e^{iHt}.
-A valve realization runs from its arrow alone, in the Majorana form
-(``arrow_propagator``).  With W = [[1, 1], [1, -1]]/sqrt(2), H becomes
-[[0, K^T], [K, 0]] for the arrow's K = h + Delta, and the thermal product
-state with mode occupations n becomes [[1, e], [e, 1]]/2,
-e = diag(1 - 2n).  The M x M SVD K = P diag(s) Q^T and X = Q^T e P of
-``nambu.arrow_svd`` (O(M^2) with pairing and under the RWA alike) are
-then the whole realization (``ArrowPropagator``): the evolution turns the
+A realization is its ``nambu.ArrowPropagator``: the evolution turns the
 pair of singular bases through cos(st) and sin(st).  Heat currents
 d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector
 of its mode energies (``valve.bath_levels``).  The bath couples only to
@@ -25,40 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nambu import Arrow, arrow_svd
-
-
-@dataclass(frozen=True)
-class ArrowPropagator:
-    """An arrow realization in the Majorana form: K = P diag(s) Q^T and X.
-
-    s are the quasiparticle energies, in the solver's order (not sorted), P
-    and Q the left and right singular vectors of the arrow's K = h + Delta, and
-    X = Q^T diag(1 - 2n) P the product state with mode occupations n.  All
-    four are real; a complex factor, or one not shaped by the arrow's M, is
-    refused.  The arrow is kept, so every current is taken with the arrow
-    the factors were solved from.
-    """
-
-    arrow: Arrow
-    s: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        M = self.arrow.modes
-        for name, shape in (("s", (M,)), ("P", (M, M)), ("Q", (M, M)), ("X", (M, M))):
-            arr = getattr(self, name)
-            if arr.shape != shape or not np.isrealobj(arr):
-                raise ValueError(
-                    f"{name} must be a real array of shape {shape}, got {arr.dtype} {arr.shape}"
-                )
-            arr.setflags(write=False)
-
-    @property
-    def modes(self) -> int:
-        return self.arrow.modes
+from . import nambu
 
 
 @dataclass(frozen=True)
@@ -80,21 +41,6 @@ class CurrentTrace:
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
-def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
-    """An arrow's realization in the product state with mode occupations n.
-
-    ``nambu.arrow_svd`` gives the M x M SVD and X = Q^T diag(1 - 2n) P
-    together, in O(M^2) for every arrow; no 2M x 2M array.
-    """
-    occupations = np.asarray(occupations, dtype=float)
-    if occupations.shape != (arrow.modes,):
-        raise ValueError(
-            f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
-        )
-    s, P, Q, X = arrow_svd(arrow, 1 - 2 * occupations)
-    return ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=X)
-
-
 def _phase_parts(s: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(s t) and sin(s t) as (M, T) arrays; the sine overwrites the argument."""
     arg = np.multiply.outer(s, times)
@@ -102,12 +48,13 @@ def _phase_parts(s: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cos, np.sin(arg, out=arg)
 
 
-def _checked_levels(prop: ArrowPropagator, levels) -> np.ndarray:
-    M = prop.modes
+def _coupled_levels(prop: nambu.ArrowPropagator, levels) -> np.ndarray:
+    """w = levels * couplings: the measured bath's side of [H_bath, H], checked against M."""
+    M = prop.arrow.modes
     levels = np.asarray(levels)
     if levels.shape != (M,):
         raise ValueError(f"bath levels must have shape ({M},), got {levels.shape}")
-    return levels
+    return levels * prop.arrow.couplings
 
 
 def _antisym(a: np.ndarray, b: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
@@ -122,7 +69,7 @@ def _bilinear(cos: np.ndarray, G: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("jt,jt->t", cos, G @ sin)
 
 
-def heat_current(prop: ArrowPropagator, levels, times) -> CurrentTrace:
+def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
     H is the arrow's Hamiltonian, ``levels`` the M mode energies of H_bath,
@@ -140,8 +87,7 @@ def heat_current(prop: ArrowPropagator, levels, times) -> CurrentTrace:
     """
     times = np.asarray(times, dtype=float)
     arrow = prop.arrow
-    levels = _checked_levels(prop, levels)
-    w = levels * arrow.couplings
+    w = _coupled_levels(prop, levels)
     zeros = np.zeros_like(times)
     if not w.any():
         return CurrentTrace(times=times, total=zeros, normal=zeros, anomalous=zeros)
@@ -218,7 +164,7 @@ def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
     return rho
 
 
-def window_mean_current(prop: ArrowPropagator, levels, window, time_step) -> float:
+def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) -> float:
     """Mean over the samples of ``window_times`` of the ``heat_current`` total.
 
     The total is 2 f_Q for every arrow (``heat_current``), so it is
@@ -236,8 +182,8 @@ def window_mean_current(prop: ArrowPropagator, levels, window, time_step) -> flo
     with s_max dt >= pi/2 (the Nyquist bound of the highest frequency
     2 s_max) is refused.
     """
-    M = prop.modes
-    levels = _checked_levels(prop, levels)
+    M = prop.arrow.modes
+    w = _coupled_levels(prop, levels)
     times = window_times(window, time_step)
     _check_sample_count(len(times), window)
     s = prop.s
@@ -248,7 +194,6 @@ def window_mean_current(prop: ArrowPropagator, levels, window, time_step) -> flo
             f"{s_max * time_step:.4g} >= pi/2 for the highest quasiparticle energy "
             f"s_max={s_max:.6g}; need dt < pi/(2 s_max) = {np.pi / (2 * s_max):.6g}"
         )
-    w = levels * prop.arrow.couplings
     if not w.any():
         return 0.0  # G is exactly zero
     X = prop.X

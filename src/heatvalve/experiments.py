@@ -18,12 +18,8 @@ import numpy as np
 
 from . import analytics
 from .config import ConfigError
-from .evolution import (
-    CurrentTrace,
-    arrow_propagator,
-    heat_current,
-    window_mean_current,
-)
+from .evolution import CurrentTrace, heat_current, window_mean_current
+from .nambu import arrow_propagator
 from .valve import (
     COLD_BATH,
     BathRealization,

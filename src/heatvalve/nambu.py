@@ -5,8 +5,10 @@ A quadratic operator sum h_ij a_i^dag a_j + (1/2) sum (Delta_ij a_i^dag a_j^dag
 block Delta.  A real operator whose modes couple only through one central
 mode (the heat valve) is carried by its ``Arrow``: the M x M matrix
 K = h + Delta, a diagonal plus the central column (and row).  Its SVD
-``arrow_svd`` gives the eigenbasis of the 2M x 2M Nambu matrix
-[[h, Delta], [-Delta*, -h^T]] in the Majorana form, from one secular
+K = P diag(s) Q^T gives the eigenbasis of the 2M x 2M Nambu matrix
+[[h, Delta], [-Delta*, -h^T]] in the Majorana form, and X = Q^T diag(1 - 2n) P
+the product state with mode occupations n.  ``arrow_propagator`` solves,
+probes and returns them as an ``ArrowPropagator``, from one secular
 solver with pairing and under the RWA, in O(M^2).  The secular solver
 (``_secular_roots``) is numpy: LAPACK dlasd4's stable method, vectorized
 over the roots, with its stopping test.
@@ -53,13 +55,43 @@ class Arrow:
         return self.couplings if self.rwa else 2 * self.couplings
 
 
-def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, float]:
+@dataclass(frozen=True)
+class ArrowPropagator:
+    """An arrow realization in the Majorana form: K = P diag(s) Q^T and X.
+
+    s are the quasiparticle energies, in the solver's order (not sorted), P
+    and Q the left and right singular vectors of the arrow's K = h + Delta, and
+    X = Q^T diag(1 - 2n) P the product state with mode occupations n.  All
+    four are real; a complex factor, or one not shaped by the arrow's M, is
+    refused.  The arrow is kept, so every current is taken with the arrow
+    the factors were solved from.
+    """
+
+    arrow: Arrow
+    s: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    X: np.ndarray
+
+    def __post_init__(self):
+        M = self.arrow.modes
+        for name, shape in (("s", (M,)), ("P", (M, M)), ("Q", (M, M)), ("X", (M, M))):
+            arr = getattr(self, name)
+            if arr.shape != shape or not np.isrealobj(arr):
+                raise ValueError(
+                    f"{name} must be a real array of shape {shape}, got {arr.dtype} {arr.shape}"
+                )
+            arr.setflags(write=False)
+
+
+def _probe_residuals(prop: ArrowPropagator, weights) -> tuple[float, float, float]:
     """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe.
 
     A fixed pseudo-random vector makes the checks O(M^2) matrix-vector work;
     K v itself is O(M) from the arrow, and X v is checked against
     Q^T (e * P v) for the weights e.
     """
+    arrow, s, P, Q = prop.arrow, prop.s, prop.P, prop.Q
     v = np.random.default_rng(0x5EED).standard_normal(arrow.modes)
     norm = np.linalg.norm(v)
     c = arrow.center
@@ -71,7 +103,7 @@ def _probe_residuals(arrow: Arrow, weights, s, P, Q, X) -> tuple[float, float, f
     scale = max(s.max(initial=0.0), 1.0) * norm
     recon = np.linalg.norm(Kv - P @ (s * w)) / scale
     ortho = max(np.linalg.norm(Q @ w - v), np.linalg.norm(P @ (P.T @ v) - v)) / norm
-    state = np.linalg.norm(X @ v - Q.T @ (weights * Pv)) / norm
+    state = np.linalg.norm(prop.X @ v - Q.T @ (weights * Pv)) / norm
     return float(recon), float(ortho), float(state)
 
 
@@ -474,23 +506,27 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     return s, PT.T, QT.T, Y.T
 
 
-def arrow_svd(arrow: Arrow, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """SVD K = P diag(s) Q^T of an arrow's K = h + Delta, and X = Q^T diag(e) P.
+def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
+    """An arrow's realization in the product state with mode occupations n.
 
-    ``weights`` are the M diagonal entries e of the state (1 - 2n for mode
-    occupations n).  ``_broken_arrow_svd`` solves every arrow, with pairing
-    or under the RWA, coincident and zero levels included, and writes X
-    down as a Löwner matrix, in O(M^2); s is in its order, not sorted.
-    Every result is probed: K v = P diag(s) Q^T v, P^T P v = v,
-    Q^T Q v = v and X v = Q^T (e * P v) for one fixed vector v, each to
-    SPECTRAL_TOL, or ValueError (a NaN residual included).
+    ``_broken_arrow_svd`` solves every arrow, with pairing or under the RWA,
+    coincident and zero levels included, for the weights e = 1 - 2n, and
+    writes X = Q^T diag(e) P down as a Löwner matrix, in O(M^2); s is in its
+    order, not sorted.  Every result is probed: K v = P diag(s) Q^T v,
+    P^T P v = v, Q^T Q v = v and X v = Q^T (e * P v) for one fixed vector v,
+    each to SPECTRAL_TOL, or ValueError (a NaN residual included).
     """
-    weights = np.asarray(weights, dtype=float)
-    s, P, Q, X = _broken_arrow_svd(arrow, weights)
-    recon, ortho, state = _probe_residuals(arrow, weights, s, P, Q, X)
+    occupations = np.asarray(occupations, dtype=float)
+    if occupations.shape != (arrow.modes,):
+        raise ValueError(
+            f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
+        )
+    weights = 1 - 2 * occupations
+    prop = ArrowPropagator(arrow, *_broken_arrow_svd(arrow, weights))
+    recon, ortho, state = _probe_residuals(prop, weights)
     if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
         raise ValueError(
             f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "
             f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
         )
-    return s, P, Q, X
+    return prop

@@ -13,8 +13,8 @@ chi_ij = <A_i A_j^dag>, evolved as chi(t) = e^{-iHt} chi(0) e^{iHt} in the
 eigenbasis of the 2M x 2M Hermitian ``eigh`` of H.
 
 This route stays independent of the engine: it builds a dense H and calls
-``np.linalg.eigh``, never ``nambu.arrow_svd``.  Only ``dense`` converts an
-``ArrowPropagator``, the solver's output, into its form.  ``secular_roots``
+``np.linalg.eigh``, never ``nambu.arrow_propagator``.  Only ``dense`` converts
+an ``ArrowPropagator``, the solver's output, into its form.  ``secular_roots``
 is LAPACK's ``dlasd4``, the reference for the engine's numpy secular solver.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from heatvalve.evolution import ArrowPropagator, CurrentTrace, _check_sample_count, _in_window
-from heatvalve.nambu import SPECTRAL_TOL
+from heatvalve.evolution import CurrentTrace, _check_sample_count, _in_window
+from heatvalve.nambu import SPECTRAL_TOL, ArrowPropagator
 from heatvalve.valve import (
     BathRealization, ValveConfig, bath_levels, hamiltonian_blocks, thermal_occupations,
 )
@@ -234,8 +234,8 @@ def dense(prop: ArrowPropagator) -> Propagator:
     S = (X + X.T) / 4
     A = (X - X.T) / 4
     rotated = np.block([[-S, A[:, ::-1]], [A.T[::-1, :], S[::-1, ::-1]]])
-    rotated[np.diag_indices(2 * prop.modes)] += 0.5
-    return Propagator(modes=prop.modes, eigenvalues=np.concatenate([-s, s[::-1]]),
+    rotated[np.diag_indices(2 * prop.arrow.modes)] += 0.5
+    return Propagator(modes=prop.arrow.modes, eigenvalues=np.concatenate([-s, s[::-1]]),
                       transform=U, rotated_initial=rotated)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -299,6 +300,12 @@ class TestExitCodes:
         assert "internal_coupling.scal" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_float_read_as_text(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", t_max="1e-3")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'t_max' holds '1e-3', which YAML reads as text: write 1.0e-3" in err
+
     def test_aliasing_time_step(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n", time_step=1.0, window="[20, 50]")
         out = tmp_path / "o"
@@ -364,32 +371,59 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command, e
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["oracle", "fermi", "--x", "nan"],
-    ["oracle", "weak", "--gamma", "-0.5"],
-    ["oracle", "landauer", "--t1", "-1"],
-    ["oracle", "landauer", "--t2", "-0.1"],
-    ["oracle", "anomalous", "--temp", "-1"],
-    ["fock-check", "--gamma", "-1"],
-    ["oracle", "anomalous", "--t", "-5"],
-    ["oracle", "selfenergy", "--omega", "3"],
-    ["oracle", "transmission", "--omega", "2"],
-    ["oracle", "selfenergy", "--omega", "0"],
-    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
-    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "18446744073709551616"],
-    ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "18446744073709551617"],
-    ["trace", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
-    ["dist", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
-    ["fock-check", "--seed", "-1"],
-    ["sweep", "--config", "c.yaml", "--out", "o", "--jobs", "0"],
-    ["dist", "--config", "c.yaml", "--out", "o", "--jobs", "-4"],
-], ids=["x-nan", "gamma", "t1", "t2", "temp", "fock-check-gamma", "t", "selfenergy-omega",
-        "transmission-omega-edge", "selfenergy-omega-zero", "sweep-seed-negative",
-        "sweep-seed-2**64", "sweep-seed-2**64+1", "trace-seed-negative", "dist-seed-negative",
-        "fock-check-seed-negative", "sweep-jobs-zero", "dist-jobs-negative"])
+OUT_OF_RANGE = {
+    "x-nan": ["oracle", "fermi", "--x", "nan"],
+    "gamma": ["oracle", "weak", "--gamma", "-0.5"],
+    "t1": ["oracle", "landauer", "--t1", "-1"],
+    "t2": ["oracle", "landauer", "--t2", "-0.1"],
+    "temp": ["oracle", "anomalous", "--temp", "-1"],
+    "fock-check-gamma": ["fock-check", "--gamma", "-1"],
+    "t": ["oracle", "anomalous", "--t", "-5"],
+    "selfenergy-omega": ["oracle", "selfenergy", "--omega", "3"],
+    "transmission-omega-edge": ["oracle", "transmission", "--omega", "2"],
+    "selfenergy-omega-zero": ["oracle", "selfenergy", "--omega", "0"],
+    "sweep-seed-negative": ["sweep", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    "sweep-seed-2**64": ["sweep", "--config", "c.yaml", "--out", "o", "--seed",
+                         "18446744073709551616"],
+    "sweep-seed-2**64+1": ["sweep", "--config", "c.yaml", "--out", "o", "--seed",
+                           "18446744073709551617"],
+    "trace-seed-negative": ["trace", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    "dist-seed-negative": ["dist", "--config", "c.yaml", "--out", "o", "--seed", "-1"],
+    "fock-check-seed-negative": ["fock-check", "--seed", "-1"],
+    "sweep-jobs-zero": ["sweep", "--config", "c.yaml", "--out", "o", "--jobs", "0"],
+    "dist-jobs-negative": ["dist", "--config", "c.yaml", "--out", "o", "--jobs", "-4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert argv[-2] in err and "outside" in err
+
+
+# every run ends with a documented exit code: out-of-range arguments are
+# usage errors (2), and a formula that overflows or gives no finite value is a
+# numerical failure (3), not a traceback or a printed nan or inf
+CONTRACT = {
+    **{name: (argv, EXIT_CONFIG) for name, argv in OUT_OF_RANGE.items()},
+    **{f"{formula}-gamma-1e200": (["oracle", formula, "--gamma", "1e200"], EXIT_NUMERICAL)
+       for formula in ("weak", "landauer", "transmission", "selfenergy", "anomalous")},
+    **{f"{formula}-gamma-inf": (["oracle", formula, "--gamma", "inf"], EXIT_CONFIG)
+       for formula in ("weak", "landauer", "transmission", "selfenergy", "anomalous")},
+    "fock-check-gamma-inf": (["fock-check", "--gamma", "inf"], EXIT_CONFIG),
+    "anomalous-t-1e200": (["oracle", "anomalous", "--t", "1e200"], EXIT_NUMERICAL),
+    "anomalous-t-inf": (["oracle", "anomalous", "--t", "inf"], EXIT_NUMERICAL),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(CONTRACT.values()), ids=list(CONTRACT))
+def test_every_run_ends_with_a_documented_exit_code(argv, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    assert not re.search(r"nan|inf", capsys.readouterr().out, re.IGNORECASE)

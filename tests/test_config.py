@@ -172,6 +172,32 @@ def test_booleans_rejected_as_numbers(tmp_path, line, key):
         load_config(write(tmp_path, BASE + line + "\n"))
 
 
+# YAML 1.1 reads a float only with a decimal point and a signed exponent
+@pytest.mark.parametrize("line,key,text,fix", [
+    ("t_max: 1e-3", "t_max", "1e-3", "1.0e-3"),
+    ("gamma: 1e-3", "gamma", "1e-3", "1.0e-3"),
+    ("time_step: 5e-2", "time_step", "5e-2", "5.0e-2"),
+    ("t_hot: 1e0", "t_hot", "1e0", "1.0e+0"),
+    ("gamma_grid: [0.1, 1e-3]", "gamma_grid", "1e-3", "1.0e-3"),
+    ("window: [2e1, 50.0]", "window", "2e1", "2.0e+1"),
+    ("internal_coupling: {scale: 1.0e1}", "internal_coupling.scale", "1.0e1", "1.0e+1"),
+], ids=["t_max", "gamma", "time_step", "t_hot", "gamma_grid", "window", "scale"])
+def test_float_read_as_text_names_the_fix(tmp_path, line, key, text, fix):
+    base = BASE.replace("gamma: 0.3\n", "")
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, base + line + "\n"))
+    msg = str(exc.value)
+    assert f"'{key}' holds '{text}', which YAML reads as text: write {fix}" in msg
+    assert float(fix) == float(text)
+    load_config(write(tmp_path, base + line.replace(text, fix) + "\n"))
+
+
+def test_int_key_read_as_text_gets_no_float_fix(tmp_path):
+    # 1.0e+3 would be a float, which bath_size refuses too
+    with pytest.raises(ConfigError, match=r"'bath_size' has wrong type str$"):
+        load_config(write(tmp_path, "schema_version: 1\nbath_size: 1e3\n"))
+
+
 def test_make_valve_config(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "coupling_dist: equal\nt_cold: 0.5\n"))
     vc = make_valve_config(cfg, gamma=0.25, bath_size=7)

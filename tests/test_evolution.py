@@ -246,7 +246,7 @@ class TestWindowMeanCurrent:
         cfg, bath, arrow, prop = arrow_setup(bath_size=bath_size, gamma=0.2, rwa=rwa)
         # the last chunk's mask zeroes exactly the entries np.tril_indices(n, -1)
         # names, so the mean is bit-equal to zeroing through those indices
-        n = prop.modes % MEAN_CHUNK_ROWS or MEAN_CHUNK_ROWS
+        n = arrow.modes % MEAN_CHUNK_ROWS or MEAN_CHUNK_ROWS
         assert np.array_equal(np.nonzero(_BELOW_DIAGONAL[:n, :n]), np.tril_indices(n, -1))
         levels = bath_levels(cfg, bath, 2)
         assert_equals_grid_mean(prop, levels, (20.0, 50.0), 0.05)

@@ -387,7 +387,7 @@ def dense_matrix(arrow):
 
 
 def assert_matches_dense_svd(levels, g, c, e):
-    """``arrow_svd`` of the arrow, with pairing and under the RWA, against the dense SVD.
+    """``arrow_propagator`` of the arrow, with pairing and under the RWA, against the dense SVD.
 
     Errors are relative to max(||K||, 1), as K = 0 has no scale of its own.
     """
@@ -396,13 +396,15 @@ def assert_matches_dense_svd(levels, g, c, e):
         arrow = nambu.Arrow(levels=levels, couplings=g, center=c, rwa=rwa)
         K = dense_matrix(arrow)
         scale = max(np.linalg.norm(K, 2), 1.0)
-        s, P, Q, X = nambu.arrow_svd(arrow, e)
+        n = (1 - e) / 2
+        prop = nambu.arrow_propagator(arrow, n)
+        s, P, Q, X = prop.s, prop.P, prop.Q, prop.X
         ref = np.linalg.svd(K, compute_uv=False)
         assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
         assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
         assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
         assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
-        assert np.abs(X - (Q.T * e) @ P).max() < 1e-13
+        assert np.abs(X - (Q.T * (1 - 2 * n)) @ P).max() < 1e-13
 
 
 def test_small_arrows_match_dense_svd():
@@ -428,6 +430,6 @@ def test_rwa_shift_keeps_relative_accuracy():
     # K keeps its relative accuracy; a shift of at least 1 left this 2-mode
     # arrow 1.6e-13 off
     arrow = nambu.Arrow(levels=np.zeros(2), couplings=np.array([0.0, 1e-3]), center=0, rwa=True)
-    s, P, Q, X = nambu.arrow_svd(arrow, np.ones(2))
+    s = nambu.arrow_propagator(arrow, np.zeros(2)).s
     ref = np.linalg.svd(dense_matrix(arrow), compute_uv=False)
     assert np.abs(np.sort(s)[::-1] - ref).max() <= 4 * np.finfo(float).eps * ref.max()

@@ -1,8 +1,8 @@
 """The numpy secular solver ``nambu._secular_roots`` against LAPACK dlasd4.
 
 Each instance is the broken arrow ``_broken_arrow_svd`` hands the solver,
-recorded from ``arrow_svd``: valves up to M = 2401, coincident and zero
-levels moved apart by the solver's gap, couplings just above the deflation
+recorded by calling it: valves up to M = 2401, coincident and zero levels
+moved apart by the solver's gap, couplings just above the deflation
 tolerance and the all-deflated k = 1.  Every s_i must lie within 4 eps
 (relative) of dlasd4's and every D2_ij within 1e-12.  dlasd4 stops on its own
 test too, and on an ill-conditioned root of a large valve it lands up to
@@ -28,7 +28,7 @@ D2_TOL = 1e-12
 
 
 def solver_inputs(monkeypatch, arrow, weights):
-    """The (ds, zn, rho) of every secular problem ``arrow_svd`` solves for the arrow."""
+    """The (ds, zn, rho) of every secular problem ``_broken_arrow_svd`` solves for the arrow."""
     seen = []
     solve = nambu._secular_roots
 
@@ -38,7 +38,7 @@ def solver_inputs(monkeypatch, arrow, weights):
 
     with monkeypatch.context() as m:
         m.setattr(nambu, "_secular_roots", recording)
-        nambu.arrow_svd(arrow, weights)
+        nambu._broken_arrow_svd(arrow, weights)
     return seen
 
 
