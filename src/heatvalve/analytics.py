@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .evolution import phase_blocks
+
 EDGE_TOL = 1e-12
 BAND_TOP = 2.0  # bath levels are uniform on [0, BAND_TOP]
 LANDAUER_ABS_TOL = 1e-9  # absolute bound on the Landauer error estimate; the relative one is 1e-8
@@ -54,9 +56,16 @@ def spectral_density(gamma: float) -> float:
     """Each bath's flat in-band linewidth Gamma = 2 pi nu0 <g^2> = pi gamma^2 / 3.
 
     nu0 = N / BAND_TOP and <g^2> = gamma^2 / (3N), the second moment of the
-    sampled couplings, so the bath size N cancels.
+    sampled couplings, so the bath size N cancels.  A gamma whose Gamma
+    exceeds the float range (|gamma| above about 7.6e153) is a ValueError.
     """
-    return np.pi * gamma**2 / 3
+    try:
+        gamma_sd = np.pi * gamma**2 / 3
+    except OverflowError:
+        gamma_sd = math.inf
+    if gamma_sd == math.inf:
+        raise ValueError(f"gamma={gamma}: gamma^2 overflows (Gamma = pi gamma^2 / 3 is not finite)")
+    return gamma_sd
 
 
 def _check_in_band(omega: float) -> None:
@@ -210,15 +219,18 @@ def anomalous_current_discrete(
     """First-order transient anomalous current for one bath's sampled levels.
 
     2<g^2> sum_k w_k [1 - f(w_k/T)] / (omega0 + w_k) * sin((omega0 + w_k) t),
-    omega0 = 1, with <g^2> = gamma^2/(3N) over the N levels, vectorized over t.
+    omega0 = 1, with <g^2> = gamma^2/(3N) over the N levels, vectorized over t
+    a block of times at a time (``evolution.phase_blocks``), so no (T, N)
+    array is formed.
     """
     w = np.asarray(frequencies, dtype=float)
     t = np.asarray(t, dtype=float)
     mean_square_coupling = gamma**2 / (3 * len(w))
     weight = 2 * mean_square_coupling * w * (1 - occupation(w, temperature)) / (1 + w)
-    phases = np.sin(np.multiply.outer(t, 1 + w))
-    out = phases @ weight
-    return out if out.ndim else float(out)
+    out = np.empty(t.size)
+    for block, _, sin in phase_blocks(1 + w, t.ravel()):
+        out[block] = weight @ sin
+    return out.reshape(t.shape) if t.ndim else float(out[0])
 
 
 def anomalous_current_continuum(gamma: float, temperature: float, t: float) -> float:

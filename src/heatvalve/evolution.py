@@ -7,7 +7,10 @@ d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector
 of its mode energies (``valve.bath_levels``).  The bath couples only to
 the central mode, so the commutator is written down from the central
 column, and each part of the current is an M x M bilinear form in cos(st)
-and sin(st) (``heat_current``).  The mean over a window's samples needs
+and sin(st) (``heat_current``).  The time grid is taken a block of
+B = max(TRACE_BLOCK, M) times at a time, with the phases of a block from
+one tan(st/2) per entry (``phase_blocks``), so a trace's working memory is
+O(M B + M^2), not O(M T).  The mean over a window's samples needs
 no time grid (``window_mean_current``): each pair of singular values is
 weighted by the window's Dirichlet kernel, over one triangle of pairs, a
 chunk of rows at a time.
@@ -41,11 +44,38 @@ class CurrentTrace:
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
-def _phase_parts(s: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(s t) and sin(s t) as (M, T) arrays; the sine overwrites the argument."""
-    arg = np.multiply.outer(s, times)
-    cos = np.cos(arg)
-    return cos, np.sin(arg, out=arg)
+# Fewest times that heat_current (and ``analytics.anomalous_current_discrete``)
+# phases and contracts at once; a block holds B = max(TRACE_BLOCK, M) times,
+# so its working set is a few (M x B) arrays, not (M x T) ones.  At M = 501
+# (one thread) 512 ran within noise of the fastest block and peaked lowest.
+# Every block re-reads the M x M forms: at M = 2001 blocks of 512 ran
+# 12-20% slower than blocks of 2048, hence at least M times.
+TRACE_BLOCK = 512
+
+
+def phase_blocks(s: np.ndarray, times: np.ndarray):
+    """Yield (block, cos, sin): a slice of B = max(TRACE_BLOCK, len(s)) times, cos(s t) and sin(s t).
+
+    cos and sin are (len(s), B) arrays (the last block may be shorter), from
+    one tan per entry: with u = tan(x/2) and r = 2/(1 + u^2),
+    cos x = (1 - u^2)/(1 + u^2) = r - 1 and sin x = 2u/(1 + u^2) = u r, each
+    within 2 eps absolute, and exactly (1, 0) at x = 0.  numpy's tan is
+    several times faster than its cos and sin (numpy 2.4, x86-64).  x/2 is
+    formed as s (t/2), an exact halving of fl(s t).  Beside an odd multiple
+    of pi u is large, but no double reaches the pole, so u^2 stays finite and
+    cos tends to -1, sin to 2/u.  Every step is in place, on two arrays.
+    """
+    half = np.asarray(times, dtype=float) / 2
+    size = max(TRACE_BLOCK, len(s))
+    for t0 in range(0, len(half), size):
+        block = slice(t0, t0 + size)
+        u = np.multiply.outer(s, half[block])
+        np.tan(u, out=u)
+        r = np.multiply(u, u)
+        r += 1
+        np.divide(2, r, out=r)
+        sin = np.multiply(u, r, out=u)
+        yield block, np.subtract(r, 1, out=r), sin
 
 
 def _coupled_levels(prop: nambu.ArrowPropagator, levels) -> np.ndarray:
@@ -64,11 +94,6 @@ def _antisym(a: np.ndarray, b: np.ndarray, rows=slice(None), cols=slice(None)) -
     return N
 
 
-def _bilinear(cos: np.ndarray, G: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """-(1/2) cos(st)^T G sin(st) at every time, one (M, T) product alive."""
-    return -0.5 * np.einsum("jt,jt->t", cos, G @ sin)
-
-
 def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
     """Heat current into the bath, -(1/2i) tr(chi(t) [H_bath, H]).
 
@@ -84,24 +109,32 @@ def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
     product per part per time point.  Under the RWA P = Q sign(l) makes
     G_P = G_Q, so the normal part is 2 f_Q (no G_P is formed) and the
     anomalous part exactly zero; so is a current with w = 0.
+
+    The times are taken in blocks (``phase_blocks``): per block, the
+    (M, B) phases, one product of the stacked forms [G_Q; G_P] with the
+    sines, and the block's columns of f_Q and f_P.  The working memory is
+    O(M B + M^2) for B = max(TRACE_BLOCK, M), besides the O(T) results.
     """
     times = np.asarray(times, dtype=float)
-    arrow = prop.arrow
+    arrow, M = prop.arrow, prop.arrow.modes
     w = _coupled_levels(prop, levels)
     zeros = np.zeros_like(times)
     if not w.any():
         return CurrentTrace(times=times, total=zeros, normal=zeros, anomalous=zeros)
-    cos, sin = _phase_parts(prop.s, times)
-    G_Q = _antisym(w @ prop.Q, prop.Q[arrow.center])
-    G_Q *= prop.X
-    f_Q = _bilinear(cos, G_Q, sin)
+    # G_Q, and with pairing G_P, stacked: one product per block serves both
+    bases = [(prop.Q, prop.X)] if arrow.rwa else [(prop.Q, prop.X), (prop.P, prop.X.T)]
+    G = np.empty((len(bases), M, M))
+    for G_k, (U, X) in zip(G, bases):
+        np.multiply(_antisym(w @ U, U[arrow.center]), X, out=G_k)
+    f = np.empty((len(bases), len(times)))
+    for block, cos, sin in phase_blocks(prop.s, times):
+        G_sin = (G.reshape(-1, M) @ sin).reshape(len(bases), M, -1)
+        f[:, block] = np.einsum("jt,kjt->kt", cos, G_sin)
+    f *= -0.5
     if arrow.rwa:
-        normal, anomalous = 2 * f_Q, zeros
+        normal, anomalous = 2 * f[0], zeros
     else:
-        G_P = _antisym(w @ prop.P, prop.P[arrow.center])
-        G_P *= prop.X.T
-        f_P = _bilinear(cos, G_P, sin)
-        normal, anomalous = f_Q + f_P, f_Q - f_P
+        normal, anomalous = f[0] + f[1], f[0] - f[1]
     return CurrentTrace(
         times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
     )

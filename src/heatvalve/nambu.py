@@ -377,7 +377,8 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     """
     M, c, rwa = arrow.modes, arrow.center, arrow.rwa
     if rwa:
-        mu = 2 * (np.abs(arrow.levels).max() + np.linalg.norm(arrow.couplings)) or 1.0
+        with np.errstate(over="ignore"):  # an infinite ||g|| makes rho inf, refused below
+            mu = 2 * (np.abs(arrow.levels).max() + np.linalg.norm(arrow.couplings)) or 1.0
         d = np.sqrt(arrow.levels + mu)
         z = arrow.couplings / d
         z[c] = np.sqrt(arrow.levels[c] + mu - z @ z)
@@ -402,7 +403,13 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     if np.any(np.diff(ds[:k]) < gap):
         for j in range(1, k):
             ds[j] = max(ds[j], ds[j - 1] + gap)
-    rho = float(zs[:k] @ zs[:k])
+    with np.errstate(over="ignore"):
+        rho = float(zs[:k] @ zs[:k])
+    if not np.isfinite(rho):
+        raise ValueError(
+            f"coupling scale max|g| = {np.abs(arrow.couplings).max():.3g} is too large: "
+            "the secular weight rho = |z|^2 overflows (|g| must stay below about 1e154)"
+        )
     # D2[i, j] = ds_j^2 - s_i^2, roots ascending; a row is a root, a column a
     # mode in the sorted order.  The deflated columns hold 1 (z-hat is 0 there)
     sig, D2 = _secular_roots(ds[:k], zs[:k] / np.sqrt(rho), rho)

@@ -85,6 +85,13 @@ class TestSpectralDensity:
     def test_reference_value(self):
         assert spectral_density(0.1) == pytest.approx(0.010472, abs=1e-6)
 
+    def test_overflow_is_named(self):
+        # pi gamma^2 leaves the float range just above gamma = 7.56e153
+        assert spectral_density(7.5e153) == np.pi * 7.5e153**2 / 3
+        for gamma in (7.6e153, -1e200, 1e200):
+            with pytest.raises(ValueError, match=r"gamma\^2 overflows"):
+                spectral_density(gamma)
+
 
 class TestSelfEnergy:
     def test_zero_at_center(self):

@@ -427,3 +427,19 @@ def test_every_run_ends_with_a_documented_exit_code(argv, code, capsys):
         got = exc.code
     assert got == code
     assert not re.search(r"nan|inf", capsys.readouterr().out, re.IGNORECASE)
+
+
+# couplings whose squares leave the float range are named as the cause
+@pytest.mark.parametrize("rwa", [[], ["--rwa"]], ids=["exact", "rwa"])
+def test_fock_check_names_an_overflowing_coupling(rwa, capsys):
+    assert main(["fock-check", "--gamma", "1e200", *rwa]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "coupling scale max|g| = 6.89e+199" in err and "overflows" in err
+    assert "did not converge" not in err
+
+
+@pytest.mark.parametrize("formula", ["weak", "landauer", "transmission", "selfenergy", "anomalous"])
+def test_oracle_names_an_overflowing_gamma(formula, capsys):
+    assert main(["oracle", formula, "--gamma", "1e200"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "gamma=1e+200: gamma^2 overflows" in err and "Numerical result" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,6 +11,7 @@ from heatvalve import (
     CurrentTrace,
     InternalCouplingSpec,
     ValveConfig,
+    anomalous_current_discrete,
     apply_internal_couplings,
     arrow_propagator,
     bath_levels,
@@ -18,7 +21,8 @@ from heatvalve import (
     thermal_occupations,
     window_mean_current,
 )
-from heatvalve.evolution import _BELOW_DIAGONAL, MEAN_CHUNK_ROWS, window_times
+from heatvalve import evolution
+from heatvalve.evolution import _BELOW_DIAGONAL, MEAN_CHUNK_ROWS, phase_blocks, window_times
 
 from reference import (
     CorrelationMatrix,
@@ -127,6 +131,78 @@ class TestExpectationSeries:
                 )
 
 
+# time grids of a trace against the block size B
+TRACE_GRIDS = {
+    "empty": lambda B: np.array([]),
+    "one": lambda B: np.array([7.3]),
+    "under_block": lambda B: np.linspace(0, 30, B - 3),
+    "two_blocks": lambda B: np.linspace(0, 30, 2 * B),
+    "block_plus_7": lambda B: np.linspace(0, 30, B + 7),
+    "unequal": lambda B: np.sort(np.random.default_rng(3).uniform(-5, 40, B + 7)),
+}
+
+
+class TestPhaseBlocks:
+    def phases(self, x):
+        """cos x and sin x from phase_blocks at s = 1, blocks joined."""
+        parts = [(cos[0], sin[0]) for _, cos, sin in phase_blocks(np.ones(1), x)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    def test_matches_numpy_within_eps(self):
+        # the poles of tan(x/2), at and beside odd multiples of pi, and t = 0
+        odd = np.pi * np.arange(-41, 2000, 2.0)
+        x = np.concatenate([
+            [0.0, -0.0, 5e-324, 1e-300, 1e-8],
+            odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf),
+            np.nextafter(np.nextafter(odd, np.inf), np.inf),
+            np.random.default_rng(4).uniform(-1e4, 1e4, 5000),
+        ])
+        cos, sin = self.phases(x)
+        eps = np.finfo(float).eps
+        assert np.abs(cos - np.cos(x)).max() <= 2 * eps
+        assert np.abs(sin - np.sin(x)).max() <= 2 * eps
+        assert cos[0] == 1.0 and sin[0] == 0.0
+
+    def test_blocks_cover_the_times_in_order(self, monkeypatch):
+        monkeypatch.setattr(evolution, "TRACE_BLOCK", 4)
+        s = np.array([0.5, 1.0, 2.0])
+        for T in (0, 1, 3, 4, 8, 11):
+            times = np.linspace(0, 9, T)
+            blocks = list(phase_blocks(s, times))
+            assert [b for b, _, _ in blocks] == [slice(t, t + 4) for t in range(0, T, 4)]
+            for block, cos, sin in blocks:
+                assert cos.shape == sin.shape == (3, len(times[block]))
+        # a block holds at least M times
+        blocks = list(phase_blocks(np.ones(6), np.arange(13.0)))
+        assert [b for b, _, _ in blocks] == [slice(0, 6), slice(6, 12), slice(12, 18)]
+
+
+@pytest.mark.parametrize("part", ["exact", "rwa", "overlay"])
+def test_trace_memory_is_blocked(part):
+    """No (M, T) or (T, N) array: the traced peak is O(n B + n^2 + T) for n = M or N."""
+    M, T = 201, 20001
+    cfg, bath, _, prop = arrow_setup(bath_size=100, rwa=(part == "rwa"))
+    times = np.arange(T) * 0.05
+    if part == "overlay":
+        n = cfg.bath_size
+        run = lambda: anomalous_current_discrete(bath.frequencies[1], 0.0, cfg.gamma, times)
+    else:
+        n = M
+        levels = bath_levels(cfg, bath, 2)
+        run = lambda: heat_current(prop, levels, times)
+    B = max(evolution.TRACE_BLOCK, n)
+    bound = 8 * (5 * n * B + 4 * n * n + 16 * T)  # bytes
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, T) array alone is 8 n T bytes: 32 MB for M, 16 MB for N
+    assert bound < 8 * n * T / 2
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over the bound {bound / 1e6:.1f} MB"
+
+
 class TestHeatCurrent:
     def test_zero_coupling_zero_current(self):
         cfg, bath, arrow, prop = arrow_setup(gamma=0.0)
@@ -143,25 +219,30 @@ class TestHeatCurrent:
         trace = heat_current(prop, bath_levels(cfg, bath, 2), np.linspace(0, 20, 101))
         assert np.abs(trace.anomalous).max() == 0.0
 
-    def test_lowrank_equals_dense(self):
+    def test_lowrank_equals_dense(self, monkeypatch):
+        # a block holds B = max(TRACE_BLOCK, M) times: 16 for the 13-mode
+        # valve, M for the others
+        monkeypatch.setattr(evolution, "TRACE_BLOCK", 16)
         cases = [
             dict(bath_size=25),
             dict(bath_size=25, rwa=True, t_cold=0.3),
             dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)),
             dict(bath_size=6, internal_coupling=InternalCouplingSpec(scale=0.2)),
         ]
-        times = np.linspace(0, 30, 61)
         for kw in cases:
             cfg, bath, arrow, prop = arrow_setup(**kw)
-            got = heat_current(prop, bath_levels(cfg, bath, 2), times)
             H = build_hamiltonian(cfg, bath)
-            normal, anomalous = dense_current(
-                dense(prop), H, bath_hamiltonian(cfg, bath, 2), times
-            )
-            assert np.abs(got.normal - normal).max() < 1e-13
-            assert np.abs(got.anomalous - anomalous).max() < 1e-13
-            if cfg.rwa:
-                assert np.abs(got.anomalous).max() == 0.0
+            for grid in TRACE_GRIDS.values():
+                times = grid(max(16, arrow.modes))
+                got = heat_current(prop, bath_levels(cfg, bath, 2), times)
+                normal, anomalous = dense_current(
+                    dense(prop), H, bath_hamiltonian(cfg, bath, 2), times
+                )
+                assert len(got.times) == len(times)
+                assert np.abs(got.normal - normal).max(initial=0.0) < 1e-13
+                assert np.abs(got.anomalous - anomalous).max(initial=0.0) < 1e-13
+                if cfg.rwa:
+                    assert np.abs(got.anomalous).max(initial=0.0) == 0.0
 
     def test_matches_finite_difference_of_bath_energy(self):
         cfg, bath, arrow, prop = arrow_setup()

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import heatvalve
-from heatvalve import InternalCouplingSpec, ValveConfig, evolution, experiments, fock, nambu, valve
+from heatvalve import (
+    InternalCouplingSpec,
+    ValveConfig,
+    analytics,
+    evolution,
+    experiments,
+    fock,
+    nambu,
+    valve,
+)
 from heatvalve.experiments import (
     SweepRecord,
     derive_seed,
@@ -207,10 +216,16 @@ class TestWindowMeans:
         def refused(*args, **kwargs):
             raise AssertionError("time-grid contraction used")
 
-        for module in (heatvalve, evolution, experiments):
-            for name in ("heat_current", "_phase_parts"):
+        # every time-grid helper is refused wherever it is bound; a renamed
+        # one fails here instead of going unrefused
+        helpers = ("heat_current", "phase_blocks")
+        found = set()
+        for module in (heatvalve, evolution, experiments, analytics):
+            for name in helpers:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refused)
+                    found.add(name)
+        assert found == set(helpers)
         self.assert_close(run_sweep(template(bath_size=20), [0.0, 0.3], **sweep), want_sweep)
         got_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
         assert set(got_dist) == set(want_dist)

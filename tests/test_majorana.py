@@ -29,7 +29,7 @@ from heatvalve import (
 )
 import heatvalve.experiments as experiments
 import heatvalve.valve as valve_module
-from heatvalve import fock, nambu
+from heatvalve import evolution, fock, nambu
 from heatvalve.experiments import simulate_trace
 
 from reference import (
@@ -189,6 +189,8 @@ class TestValveHamiltonians:
         assert np.abs(dense_prop.rotated_initial - U.T @ chi0.data @ U).max() < 1e-13
 
     def test_heat_current_matches_dense_and_eigh_paths(self, kw, monkeypatch):
+        # blocks of M = 81 times: the 121 times are a full block and a short one
+        monkeypatch.setattr(evolution, "TRACE_BLOCK", 1)
         cfg, bath, H, chi0 = valve(monkeypatch=monkeypatch, **kw)
         levels = bath_levels(cfg, bath, 2)
         _, prop = propagate(cfg, bath)
