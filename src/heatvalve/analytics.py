@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .evolution import phase_blocks
+from .evolution import PHASE_COST, chebyshev_panels, phase_blocks
 
 EDGE_TOL = 1e-12
 BAND_TOP = 2.0  # bath levels are uniform on [0, BAND_TOP]
@@ -221,15 +221,24 @@ def anomalous_current_discrete(
     2<g^2> sum_k w_k [1 - f(w_k/T)] / (omega0 + w_k) * sin((omega0 + w_k) t),
     omega0 = 1, with <g^2> = gamma^2/(3N) over the N levels, vectorized over t
     a block of times at a time (``evolution.phase_blocks``), so no (T, N)
-    array is formed.
+    array is formed.  Its frequencies are at most max|1 + w_k|, so a long
+    grid takes it at Chebyshev panel nodes and interpolates
+    (``evolution.chebyshev_panels``).
     """
     w = np.asarray(frequencies, dtype=float)
     t = np.asarray(t, dtype=float)
     mean_square_coupling = gamma**2 / (3 * len(w))
     weight = 2 * mean_square_coupling * w * (1 - occupation(w, temperature)) / (1 + w)
-    out = np.empty(t.size)
-    for block, _, sin in phase_blocks(1 + w, t.ravel()):
-        out[block] = weight @ sin
+    phases = 1 + w
+
+    def series(times):
+        out = np.empty(len(times))
+        for block, _, sin in phase_blocks(phases, times):
+            out[block] = weight @ sin
+        return out
+
+    band = np.abs(phases).max(initial=0.0)
+    out = chebyshev_panels(series, t.ravel(), band, (1 + PHASE_COST) * len(w))
     return out.reshape(t.shape) if t.ndim else float(out[0])
 
 

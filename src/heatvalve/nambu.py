@@ -371,20 +371,36 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     matrix with e_j |d_j|^2 in F, e_c as the rank-one term and |u| on both
     sides.
 
+    The arrow is solved as K 2^-p, with the even p that puts its largest
+    entry in [1/4, 1), and s is scaled back: a power of two changes no
+    rounding, so P, Q, X and s are those of K itself, while the secular
+    steps' squares of squares stay inside the float range.  A
+    coupling whose square |g|^2 overflows is refused with a ValueError.
+
     The singular values (and the columns of P and Q, the rows and columns of
     X) come in the solver's order: the k roots ascending, then the deflated
     modes.  Raises LinAlgError if a secular root does not converge.
     """
     M, c, rwa = arrow.modes, arrow.center, arrow.rwa
+    # K 2^-p, its largest entry in [1/4, 1) for an even p (sqrt(mu) under the
+    # RWA scales by 2^(-p/2))
+    p = np.frexp(max(np.abs(arrow.levels).max(), np.abs(arrow.couplings).max()))[1]
+    p += p % 2
+    levels, couplings = np.ldexp(arrow.levels, -p), np.ldexp(arrow.couplings, -p)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ldexp(couplings @ couplings, 2 * p)):
+            raise ValueError(
+                f"coupling scale max|g| = {np.abs(arrow.couplings).max():.3g} is too large: "
+                "|g|^2 overflows (|g| must stay below about 1e154)"
+            )
     if rwa:
-        with np.errstate(over="ignore"):  # an infinite ||g|| makes rho inf, refused below
-            mu = 2 * (np.abs(arrow.levels).max() + np.linalg.norm(arrow.couplings)) or 1.0
-        d = np.sqrt(arrow.levels + mu)
-        z = arrow.couplings / d
-        z[c] = np.sqrt(arrow.levels[c] + mu - z @ z)
+        mu = 2 * (np.abs(levels).max() + np.linalg.norm(couplings)) or 1.0
+        d = np.sqrt(levels + mu)
+        z = couplings / d
+        z[c] = np.sqrt(levels[c] + mu - z @ z)
     else:
-        d, z = arrow.levels.copy(), arrow.column.copy()
-        z[c] = arrow.levels[c]
+        d, z = levels.copy(), 2 * couplings
+        z[c] = levels[c]
     d[c] = 0.0
     # K = 0 has no scale of its own; any will do
     scale = max(np.abs(d).max(), np.abs(z).max()) or 1.0
@@ -403,13 +419,7 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     if np.any(np.diff(ds[:k]) < gap):
         for j in range(1, k):
             ds[j] = max(ds[j], ds[j - 1] + gap)
-    with np.errstate(over="ignore"):
-        rho = float(zs[:k] @ zs[:k])
-    if not np.isfinite(rho):
-        raise ValueError(
-            f"coupling scale max|g| = {np.abs(arrow.couplings).max():.3g} is too large: "
-            "the secular weight rho = |z|^2 overflows (|g| must stay below about 1e154)"
-        )
+    rho = float(zs[:k] @ zs[:k])
     # D2[i, j] = ds_j^2 - s_i^2, roots ascending; a row is a root, a column a
     # mode in the sorted order.  The deflated columns hold 1 (z-hat is 0 there)
     sig, D2 = _secular_roots(ds[:k], zs[:k] / np.sqrt(rho), rho)
@@ -510,7 +520,7 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
         Yc *= (flip[l0:l1] / norm_v[l0:l1])[:, None]
         Yc *= 1 / norm_u[:k]
     Y[range(k, M), range(k, M)] = (e * sign * flip)[k:]
-    return s, PT.T, QT.T, Y.T
+    return np.ldexp(s, p), PT.T, QT.T, Y.T
 
 
 def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:

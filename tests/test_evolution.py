@@ -21,8 +21,15 @@ from heatvalve import (
     thermal_occupations,
     window_mean_current,
 )
-from heatvalve import evolution
-from heatvalve.evolution import _BELOW_DIAGONAL, MEAN_CHUNK_ROWS, phase_blocks, window_times
+from heatvalve import analytics, evolution
+from heatvalve.analytics import occupation
+from heatvalve.evolution import (
+    _BELOW_DIAGONAL,
+    MEAN_CHUNK_ROWS,
+    chebyshev_panels,
+    phase_blocks,
+    window_times,
+)
 
 from reference import (
     CorrelationMatrix,
@@ -284,6 +291,164 @@ class TestHeatCurrent:
         ):
             with pytest.raises(ValueError, match="real array of shape"):
                 ArrowPropagator(**{**factors, **bad})
+
+
+def synthetic_series(band, terms=40, seed=0):
+    """direct(t) of a random series with frequencies in [-band, band], and the log of its calls."""
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(-band, band, terms)
+    omega[0] = band
+    a, b = rng.standard_normal((2, terms))
+    calls = []
+
+    def direct(t):
+        x = np.multiply.outer(omega, t)
+        out = np.stack([a @ np.cos(x), b @ np.sin(x)])
+        calls.append((np.array(t), out))
+        return out
+
+    return direct, calls
+
+
+def assert_within_column_max(got, want, tol=1e-12):
+    """Every row of got within tol of the largest |entry| of the same row of want."""
+    for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+
+def phased_times(monkeypatch, module):
+    """The number of times ``module.phase_blocks`` phases, per call."""
+    seen = []
+    blocks = module.phase_blocks
+
+    def counting(s, times):
+        seen.append(len(times))
+        return blocks(s, times)
+
+    monkeypatch.setattr(module, "phase_blocks", counting)
+    return seen
+
+
+class TestChebyshevPanels:
+    # multiply-adds per time of the synthetic direct path: panels pay off
+    WORK = 10**6
+
+    def test_matches_the_series(self):
+        direct, calls = synthetic_series(3.0)
+        times = np.linspace(0.0, 300.0, 6001)
+        got = chebyshev_panels(direct, times, 3.0, self.WORK)
+        # one call, at the nodes alone
+        assert len(calls) == 1 and len(calls[0][0]) < len(times) / 4
+        assert_within_column_max(got, direct(times))
+
+    def test_times_in_any_order_negative_and_repeated(self):
+        direct, calls = synthetic_series(3.0, seed=1)
+        grid = np.linspace(-150.0, 150.0, 6001)
+        times = np.random.default_rng(2).permutation(np.concatenate([grid, grid[::7], [0.0] * 3]))
+        got = chebyshev_panels(direct, times, 3.0, self.WORK)
+        assert len(calls) == 1 and calls[0][0].min() == -150.0 and calls[0][0].max() == 150.0
+        assert_within_column_max(got, direct(times))
+
+    def test_node_times_take_the_node_values(self):
+        direct, calls = synthetic_series(3.0, seed=3)
+        grid = np.linspace(-0.3, 299.9, 6001)
+        chebyshev_panels(direct, grid, 3.0, self.WORK)
+        nodes, _ = calls[0]
+        assert nodes[0] == grid[0] and nodes[-1] == grid[-1]
+        # a panel's last node is the next one's first: the panel boundaries
+        shared = np.flatnonzero(nodes[1:] == nodes[:-1])
+        assert len(shared) >= 2
+        picks = np.array([0, 5, shared[0], shared[0] + 1, shared[1] - 3, len(nodes) - 1])
+        beside = [np.nextafter(nodes[shared[0]], np.inf), np.nextafter(nodes[shared[0]], -np.inf)]
+        times = np.concatenate([grid, nodes[picks], beside])
+        got = chebyshev_panels(direct, times, 3.0, self.WORK)
+        again, values = calls[-1]
+        assert np.array_equal(again, nodes)  # the range, so the nodes, are unchanged
+        T = len(grid)
+        for i, j in enumerate(picks):
+            assert np.array_equal(got[:, T + i], values[:, j])
+        assert np.array_equal(got[:, [0, T - 1]], values[:, [0, -1]])  # the grid's ends
+        assert_within_column_max(got, direct(times))
+
+    def test_a_single_panel(self):
+        direct, calls = synthetic_series(1.0, seed=4)
+        times = np.linspace(0.0, 100.0, 2001)  # band * span / 2 = 50 <= PANEL_PHASE
+        got = chebyshev_panels(direct, times, 1.0, self.WORK)
+        nodes, _ = calls[0]
+        assert len(nodes) == evolution._panel_degree(50.0) + 1
+        assert np.all(np.diff(nodes) > 0)
+        assert_within_column_max(got, direct(times))
+
+    @pytest.mark.parametrize("times, work", [
+        (np.full(5000, 3.0), WORK),  # zero width
+        (np.linspace(0.0, 300.0, 500), WORK),  # fewer times than nodes
+        (np.linspace(0.0, 300.0, 6001), 1),  # interpolation costs more
+        (np.array([np.nan, *np.linspace(0.0, 300.0, 6000)]), WORK),
+        (np.array([0.0, np.inf, *np.linspace(0.0, 300.0, 6000)]), WORK),
+        (np.array([]), WORK),
+    ], ids=["zero_width", "few_times", "cheap_direct", "nan", "inf", "empty"])
+    def test_direct_path_when_panels_do_not_pay(self, times, work):
+        direct, calls = synthetic_series(3.0)
+        with np.errstate(invalid="ignore"):  # cos(inf)
+            got = chebyshev_panels(direct, times, 3.0, work)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], times, equal_nan=True)
+        assert got is calls[0][1]
+
+
+class TestHeatCurrentPanels:
+    """heat_current and the overlay at sizes where the panel path is taken."""
+
+    TIMES = np.arange(0.0, 200.0, 0.05)
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(rwa=True),
+        dict(internal_coupling=InternalCouplingSpec(scale=0.2)),
+        dict(rwa=True, internal_coupling=InternalCouplingSpec(scale=0.2)),
+    ], ids=["exact", "rwa", "exact_internal", "rwa_internal"])
+    def test_matches_direct_and_dense(self, kw, monkeypatch):
+        cfg, bath, _, prop = arrow_setup(bath_size=30, **kw)
+        levels = bath_levels(cfg, bath, 2)
+        phased = phased_times(monkeypatch, evolution)
+        got = heat_current(prop, levels, self.TIMES)
+        assert len(phased) == 1 and phased[0] < len(self.TIMES) / 3
+        monkeypatch.setattr(evolution, "PANEL_TERM_COST", np.inf)
+        want = heat_current(prop, levels, self.TIMES)
+        assert phased[1] == len(self.TIMES)
+        parts = ("total", "normal") if cfg.rwa else ("total", "normal", "anomalous")
+        for name in parts:
+            assert_within_column_max(getattr(got, name), getattr(want, name))
+        assert got.total[0] == 0.0
+        if cfg.rwa:
+            assert np.abs(got.anomalous).max() == 0.0
+        sub = slice(0, None, 97)
+        normal, anomalous = dense_current(
+            dense(prop), build_hamiltonian(cfg, bath), bath_hamiltonian(cfg, bath, 2),
+            self.TIMES[sub],
+        )
+        assert np.abs(got.normal[sub] - normal).max() <= 1e-12 * np.abs(want.normal).max()
+        assert np.abs(got.anomalous[sub] - anomalous).max() <= 1e-12 * np.abs(want.total).max()
+
+    def test_overlay_matches_its_direct_sum(self, monkeypatch):
+        cfg, bath, _, _ = arrow_setup(bath_size=100)
+        w = bath.frequencies[1]
+        times = np.arange(0.0, 500.0, 0.05)
+        phased = phased_times(monkeypatch, analytics)
+        got = anomalous_current_discrete(w, 0.0, cfg.gamma, times)
+        assert phased[0] < len(times) / 3
+        weight = 2 * cfg.gamma**2 / (3 * len(w)) * w * (1 - occupation(w, 0.0)) / (1 + w)
+        want = weight @ np.sin(np.multiply.outer(1 + w, times))
+        assert_within_column_max(got, want)
+        assert got[0] == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_non_finite_times_are_refused(self, gamma):
+        cfg, bath, _, prop = arrow_setup(gamma=gamma)
+        levels = bath_levels(cfg, bath, 2)
+        for times, bad in (([np.nan, 1.0], r"times\[0\] = nan"), ([np.inf], r"times\[0\] = inf"),
+                           ([0.0, 2.0, -np.inf], r"times\[2\] = -inf")):
+            with pytest.raises(ValueError, match=bad):
+                heat_current(prop, levels, times)
 
 
 def assert_equals_grid_mean(prop, levels, window, time_step):

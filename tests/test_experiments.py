@@ -218,7 +218,7 @@ class TestWindowMeans:
 
         # every time-grid helper is refused wherever it is bound; a renamed
         # one fails here instead of going unrefused
-        helpers = ("heat_current", "phase_blocks")
+        helpers = ("heat_current", "phase_blocks", "chebyshev_panels")
         found = set()
         for module in (heatvalve, evolution, experiments, analytics):
             for name in helpers:

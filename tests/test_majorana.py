@@ -435,3 +435,38 @@ def test_rwa_shift_keeps_relative_accuracy():
     s = nambu.arrow_propagator(arrow, np.zeros(2)).s
     ref = np.linalg.svd(dense_matrix(arrow), compute_uv=False)
     assert np.abs(np.sort(s)[::-1] - ref).max() <= 4 * np.finfo(float).eps * ref.max()
+
+
+@pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+@pytest.mark.parametrize("gamma", [1e100, 1e150])
+def test_huge_couplings_solve(gamma, rwa):
+    # squares of squares of these couplings leave the float range, so the
+    # secular steps must run on the scaled arrow K 2^-p
+    cfg = ValveConfig(bath_size=2, gamma=gamma, t_hot=1.0, t_cold=0.0, rwa=rwa, seed=3)
+    bath = sample_bath(cfg)
+    arrow = build_arrow(cfg, bath)
+    prop = arrow_propagator(arrow, thermal_occupations(cfg, bath))  # probed inside
+    ref = np.linalg.svd(dense_matrix(arrow), compute_uv=False)
+    assert np.abs(np.sort(prop.s)[::-1] - ref).max() <= 1e-13 * ref.max()
+
+
+@pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+@pytest.mark.parametrize("power", [-600, -100, 100, 500])
+def test_power_of_two_scaling_is_exact(power, rwa):
+    cfg = ValveConfig(bath_size=20, gamma=0.3, t_hot=1.0, t_cold=0.0, rwa=rwa, seed=4)
+    bath = sample_bath(cfg)
+    arrow = build_arrow(cfg, bath)
+    n = thermal_occupations(cfg, bath)
+    scaled = dataclasses.replace(arrow, levels=np.ldexp(arrow.levels, power),
+                                 couplings=np.ldexp(arrow.couplings, power))
+    a, b = arrow_propagator(arrow, n), arrow_propagator(scaled, n)
+    assert np.array_equal(np.ldexp(a.s, power), b.s)
+    for name in ("P", "Q", "X"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_coupling_whose_square_overflows_is_refused():
+    arrow = nambu.Arrow(levels=np.ones(3), couplings=np.array([1e155, 0.0, 1.0]), center=1,
+                        rwa=False)
+    with pytest.raises(ValueError, match=r"coupling scale max\|g\| = 1e\+155 .*overflows"):
+        arrow_propagator(arrow, np.zeros(3))
