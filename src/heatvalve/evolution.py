@@ -7,16 +7,15 @@ d<H_bath>/dt = -(1/2i) tr(chi(t) [H_bath, H]) take H_bath as the vector
 of its mode energies (``valve.bath_levels``).  The bath couples only to
 the central mode, so the commutator is written down from the central
 column, and each part of the current is an M x M bilinear form in cos(st)
-and sin(st) (``heat_current``).  The time grid is taken a block of
-B = max(TRACE_BLOCK, M) times at a time, with the phases of a block from
-one tan(st/2) per entry (``phase_blocks``), so a trace's working memory is
-O(M B + M^2), not O(M T).  A long grid oversamples the forms, whose
-frequencies are at most 2 s_max: they are evaluated at the nodes of
-Chebyshev panels and interpolated onto the grid (``chebyshev_panels``)
-when that costs less.  The mean over a window's samples needs
-no time grid (``window_mean_current``): each pair of singular values is
-weighted by the window's Dirichlet kernel, over one triangle of pairs, a
-chunk of rows at a time.
+and sin(st), evaluated by one routine (``_forms``) for traces and window
+means alike.  The time grid is taken a block of B = max(TRACE_BLOCK, M)
+times at a time, with the phases of a block from one tan(st/2) per entry
+(``phase_blocks``), and each form a slice of FORM_ROWS rows at a time, so
+the working memory is O(M B + M^2), not O(M T).  A long grid oversamples
+the forms, whose frequencies are at most 2 s_max: they are evaluated at
+the nodes of Chebyshev panels and interpolated onto the grid
+(``chebyshev_panels``) when that costs less.  A window mean is the mean of
+the current on the window's samples (``window_mean_current``).
 """
 
 from __future__ import annotations
@@ -47,12 +46,13 @@ class CurrentTrace:
             raise ValueError(f"total != normal + anomalous, max gap {gap:.3e}")
 
 
-# Fewest times that heat_current (and ``analytics.anomalous_current_discrete``)
+# Fewest times that _forms (and ``analytics.anomalous_current_discrete``)
 # phases and contracts at once; a block holds B = max(TRACE_BLOCK, M) times,
 # so its working set is a few (M x B) arrays, not (M x T) ones.  At M = 501
 # (one thread) 512 ran within noise of the fastest block and peaked lowest.
-# Every block re-reads the M x M forms: at M = 2001 blocks of 512 ran
-# 12-20% slower than blocks of 2048, hence at least M times.
+# Every block rebuilds the forms' rows: for heat_current at M = 2001,
+# T = 10001 fixed blocks of 512 ran 45-55% slower than blocks of M, hence
+# at least M times.
 TRACE_BLOCK = 512
 
 
@@ -175,11 +175,48 @@ def _coupled_levels(prop: nambu.ArrowPropagator, levels) -> np.ndarray:
     return levels * prop.arrow.couplings
 
 
-def _antisym(a: np.ndarray, b: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """The block [rows, cols] of N = b a^T - a b^T, antisymmetric and exactly 0 on its diagonal."""
-    N = np.multiply.outer(b[rows], a[cols])
-    N -= np.multiply.outer(a[rows], b[cols])
-    return N
+# Rows of a form G that _forms builds at once, inside each block of times:
+# its working set is a (FORM_ROWS x M) slice of G, not the M x M form.  At
+# M = 501 (one thread) 128 rows ran traces about 10% faster, and window means
+# at M = 901 and 2401 within noise, but peaked at 0.55 of an M x M array in
+# the window mean at M = 901, against 0.41 for 64 rows.
+FORM_ROWS = 64
+
+
+def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.ndarray):
+    """f_k(t) = cos(st)^T G_k sin(st) for k < parts, a (parts, T) array.
+
+    G_0 = X * (b a^T - a b^T) with a = Q^T w and b = Q[c, :], and G_1 the
+    same from X^T and P.  In each block of times (``phase_blocks``) G_k is
+    built FORM_ROWS rows at a time, each slice multiplied into the sines and
+    contracted with its rows of the cosines; a long grid goes through
+    ``chebyshev_panels``.  Times with s_max |t| >= 1/eps, where fl(s t)
+    keeps no digit of the phase, are refused.
+    """
+    s, M = prop.s, prop.arrow.modes
+    s_max = float(s.max(initial=0.0))
+    t = float(times[np.abs(times).argmax()]) if len(times) else 0.0
+    if not s_max * abs(t) * np.finfo(float).eps < 1:
+        raise ValueError(
+            f"phase s_max*|t| = {s_max * abs(t):.3g} is beyond 1/eps at t={t} for the "
+            f"highest quasiparticle energy s_max={s_max:.6g}: no phase s t is resolved"
+        )
+    bases = ((prop.Q, prop.X), (prop.P, prop.X.T))[:parts]
+    factors = [(w @ U, U[prop.arrow.center], X) for U, X in bases]
+
+    def direct(t):
+        f = np.zeros((parts, len(t)))
+        for block, cos, sin in phase_blocks(s, t):
+            for f_k, (a, b, X) in zip(f, factors):
+                for j0 in range(0, M, FORM_ROWS):
+                    rows = slice(j0, j0 + FORM_ROWS)
+                    G = np.multiply.outer(b[rows], a)
+                    G -= np.multiply.outer(a[rows], b)
+                    G *= X[rows]
+                    f_k[block] += np.einsum("jt,jt->t", cos[rows], G @ sin)
+        return f
+
+    return chebyshev_panels(direct, times, 2 * s_max, parts * M * M + PHASE_COST * M)
 
 
 def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
@@ -193,60 +230,37 @@ def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
     state turns through cos(st) and sin(st) acting on X, so the normal part
     of the current is f_Q + f_P and the anomalous part f_Q - f_P, where
     f_Q(t) = -(1/2) cos(st)^T G_Q sin(st) with G_Q = X * (b a^T - a b^T),
-    a = Q^T w and b = Q[c, :], and f_P is the same with X^T and P: one M x M
-    product per part per time point.  Under the RWA P = Q sign(l) makes
-    G_P = G_Q, so the normal part is 2 f_Q (no G_P is formed) and the
-    anomalous part exactly zero; so is a current with w = 0.
+    a = Q^T w and b = Q[c, :], and f_P is the same with X^T and P
+    (``_forms``).  Under the RWA P = Q sign(l) makes G_P = G_Q, so the
+    normal part is 2 f_Q (f_P is not evaluated) and the anomalous part
+    exactly zero; so is a current with w = 0.
 
-    The times are taken in blocks (``phase_blocks``): per block, the
-    (M, B) phases, one product of the stacked forms [G_Q; G_P] with the
-    sines, and the block's columns of f_Q and f_P.  The working memory is
-    O(M B + M^2) for B = max(TRACE_BLOCK, M), besides the O(T) results.
-    f_Q and f_P have frequencies s_j +- s_k, at most 2 s_max, so a long
-    grid takes them at the nodes of Chebyshev panels and interpolates
-    (``chebyshev_panels``), within rounding of the blocks themselves.
-    A time that is not finite is refused.
+    Each form is built FORM_ROWS rows at a time in each block of
+    B = max(TRACE_BLOCK, M) times: no M x M form, and O(M B + M^2) working
+    memory besides the O(T) results.  f_Q and f_P have frequencies
+    s_j +- s_k, at most 2 s_max, so a long grid takes them at the nodes of
+    Chebyshev panels and interpolates (``chebyshev_panels``), within
+    rounding of the blocks themselves.  Times that are not finite, or whose
+    phase s_max |t| reaches 1/eps, are refused.
     """
     times = np.asarray(times, dtype=float)
     bad = np.flatnonzero(~np.isfinite(times))
     if len(bad):
         raise ValueError(f"times must be finite; times[{bad[0]}] = {times.flat[bad[0]]}")
-    arrow, M = prop.arrow, prop.arrow.modes
     w = _coupled_levels(prop, levels)
     zeros = np.zeros_like(times)
     if not w.any():
         return CurrentTrace(times=times, total=zeros, normal=zeros, anomalous=zeros)
-    # G_Q, and with pairing G_P, stacked: one product per block serves both
-    bases = [(prop.Q, prop.X)] if arrow.rwa else [(prop.Q, prop.X), (prop.P, prop.X.T)]
-    G = np.empty((len(bases), M, M))
-    for G_k, (U, X) in zip(G, bases):
-        np.multiply(_antisym(w @ U, U[arrow.center]), X, out=G_k)
-
-    def forms(t):
-        f = np.empty((len(bases), len(t)))
-        for block, cos, sin in phase_blocks(prop.s, t):
-            G_sin = (G.reshape(-1, M) @ sin).reshape(len(bases), M, -1)
-            f[:, block] = np.einsum("jt,kjt->kt", cos, G_sin)
-        return f
-
-    f = chebyshev_panels(forms, times, 2 * prop.s.max(), G.size + PHASE_COST * M)
+    f = _forms(prop, w, 1 if prop.arrow.rwa else 2, times)
     f *= -0.5
-    if arrow.rwa:
+    if prop.arrow.rwa:
         normal, anomalous = 2 * f[0], zeros
     else:
         normal, anomalous = f[0] + f[1], f[0] - f[1]
-    return CurrentTrace(
-        times=times, total=normal + anomalous, normal=normal, anomalous=anomalous
-    )
+    return CurrentTrace(times=times, total=normal + anomalous, normal=normal, anomalous=anomalous)
 
 
 MIN_WINDOW_SAMPLES = 10
-# Rows of the triangle that window_mean_current handles at once: its working
-# set is a few (rows x M) arrays instead of the whole M x M form.  64 rows
-# ran faster than 128 at M = 2401 and no slower at M = 901 (one thread).
-MEAN_CHUNK_ROWS = 64
-# k < j inside a chunk's diagonal block; a last, shorter chunk takes its corner
-_BELOW_DIAGONAL = np.tri(MEAN_CHUNK_ROWS, k=-1, dtype=bool)
 
 
 def _in_window(times: np.ndarray, window) -> np.ndarray:
@@ -269,58 +283,23 @@ def _check_sample_count(n: int, window) -> None:
         )
 
 
-def _window_kernel(w: np.ndarray, samples: int, half_step: float) -> np.ndarray:
-    """rho(w) = sin(T w h) / (T sin(w h)), the mean of e^{-iw(t - tau)} over the samples.
-
-    T samples t_n = tau + (2n + 1 - T) h sit symmetrically about their
-    centre tau.  Both sines are taken from w itself, so rho keeps its
-    relative accuracy as w -> 0, where it is 1.  They go through
-    t = tan(x/2), sin x = 2t / (1 + t^2): numpy's tan is several times
-    faster than its sin (numpy 2.4, x86-64).  Overwrites w; every step is
-    in place, on the chunk's few (rows x M) buffers.
-    """
-    # rho = [2a / (1 + a^2)] / [T 2b / (1 + b^2)]
-    a = np.multiply(w, samples * half_step / 2)
-    np.tan(a, out=a)
-    b = np.multiply(w, half_step / 2, out=w)
-    np.tan(b, out=b)
-    rho = np.multiply(b, b)
-    rho += 1
-    rho *= a  # a (1 + b^2)
-    resolved = b != 0
-    b *= samples
-    a *= a
-    a += 1
-    a *= b  # T b (1 + a^2)
-    np.divide(rho, a, out=rho, where=resolved)
-    rho[~resolved] = 1.0
-    return rho
-
-
 def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) -> float:
     """Mean over the samples of ``window_times`` of the ``heat_current`` total.
 
-    The total is 2 f_Q for every arrow (``heat_current``), so it is
-    -(1/2) cos(st)^T G sin(st) for G = 2 G_Q.  Over T equally spaced
-    samples centred on tau, the mean of cos(s_j t) sin(s_k t) is
-    [rho(s_j + s_k) sin((s_j + s_k) tau) + rho(s_k - s_j) sin((s_k - s_j) tau)] / 2
-    (``_window_kernel``): no time grid, and a long window costs what a short
-    one does.  G is zero on its diagonal and rho is even, so the sum runs
-    over j < k alone, the sum term weighted by G_jk + G_kj and the
-    difference term by G_jk - G_kj; with G = X * N for the antisymmetric
-    N = b a^T - a b^T, these are (X_jk -+ X_kj) N_jk.  The triangle is taken
-    a chunk of rows at a time.
+    The total is 2 f_Q for every arrow (``heat_current``), so the mean is
+    that of -cos(st)^T G_Q sin(st) over the samples, one form (``_forms``).
+    Its Chebyshev panels, and the (M, nodes) phases, grow with the window's
+    length times s_max: exact at M = 2401 (one thread, dt 0.05) [20, 50]
+    took 83-94 ms, [200, 400] 247-278 ms and a 31 MB traced peak.
 
-    The mean is exact only for frequencies the samples resolve: a time step
-    with s_max dt >= pi/2 (the Nyquist bound of the highest frequency
-    2 s_max) is refused.
+    The sample mean is the current's time average only if the samples
+    resolve its highest frequency, 2 s_max: a time step with
+    s_max dt >= pi/2 undersamples it and is refused.
     """
-    M = prop.arrow.modes
     w = _coupled_levels(prop, levels)
     times = window_times(window, time_step)
     _check_sample_count(len(times), window)
-    s = prop.s
-    s_max = float(s.max(initial=0.0))
+    s_max = float(prop.s.max(initial=0.0))
     if s_max * time_step >= np.pi / 2:
         raise ValueError(
             f"time_step dt={time_step} aliases the window mean: s_max*dt = "
@@ -328,46 +307,5 @@ def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) 
             f"s_max={s_max:.6g}; need dt < pi/(2 s_max) = {np.pi / (2 * s_max):.6g}"
         )
     if not w.any():
-        return 0.0  # G is exactly zero
-    X = prop.X
-    a, b = w @ prop.Q, prop.Q[prop.arrow.center]
-    # centre and spacing of the samples themselves: np.arange steps by
-    # fl(t0 + dt) - t0, which on [200, 400] at dt 0.05 puts the last
-    # sample 4.5e-11 from t0 + (T - 1) dt
-    T = len(times)
-    tau = (times[0] + times[-1]) / 2
-    h = (times[-1] - times[0]) / (2 * (T - 1))
-    cos, sin = np.cos(s * tau), np.sin(s * tau)
-    total = 0.0
-    for j0 in range(0, M, MEAN_CHUNK_ROWS):
-        j1 = min(j0 + MEAN_CHUNK_ROWS, M)
-        rows, cols = slice(j0, j1), slice(j0, M)
-        sym = _antisym(a, b, rows, cols)
-        anti = sym.copy()
-        Xt = X[cols, rows].T
-        pair = np.subtract(X[rows, cols], Xt)
-        sym *= pair
-        np.add(X[rows, cols], Xt, out=pair)
-        anti *= pair
-        del pair
-        # only k > j inside the diagonal block (both are 0 at k = j)
-        n = j1 - j0
-        lower = _BELOW_DIAGONAL[:n, :n]
-        sym[:, :n][lower] = 0.0
-        anti[:, :n][lower] = 0.0
-        # sin((s_j + s_k) tau) = sin_j cos_k + cos_j sin_k: two matrix-vector
-        # products; their rounding is damped by rho(s_j + s_k) unless both
-        # are small, where they are accurate
-        plus = _window_kernel(s[rows, None] + s[cols], T, h)
-        plus *= sym
-        del sym
-        total += sin[rows] @ (plus @ cos[cols]) + cos[rows] @ (plus @ sin[cols])
-        # sin((s_k - s_j) tau) from the difference itself: by the addition
-        # theorem a near-degenerate pair, rho ~ 1, would cancel O(1) terms
-        diff = s[cols] - s[rows, None]
-        minus = np.multiply(diff, tau)
-        np.sin(minus, out=minus)
-        minus *= _window_kernel(diff, T, h)
-        minus *= anti
-        total += minus.sum()
-    return float(-0.5 * total)
+        return 0.0  # G_Q is exactly zero
+    return float(-_forms(prop, w, 1, times)[0].mean())

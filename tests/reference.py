@@ -264,6 +264,15 @@ def expectation_series(prop: Propagator, O: NambuMatrix, times) -> np.ndarray:
     return -0.5 * vals.real + O.const_offset
 
 
+def rate_series(prop: Propagator, O: NambuMatrix, H: NambuMatrix, times) -> np.ndarray:
+    """d<O>/dt = -(1/2i) tr(chi(t) [O, H]) over a time grid, by ``expectation_series``.
+
+    -(1/2i) tr(chi C) = -(1/2) tr((-iC) chi), and -iC is Hermitian for C = [O, H].
+    """
+    C = O.data @ H.data - H.data @ O.data
+    return expectation_series(prop, NambuMatrix(modes=O.modes, data=-1j * C), times)
+
+
 def steady_state_estimate(trace: CurrentTrace, window) -> tuple[float, float]:
     """Mean and standard deviation of the total current inside a time window."""
     mask = _in_window(trace.times, window)

@@ -438,6 +438,16 @@ def test_fock_check_names_an_overflowing_coupling(rwa, capsys):
     assert "did not converge" not in err
 
 
+# couplings that solve but put s_max t beyond 1/eps, where no phase is resolved
+@pytest.mark.parametrize("rwa", [[], ["--rwa"]], ids=["exact", "rwa"])
+def test_fock_check_names_unresolved_phases(rwa, capsys):
+    assert main(["fock-check", "--gamma", "1e60", *rwa]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "numerical failure: phase s_max*|t| = " in captured.err
+    assert "beyond 1/eps at t=20.0" in captured.err and "s_max=" in captured.err
+    assert "max |engine - fock|" not in captured.out
+
+
 @pytest.mark.parametrize("formula", ["weak", "landauer", "transmission", "selfenergy", "anomalous"])
 def test_oracle_names_an_overflowing_gamma(formula, capsys):
     assert main(["oracle", formula, "--gamma", "1e200"]) == EXIT_NUMERICAL

