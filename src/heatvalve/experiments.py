@@ -66,7 +66,7 @@ class SweepRecord:
             raise ValueError("std_current must be >= 0")
 
 
-def _realization(config: ValveConfig, bath: BathRealization | None = None):
+def realization(config: ValveConfig, bath: BathRealization | None = None):
     """Arrow propagator and cold-bath levels of one realization, bath sampled if not given."""
     if bath is None:
         bath = apply_internal_couplings(config, sample_bath(config))
@@ -82,12 +82,12 @@ def simulate_trace(
     ``bath`` is the realization drawn from ``config`` (internal couplings
     folded in); it is sampled here when not given.
     """
-    return heat_current(*_realization(config, bath), times)
+    return heat_current(*realization(config, bath), times)
 
 
 def _steady_state_job(config: ValveConfig, window, time_step) -> float:
     """Window mean of one realization's cold-bath current, with no time grid."""
-    return window_mean_current(*_realization(config), window, time_step)
+    return window_mean_current(*realization(config), window, time_step)
 
 
 def _parallel_map(jobs, n_jobs: int):

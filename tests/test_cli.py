@@ -1,12 +1,26 @@
 import csv
+import io
 import json
 import math
 import re
+from dataclasses import astuple
+from itertools import repeat
 
+import numpy as np
 import pytest
 
-from heatvalve import experiments, heisenberg_time, levels_per_linewidth, relaxation_time
-from heatvalve.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from heatvalve import cli, experiments, heisenberg_time, levels_per_linewidth, relaxation_time
+from heatvalve.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    SWEEP_HEADER,
+    TRACE_HEADER,
+    UNITS_COMMENT,
+    main,
+)
+from heatvalve.config import load_config, make_valve_config
+from heatvalve.evolution import CurrentTrace, heat_current
 from heatvalve.valve import sample_bath
 
 
@@ -46,6 +60,88 @@ def check_cell(cell):
         assert cell == str(int(cell))
     except ValueError:
         assert cell == repr(float(cell))
+
+
+def csv_writer_text(header, rows):
+    """The units comment, then header and rows as the csv module writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return UNITS_COMMENT + buf.getvalue()
+
+
+def sweep_args(cfg):
+    return dict(
+        config_template=make_valve_config(cfg, gamma=0.0), gamma_grid=cfg["gamma_grid"],
+        realizations=cfg["realizations"], kinds=("exact", "rwa"), window=tuple(cfg["window"]),
+        time_step=cfg["time_step"],
+    )
+
+
+class TestWriter:
+    """Every CSV is byte for byte what csv.writer makes of the experiment's own results."""
+
+    def test_trace_csv(self, tmp_path):
+        path = write_config(tmp_path, "gamma: 0.3\nkind: both\nbath_sizes: [4, 6]\n")
+        out = tmp_path / "out"
+        assert main(["trace", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        cfg = load_config(path)
+        times = np.arange(0.0, cfg["t_max"] + cfg["time_step"] / 2, cfg["time_step"])
+        rows = []
+        for N in (4, 6):
+            vc = make_valve_config(cfg, gamma=cfg["gamma"], bath_size=N)
+            traces, pert = experiments.run_trace(vc, times, kinds=("exact", "rwa"))
+            for kind, tr in traces.items():
+                rows += zip(times.tolist(), repeat(kind), repeat(N), tr.total.tolist(),
+                            tr.normal.tolist(), tr.anomalous.tolist(), pert.tolist())
+        assert len(rows) == 2 * 2 * len(times)
+        want = csv_writer_text(TRACE_HEADER, rows)
+        assert (out / "trace.csv").read_bytes() == want.encode()
+
+    def test_sweep_csv(self, tmp_path):
+        path = write_config(tmp_path, "gamma_grid: [0.0, 0.3]\nkind: both\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        records = experiments.run_sweep(**sweep_args(load_config(path)))
+        want = csv_writer_text(SWEEP_HEADER, map(astuple, records))
+        assert (out / "sweep.csv").read_bytes() == want.encode()
+
+    def test_dist_csv(self, tmp_path):
+        path = write_config(tmp_path, "gamma_grid: [0.2]\nkind: both\n")
+        out = tmp_path / "out"
+        assert main(["dist", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        records = experiments.run_distribution_comparison(**sweep_args(load_config(path)))
+        want = csv_writer_text(SWEEP_HEADER, map(astuple, records["gaussian"]))
+        assert (out / "sweep_gaussian.csv").read_bytes() == want.encode()
+
+    def test_float_text_of_edge_values(self, tmp_path):
+        # signed zero, a small exponent, the least subnormal, a large exponent
+        col = np.array([-0.0, 1e-05, 5e-324, 1e16])
+        zero = np.zeros_like(col)
+        trace = CurrentTrace(times=col, total=col, normal=col, anomalous=zero)
+        path = tmp_path / "edge.csv"
+        cli._write_csv(path, TRACE_HEADER, cli._trace_lines(col, [(4, {"rwa": trace}, col)]))
+        rows = zip(col.tolist(), repeat("rwa"), repeat(4), col.tolist(), col.tolist(),
+                   zero.tolist(), col.tolist())
+        text = path.read_bytes().decode()
+        assert text == csv_writer_text(TRACE_HEADER, rows)
+        assert text.splitlines()[2:] == [
+            "-0.0,rwa,4,-0.0,-0.0,0.0,-0.0", "1e-05,rwa,4,1e-05,1e-05,0.0,1e-05",
+            "5e-324,rwa,4,5e-324,5e-324,0.0,5e-324", "1e+16,rwa,4,1e+16,1e+16,0.0,1e+16",
+        ]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sweep", "gamma_grid: [0.2]\n"), ("trace", "gamma: 0.2\n"), ("dist", "gamma_grid: [0.2]\n"),
+], ids=["sweep", "trace", "dist"])
+def test_manifest_stage_times(tmp_path, command, extra):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(write_config(tmp_path, extra)), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    wall_s = json.loads((out / "manifest.json").read_text())["wall_s"]
+    assert set(wall_s) == {"run", "write"}
+    assert all(isinstance(v, float) and v >= 0 for v in wall_s.values())
 
 
 class TestSweep:
@@ -282,6 +378,21 @@ class TestExitCodes:
     def test_fock_check_passes(self, capsys):
         assert main(["fock-check", "--n", "2", "--gamma", "0.3"]) == EXIT_OK
 
+    # phases resolved, but their rounding is far above 1e-9 absolute
+    @pytest.mark.parametrize("rwa", [[], ["--rwa"]], ids=["exact", "rwa"])
+    @pytest.mark.parametrize("gamma", ["1e5", "1e7"])
+    def test_fock_check_passes_at_large_coupling(self, gamma, rwa, capsys):
+        assert main(["fock-check", "--n", "2", "--gamma", gamma, *rwa]) == EXIT_OK
+
+    @pytest.mark.parametrize("gamma", ["0.3", "1e5"])
+    def test_fock_check_fails_a_wrong_anomalous_part(self, gamma, capsys, monkeypatch):
+        def negated(*args):
+            tr = heat_current(*args)
+            return CurrentTrace(tr.times, tr.normal - tr.anomalous, tr.normal, -tr.anomalous)
+
+        monkeypatch.setattr(cli, "heat_current", negated)
+        assert main(["fock-check", "--n", "2", "--gamma", gamma]) == EXIT_NUMERICAL
+
     @pytest.mark.parametrize("n", ["6", "0"])
     def test_fock_check_refuses_bath_beyond_oracle(self, n, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +556,16 @@ def test_fock_check_names_unresolved_phases(rwa, capsys):
     captured = capsys.readouterr()
     assert "numerical failure: phase s_max*|t| = " in captured.err
     assert "beyond 1/eps at t=20.0" in captured.err and "s_max=" in captured.err
+    assert "max |engine - fock|" not in captured.out
+
+
+# phases resolved, but rounded so coarsely that the tolerance would pass anything
+@pytest.mark.parametrize("rwa", [[], ["--rwa"]], ids=["exact", "rwa"])
+def test_fock_check_names_coarse_phase_rounding(rwa, capsys):
+    assert main(["fock-check", "--gamma", "1e12", *rwa]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "numerical failure: phase rounding eps*s_max*t = " in captured.err
+    assert "cannot be told apart" in captured.err
     assert "max |engine - fock|" not in captured.out
 
 
