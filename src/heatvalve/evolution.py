@@ -8,10 +8,12 @@ of its mode energies (``valve.bath_levels``).  The bath couples only to
 the central mode, so the commutator is written down from the central
 column, and each part of the current is an M x M bilinear form in cos(st)
 and sin(st), evaluated by one routine (``_forms``) for traces and window
-means alike.  The time grid is taken a block of B = max(TRACE_BLOCK, M)
+means alike.  The state enters as the propagator's Löwner rows, with every
+scaling folded into O(M) vectors, so no M x M array is formed beside the
+propagator's D2.  The time grid is taken a block of B = max(TRACE_BLOCK, M)
 times at a time, with the phases of a block from one tan(st/2) per entry
 (``phase_blocks``), and each form a slice of FORM_ROWS rows at a time, so
-the working memory is O(M B + M^2), not O(M T).  A long grid oversamples
+the working memory is O(M B), not O(M T).  A long grid oversamples
 the forms, whose frequencies are at most 2 s_max: they are evaluated at
 the nodes of Chebyshev panels and interpolated onto the grid
 (``chebyshev_panels``) when that costs less.  A window mean is the mean of
@@ -49,10 +51,11 @@ class CurrentTrace:
 # Fewest times that _forms (and ``analytics.anomalous_current_discrete``)
 # phases and contracts at once; a block holds B = max(TRACE_BLOCK, M) times,
 # so its working set is a few (M x B) arrays, not (M x T) ones.  At M = 501
-# (one thread) 512 ran within noise of the fastest block and peaked lowest.
-# Every block rebuilds the forms' rows: for heat_current at M = 2001,
-# T = 10001 fixed blocks of 512 ran 45-55% slower than blocks of M, hence
-# at least M times.
+# (one thread) blocks of 256 and 512 ran an exact T = 5001 trace within
+# noise of each other (28 ms) and 1024 took 33 ms.  Every block rebuilds the
+# Löwner rows and the forms' rows: for heat_current at M = 2001, T = 10001
+# fixed blocks of 512 ran 16% slower than blocks of M (684 vs 590 ms),
+# hence at least M times.
 TRACE_BLOCK = 512
 
 
@@ -175,11 +178,11 @@ def _coupled_levels(prop: nambu.ArrowPropagator, levels) -> np.ndarray:
     return levels * prop.arrow.couplings
 
 
-# Rows of a form G that _forms builds at once, inside each block of times:
-# its working set is a (FORM_ROWS x M) slice of G, not the M x M form.  At
-# M = 501 (one thread) 128 rows ran traces about 10% faster, and window means
-# at M = 901 and 2401 within noise, but peaked at 0.55 of an M x M array in
-# the window mean at M = 901, against 0.41 for 64 rows.
+# Rows of L (and of each form G) that _forms builds at once, inside each
+# block of times: its working set is a few (FORM_ROWS x M) slices, not an
+# M x M array.  At M = 501 (one thread) 128 rows ran an exact T = 5001 trace
+# about 6% faster (25 vs 27 ms), but the window mean at M = 2001 took 55
+# against 47 ms and held 12 MB beside D2 against 8 MB.
 FORM_ROWS = 64
 
 
@@ -187,13 +190,19 @@ def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.nda
     """f_k(t) = cos(st)^T G_k sin(st) for k < parts, a (parts, T) array.
 
     G_0 = X * (b a^T - a b^T) with a = Q^T w and b = Q[c, :], and G_1 the
-    same from X^T and P.  In each block of times (``phase_blocks``) G_k is
-    built FORM_ROWS rows at a time, each slice multiplied into the sines and
-    contracted with its rows of the cosines; a long grid goes through
-    ``chebyshev_panels``.  Times with s_max |t| >= 1/eps, where fl(s t)
-    keeps no digit of the phase, are refused.
+    same from X^T and P.  Only the k roots enter: a deflated mode's X is
+    diagonal, where b a^T - a b^T is 0.  With X_il = beta_i (L_li + r_l) alpha_l
+    (``ArrowPropagator.state_scales``) every scaling folds into O(M) vectors:
+    G_0^T = L * (A C^T - B D^T) plus a rank-one term, with A, B = alpha (a, b)
+    on the rows of L and C, D = beta (b, a) on its columns, and G_1 the same
+    from P's a, b with cos and sin swapped.  The rank-one term's share is
+    (r A . sin)(C . cos) - (r B . sin)(D . cos), O(M) per time.  In each
+    block of times (``phase_blocks``) L is made FORM_ROWS rows at a time
+    (``ArrowPropagator.lowner``), and the slice serves both forms; a long
+    grid goes through ``chebyshev_panels``.  Times with s_max |t| >= 1/eps,
+    where fl(s t) keeps no digit of the phase, are refused.
     """
-    s, M = prop.s, prop.arrow.modes
+    s, k = prop.s, prop.roots
     s_max = float(s.max(initial=0.0))
     t = float(times[np.abs(times).argmax()]) if len(times) else 0.0
     if not s_max * abs(t) * np.finfo(float).eps < 1:
@@ -201,22 +210,32 @@ def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.nda
             f"phase s_max*|t| = {s_max * abs(t):.3g} is beyond 1/eps at t={t} for the "
             f"highest quasiparticle energy s_max={s_max:.6g}: no phase s t is resolved"
         )
-    bases = ((prop.Q, prop.X), (prop.P, prop.X.T))[:parts]
-    factors = [(w @ U, U[prop.arrow.center], X) for U, X in bases]
+    alpha, beta, r = prop.state_scales()
+    # a = Q^T w and b = Q^T e_c = Q[c, :], and P's, on the roots
+    a, ap = (x[:k, 0] for x in prop.project(w[:, None]))
+    b, bp = prop.centre_rows()
+    # G_k^T = L * (left^T @ right) + the rank-one term, left (2 x k) on the
+    # rows of L and right (2 x k) on its columns: f_Q's rows on sin, f_P's on cos
+    lefts, rights = alpha * np.stack([a, -b, bp, -ap]), beta * np.stack([b, a, ap, bp])
+    factors = [(lefts[i : i + 2], rights[i : i + 2]) for i in (0, 2)]
+    rank_one = [r * left for left, _ in factors]
 
     def direct(t):
         f = np.zeros((parts, len(t)))
-        for block, cos, sin in phase_blocks(s, t):
-            for f_k, (a, b, X) in zip(f, factors):
-                for j0 in range(0, M, FORM_ROWS):
-                    rows = slice(j0, j0 + FORM_ROWS)
-                    G = np.multiply.outer(b[rows], a)
-                    G -= np.multiply.outer(a[rows], b)
-                    G *= X[rows]
-                    f_k[block] += np.einsum("jt,jt->t", cos[rows], G @ sin)
+        for block, cos, sin in phase_blocks(s[:k], t):
+            sides = ((sin, cos), (cos, sin))[:parts]
+            for j0 in range(0, k, FORM_ROWS):
+                j1 = min(j0 + FORM_ROWS, k)
+                L = prop.lowner(j0, j1)
+                for f_k, (left, right), (row, col) in zip(f, factors, sides):
+                    G = left[:, j0:j1].T @ right
+                    G *= L
+                    f_k[block] += np.einsum("jt,jt->t", row[j0:j1], G @ col)
+            for f_k, (_, right), r_left, (row, col) in zip(f, factors, rank_one, sides):
+                f_k[block] += np.einsum("jt,jt->t", r_left @ row, right @ col)
         return f
 
-    return chebyshev_panels(direct, times, 2 * s_max, parts * M * M + PHASE_COST * M)
+    return chebyshev_panels(direct, times, 2 * s_max, parts * k * k + PHASE_COST * k)
 
 
 def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
@@ -236,11 +255,11 @@ def heat_current(prop: nambu.ArrowPropagator, levels, times) -> CurrentTrace:
     exactly zero; so is a current with w = 0.
 
     Each form is built FORM_ROWS rows at a time in each block of
-    B = max(TRACE_BLOCK, M) times: no M x M form, and O(M B + M^2) working
-    memory besides the O(T) results.  f_Q and f_P have frequencies
-    s_j +- s_k, at most 2 s_max, so a long grid takes them at the nodes of
-    Chebyshev panels and interpolates (``chebyshev_panels``), within
-    rounding of the blocks themselves.  Times that are not finite, or whose
+    B = max(TRACE_BLOCK, M) times: no M x M form, and O(M B) working
+    memory beside the propagator's D2 and the O(T) results.  f_Q and f_P
+    have frequencies s_j +- s_k, at most 2 s_max, so a long grid takes them
+    at the nodes of Chebyshev panels and interpolates (``chebyshev_panels``),
+    within rounding of the blocks themselves.  Times that are not finite, or whose
     phase s_max |t| reaches 1/eps, are refused.
     """
     times = np.asarray(times, dtype=float)
@@ -290,7 +309,7 @@ def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) 
     that of -cos(st)^T G_Q sin(st) over the samples, one form (``_forms``).
     Its Chebyshev panels, and the (M, nodes) phases, grow with the window's
     length times s_max: exact at M = 2401 (one thread, dt 0.05) [20, 50]
-    took 83-94 ms, [200, 400] 247-278 ms and a 31 MB traced peak.
+    took 90 ms and [200, 400] 220 ms.
 
     The sample mean is the current's time average only if the samples
     resolve its highest frequency, 2 s_max: a time step with

@@ -7,16 +7,18 @@ mode (the heat valve) is carried by its ``Arrow``: the M x M matrix
 K = h + Delta, a diagonal plus the central column (and row).  Its SVD
 K = P diag(s) Q^T gives the eigenbasis of the 2M x 2M Nambu matrix
 [[h, Delta], [-Delta*, -h^T]] in the Majorana form, and X = Q^T diag(1 - 2n) P
-the product state with mode occupations n.  ``arrow_propagator`` solves,
-probes and returns them as an ``ArrowPropagator``, from one secular
-solver with pairing and under the RWA, in O(M^2).  The secular solver
-(``_secular_roots``) is numpy: LAPACK dlasd4's stable method, vectorized
-over the roots, with its stopping test.
+the product state with mode occupations n.  ``arrow_propagator`` solves and
+probes them, from one secular solver with pairing and under the RWA, in
+O(M^2), and returns them as an ``ArrowPropagator``: the secular table D2,
+its one M x M array, and O(M) vectors, from which rows of P, Q and X are
+made on demand.  The secular solver (``_secular_roots``) is numpy: LAPACK
+dlasd4's stable method, vectorized over the roots, with its stopping test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,53 +59,195 @@ class Arrow:
 
 @dataclass(frozen=True)
 class ArrowPropagator:
-    """An arrow realization in the Majorana form: K = P diag(s) Q^T and X.
+    """An arrow realization in the Majorana form, K = P diag(s) Q^T and X, as O(M) vectors and D2.
 
-    s are the quasiparticle energies, in the solver's order (not sorted), P
-    and Q the left and right singular vectors of the arrow's K = h + Delta, and
-    X = Q^T diag(1 - 2n) P the product state with mode occupations n.  All
-    four are real; a complex factor, or one not shaped by the arrow's M, is
-    refused.  The arrow is kept, so every current is taken with the arrow
-    the factors were solved from.
+    s are the quasiparticle energies, in the solver's order (the k roots
+    ascending, then the deflated modes; not sorted).  ``perm`` sorts the
+    modes as the solver's poles: the centre, the k - 1 coupled modes by
+    |level|, then the deflated ones.  The only 2-D array is the secular
+    table D2 (k x k), D2_ij = ds_j^2 - s_i^2 for root i and pole j, from
+    which every block of rows is made on demand:
+
+    - the Cauchy rows V = zhat / D2 (``cauchy``) give the singular vectors
+      of the roots, Q^T = (V diag(signed) - 1 e_c^T) / |u| and P^T = V / |v|
+      (flip Q^T under the RWA), over the poles ``perm[:k]``;
+    - the Löwner rows L_li = (F_i - F_l) / (s_i^2 - s_l^2), F'_l on the
+      diagonal (``lowner``), give the state of the roots,
+      X_il = (L_li + r_l) flip_l / (|u_i| |v_l|), with the rank-one
+      r = e_c (RWA) or -e_c V[:, 0] (pairing);
+    - a deflated mode j >= k is its own pole: its rows of P^T and Q^T are
+      flip_j and sign_j (the sign of its level) at mode perm_j, and
+      X_jj = e_j sign_j flip_j.
+
+    zhat, signed, F, F' (``dF``) and |v| are those of the arrow as the
+    solver scaled it (K 2^-p); s is K's own.  What is O(k) to rebuild from
+    them (the nearest pole's D2_ij, V[:, 0]) is not stored.  e are the
+    weights 1 - 2n in ``perm`` order, so e_c = e[0].  Every field is real
+    and shaped by the arrow's M and the root count k (D2's rows), else
+    refused; ``perm`` and ``nearest`` are integers.  The arrow is kept, so
+    every current is taken with the arrow the realization was solved from.
     """
 
     arrow: Arrow
+    D2: np.ndarray
     s: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    X: np.ndarray
+    perm: np.ndarray
+    zhat: np.ndarray
+    signed: np.ndarray
+    nearest: np.ndarray
+    F: np.ndarray
+    dF: np.ndarray
+    norm_u: np.ndarray
+    norm_v: np.ndarray
+    flip: np.ndarray
+    e: np.ndarray
 
     def __post_init__(self):
         M = self.arrow.modes
-        for name, shape in (("s", (M,)), ("P", (M, M)), ("Q", (M, M)), ("X", (M, M))):
-            arr = getattr(self, name)
-            if arr.shape != shape or not np.isrealobj(arr):
+        k = self.D2.shape[0] if self.D2.ndim == 2 and 1 <= self.D2.shape[0] <= M else 0
+        for field in fields(self)[1:]:  # D2 first: it gives k
+            name, arr = field.name, getattr(self, field.name)
+            per_mode = name in ("s", "perm", "signed", "flip", "e")
+            shape = (k, k) if name == "D2" else (M,) if per_mode else (k,)
+            index = name in ("perm", "nearest")
+            if arr.shape != shape or arr.dtype.kind not in ("iu" if index else "f") or not k:
                 raise ValueError(
-                    f"{name} must be a real array of shape {shape}, got {arr.dtype} {arr.shape}"
+                    f"{name} must be {'an integer' if index else 'a real'} array of shape "
+                    f"{shape} for M = {M} modes and k = {k} roots (1 <= k <= M), "
+                    f"got {arr.dtype} {arr.shape}"
                 )
             arr.setflags(write=False)
 
+    @property
+    def roots(self) -> int:
+        """k, the secular roots: the modes that couple to the centre, the centre included."""
+        return len(self.zhat)
 
-def _probe_residuals(prop: ArrowPropagator, weights) -> tuple[float, float, float]:
+    @property
+    def sign(self) -> np.ndarray:
+        """The sign of each pole's level, +1 for 0: a deflated mode's entry of Q^T."""
+        return np.where(self.signed < 0, -1.0, 1.0)
+
+    def cauchy(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0..i1 of V = zhat / D2: root i's singular vectors over the poles, unscaled."""
+        return np.divide(self.zhat, self.D2[i0:i1])
+
+    def lowner(self, l0: int, l1: int) -> np.ndarray:
+        """Rows l0..l1 of L: (F_i - F_l) / (s_i^2 - s_l^2), F'_l on the diagonal.
+
+        s_i^2 - s_l^2 is D2_lj - D2_ij at the pole j nearest root i, which
+        keeps close roots accurate; on the diagonal it is exactly 0, held
+        at 1 through the division.
+        """
+        k = len(self.zhat)
+        L = np.take(self.D2[l0:l1], self.nearest, axis=1)
+        L -= self.D2[np.arange(k), self.nearest]
+        diag = L.reshape(-1)[l0 :: k + 1]
+        diag[...] = 1.0
+        np.divide(np.subtract(self.F, self.F[l0:l1, None]), L, out=L)
+        diag[...] = self.dF[l0:l1]
+        return L
+
+    def state_scales(self):
+        """(alpha, beta, r): X_il = beta_i (L_li + r_l) alpha_l over the roots."""
+        k = len(self.zhat)
+        r = np.full(k, self.e[0]) if self.arrow.rwa else -self.e[0] * (self.zhat[0] / self.D2[:, 0])
+        return self.flip[:k] / self.norm_v, 1 / self.norm_u, r
+
+    def project(self, w: np.ndarray, out: np.ndarray | None = None):
+        """Q^T w and P^T w in the solver's order, for the columns of w (M x n) in mode order.
+
+        One pass over the Cauchy rows, against w in ``perm`` order: on the
+        roots Q^T w = (V (signed w) - w_c) / |u| and P^T w = V w / |v| (flip
+        Q^T w under the RWA); a deflated mode gives sign_j w_j and flip_j w_j.
+        ``out``, the pass's V [signed w, w] (k x 2n) if already made, saves it.
+        """
+        k, n = len(self.zhat), w.shape[1]
+        wp = w[self.perm]
+        if out is None:
+            rhs = np.concatenate([wp[:k] * self.signed[:k, None], wp[:k]], axis=1)
+            out = np.concatenate([self.cauchy(i0, i1) @ rhs for i0, i1 in _row_blocks(k)])
+        q = wp * self.sign[:, None]
+        q[:k] = (out[:, :n] - wp[0]) / self.norm_u[:, None]
+        p = (q if self.arrow.rwa else wp) * self.flip[:, None]
+        if not self.arrow.rwa:
+            p[:k] = out[:, n:] / self.norm_v[:, None]
+        return q, p
+
+    def centre_rows(self):
+        """Q[c, :] and P[c, :] over the roots, O(k): ``project`` of e_c, bit for bit.
+
+        The centre is pole 0, at level 0, so Q^T e_c = -1 / |u| and
+        P^T e_c = V[:, 0] / |v| (flip Q^T e_c under the RWA).
+        """
+        q = -1 / self.norm_u
+        if self.arrow.rwa:
+            return q, q * self.flip[: len(q)]
+        return q, self.zhat[0] / self.D2[:, 0] / self.norm_v
+
+    def expand(self, x: np.ndarray, y: np.ndarray):
+        """Q x and P y in mode order, for the columns of x and y (M x n) in the solver's order.
+
+        One pass over the Cauchy rows, the transpose of ``project``; under
+        the RWA P y = Q (flip y).
+        """
+        k, n, rwa = len(self.zhat), x.shape[1], self.arrow.rwa
+        y = y * self.flip[:, None]
+        out = np.concatenate([x * self.sign[:, None], y], axis=1)
+        lhs = np.concatenate([x[:k] / self.norm_u[:, None],
+                              y[:k] / (self.norm_u if rwa else self.norm_v)[:, None]], axis=1)
+        out[:k] = sum(self.cauchy(i0, i1).T @ lhs[i0:i1] for i0, i1 in _row_blocks(k))
+        q = slice(None) if rwa else slice(0, n)  # the columns expanded through Q
+        out[:k, q] *= self.signed[:k, None]
+        out[0, q] = -lhs[:, q].sum(axis=0)
+        modes = np.empty_like(out)
+        modes[self.perm] = out
+        return modes[:, :n], modes[:, n:]
+
+    def state(self, v: np.ndarray) -> np.ndarray:
+        """X v for v in the solver's order: one pass over the Löwner rows."""
+        k = len(self.zhat)
+        alpha, beta, r = self.state_scales()
+        av = alpha * v[:k]
+        acc = sum(av[l0:l1] @ self.lowner(l0, l1) for l0, l1 in _row_blocks(k))
+        out = self.e * self.sign * self.flip * v
+        out[:k] = (acc + r @ av) * beta
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_vector(modes: int) -> np.ndarray:
+    """The fixed pseudo-random probe vector v of ``_probe_residuals``, read-only."""
+    v = np.random.default_rng(0x5EED).standard_normal(modes)
+    v.setflags(write=False)
+    return v
+
+
+def _probe_residuals(prop: ArrowPropagator, weights, projected=None) -> tuple[float, float, float]:
     """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe.
 
-    A fixed pseudo-random vector makes the checks O(M^2) matrix-vector work;
-    K v itself is O(M) from the arrow, and X v is checked against
-    Q^T (e * P v) for the weights e.
+    The fixed pseudo-random vector v = ``_probe_vector(M)`` makes the checks
+    three passes over blocks of rows, the same Cauchy and Löwner rows the
+    currents read: Q^T v and P^T v (``projected``, the solver's V [signed v, v]
+    in its order, saves this one); X v; then Q (Q^T v), P (P^T v),
+    P (s * Q^T v), Q X v and P v.  K v itself is O(M) from the arrow, and
+    the state is checked as Q X v = e * P v for the weights e, which is
+    X v = Q^T (e * P v) for an orthogonal Q.
     """
-    arrow, s, P, Q = prop.arrow, prop.s, prop.P, prop.Q
-    v = np.random.default_rng(0x5EED).standard_normal(arrow.modes)
+    arrow, s = prop.arrow, prop.s
+    v = _probe_vector(arrow.modes)
     norm = np.linalg.norm(v)
     c = arrow.center
     Kv = arrow.levels * v + arrow.column * v[c]
     if arrow.rwa:
         Kv[c] += arrow.couplings @ v
-    w = Q.T @ v
-    Pv = P @ v
+    Qtv, Ptv = prop.project(v[:, None], projected)
+    Qx, Py = prop.expand(np.concatenate([Qtv, prop.state(v)[:, None]], axis=1),
+                         np.concatenate([Ptv, s[:, None] * Qtv, v[:, None]], axis=1))
     scale = max(s.max(initial=0.0), 1.0) * norm
-    recon = np.linalg.norm(Kv - P @ (s * w)) / scale
-    ortho = max(np.linalg.norm(Q @ w - v), np.linalg.norm(P @ (P.T @ v) - v)) / norm
-    state = np.linalg.norm(prop.X @ v - Q.T @ (weights * Pv)) / norm
+    recon = np.linalg.norm(Kv - Py[:, 1]) / scale
+    ortho = max(np.linalg.norm(Qx[:, 0] - v), np.linalg.norm(Py[:, 0] - v)) / norm
+    state = np.linalg.norm(Qx[:, 1] - weights * Py[:, 2]) / norm
     return float(recon), float(ortho), float(state)
 
 
@@ -111,9 +255,16 @@ def _probe_residuals(prop: ArrowPropagator, weights) -> tuple[float, float, floa
 # takes three steps, rarely more than seven, and none of 2592 valve arrows
 # (N up to 1200, gamma up to 2) took more than 13; LAPACK dlasd4 allows 400
 SECULAR_MAX_ITER = 30
-# elements in a block of rows (rows x M): the solver and the Löwner and
-# vector passes work a block at a time, so that its few arrays stay in cache
+# elements in a block of rows (rows x k): the solver, its Löwner and vector
+# passes and the probe work a block at a time, so that the few block-sized
+# arrays beside D2 stay in cache and add little to the peak
 _BLOCK = 1 << 16
+
+
+def _row_blocks(k: int):
+    """(i0, i1) blocks of rows of a k-wide array, _BLOCK elements each."""
+    rows = max(1, _BLOCK // k)
+    return [(i0, min(i0 + rows, k)) for i0 in range(0, k, rows)]
 
 
 def _secular_eval(S, u, i0, i1, split=None):
@@ -334,8 +485,8 @@ def _secular_roots(ds, zn, rho):
     return do + eta / (do + np.sqrt(do * do + eta)), D2
 
 
-def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
-    """SVD K = P diag(s) Q^T of an arrow, and X = Q^T diag(e) P, s in root order.
+def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray, probe: np.ndarray):
+    """SVD K = P diag(s) Q^T of an arrow, and X = Q^T diag(e) P, as D2 and O(M) vectors.
 
     With pairing, K^T = diag(d) + e_c z^T with z = K[:, c] (the central
     level at c) and d = levels but d_c = 0, and K^T = S A for S = diag(sign d)
@@ -357,10 +508,12 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     X_ik |u_i| |v_k| = (F_i - F_k) / (s_i^2 - s_k^2) + e_c z_c / s_k^2, and
     F'_i in place of the quotient on the diagonal.  s_i^2 - s_k^2 is taken
     as D2_kj - D2_ij at the pole j nearest root i, which keeps close roots
-    accurate; deflated modes give the diagonal e_j sign d_j.  O(M^2) work
-    in three passes over blocks of rows (the Löwner product with the rows of
-    X gathered at the nearest poles; the vectors, written in mode order; X),
-    with three M x M arrays.
+    accurate; deflated modes give the diagonal e_j sign d_j.  Nothing of
+    P, Q or X is written down: two passes over blocks of rows of D2 (the
+    Löwner product for zhat; F, F', |u|, |v| and the probe's first product)
+    give the O(M) vectors from which ``ArrowPropagator`` makes their rows,
+    so D2 (k x k, in the sorted-pole order the solver leaves it) is the one
+    2-D array.
 
     Under the RWA, K + mu = L L^T for mu = 2 (max|d| + ||g||) (1 if K = 0),
     with L^T the broken arrow of levels sqrt(d + mu), column g / sqrt(d + mu)
@@ -377,7 +530,10 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
     steps' squares of squares stay inside the float range.  A
     coupling whose square |g|^2 overflows is refused with a ValueError.
 
-    The singular values (and the columns of P and Q, the rows and columns of
+    Returns the ``ArrowPropagator`` fields but the arrow, by name, and
+    V [signed v, v] for the vector ``probe`` (v, in mode order), taken in
+    the pass that gives F: the first pass of ``_probe_residuals``.  The
+    singular values (and the columns of P and Q, the rows and columns of
     X) come in the solver's order: the k roots ascending, then the deflated
     modes.  Raises LinAlgError if a secular root does not converge.
     """
@@ -421,32 +577,25 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
             ds[j] = max(ds[j], ds[j - 1] + gap)
     rho = float(zs[:k] @ zs[:k])
     # D2[i, j] = ds_j^2 - s_i^2, roots ascending; a row is a root, a column a
-    # mode in the sorted order.  The deflated columns hold 1 (z-hat is 0 there)
+    # coupled mode (a pole) in the sorted order.  The deflated modes have none
     sig, D2 = _secular_roots(ds[:k], zs[:k] / np.sqrt(rho), rho)
-    if k < M:
-        D2 = np.concatenate([D2, np.ones((k, M - k))], axis=1)
     # by interlacing root i lies between poles i and i + 1; the nearer, and
     # s_i^2 minus its square
     i = np.arange(k)
     nearest = i.copy()
     nearest[:-1] += np.abs(D2[i[:-1], i[:-1] + 1]) < np.abs(D2[i[:-1], i[:-1]])
-    eta = -D2[i, nearest]
-    rows = max(1, _BLOCK // M)
+    blocks = _row_blocks(k)
 
     # Löwner: z_j^2 = prod_i (ds_j^2 - s_i^2) / prod_{m != j} (ds_j^2 - ds_m^2),
     # root i < k - 1 over pole m = i for i < j and m = i + 1 for i >= j, so
     # that by interlacing every ratio lies in (0, 1); root k - 1 left over.
-    # ds_j^2 - ds_m^2 is D2_ij - D2_im, two terms of opposite sign.  The same
-    # pass gathers Y[l, i] = D2[l, j] at the pole j nearest root i
-    Y = np.zeros((M, M)) if k < M else np.empty((M, M))
+    # ds_j^2 - ds_m^2 is D2_ij - D2_im, two terms of opposite sign
     prod = np.ones(k)
-    for i0 in range(0, k, rows):
-        i1 = min(i0 + rows, k)
-        np.take(D2[i0:i1], nearest, axis=1, out=Y[i0:i1, :k], mode="clip")
+    for i0, i1 in blocks:
         n = min(i1, k - 1) - i0
         if n <= 0:
             continue
-        D = D2[i0 : i0 + n, :k]
+        D = D2[i0 : i0 + n]
         r = np.arange(i0, i0 + n)
         den = np.empty_like(D)
         np.subtract(D[:, :i0], D2[r, r + 1][:, None], out=den[:, :i0])
@@ -456,11 +605,10 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
         np.divide(D, den, out=den)
         den[0] *= prod
         prod = den.prod(axis=0)
-    zhat = np.zeros(M)
-    zhat[:k] = np.copysign(np.sqrt(np.abs(prod * D2[k - 1, :k])), zs[:k])
+    zhat = np.copysign(np.sqrt(np.abs(prod * D2[k - 1])), zs[:k])
 
-    # from here on a row is a singular value, the k roots and then the
-    # deflated modes, as P, Q and X hold them
+    # from here on an entry is a singular value: the k roots, then the
+    # deflated modes
     s = np.concatenate([sig, ds[k:]])
     flip = np.ones(M)
     if rwa:
@@ -468,70 +616,36 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray):
         s = np.abs(lam)
         flip[lam < 0] = -1.0
     e, signed = weights[perm], sign * ds
-    # the Löwner weights e d, or e |d|^2 under the RWA (sign = 1 there)
-    weighted = e * signed * ds if rwa else e * signed
-    # the vectors v_i = zhat / D2[i] as rows, in mode order: Q^T = U / |u|
-    # with U = V signed d and U[:, c] = -1, P^T = V / |v| (Q^T sign l under
-    # the RWA); |u|^2 = 1 + sum_j V_ij^2 ds_j^2
-    modes = np.argsort(perm)
-    zhat_m, signed_m = zhat[modes], signed[modes]
-    wz_m = (weighted * zhat)[modes]
-    sums_m = np.stack([weighted, np.ones(M), ds * ds], axis=1)[modes]
-    F, dF, v0 = np.empty(k), np.empty(k), np.empty(k)
-    norm_u, norm_v = np.ones(M), np.ones(M)
-    PT = D2 if k == M else np.zeros((M, M))
-    QT = np.zeros((M, M)) if k < M else np.empty((M, M))
-    for i0 in range(0, k, rows):
-        i1 = min(i0 + rows, k)
-        V = D2[i0:i1].take(modes, axis=1)
-        np.divide(zhat_m, V, out=V)
-        F[i0:i1] = V @ wz_m
-        dF[i0:i1], vv, uu = ((V * V) @ sums_m).T
-        v0[i0:i1] = V[:, c]
-        norm_u[i0:i1] = np.sqrt(1 + uu)
-        norm_v[i0:i1] = norm_u[i0:i1] if rwa else np.sqrt(vv)
-        U = np.multiply(V, signed_m, out=QT[i0:i1])
-        U[:, c] = -1.0
-        U *= 1 / norm_u[i0:i1, None]
-        if not rwa:
-            np.multiply(V, 1 / norm_v[i0:i1, None], out=PT[i0:i1])
-    # the deflated modes: unit vectors
-    PT[range(k, M), perm[k:]] = 1.0
-    QT[range(k, M), perm[k:]] = sign[k:]
-    if rwa:
-        np.multiply(QT, flip[:, None], out=PT)
-
-    # X_il |u_i| |v_l| in Y[l, i] (|u_l| under the RWA), with
-    # Y[l, i] + eta_i = s_i^2 - s_l^2; the diagonal (0) is held at 1
-    # through the division, then set
-    e_c = e[0]
-    for l0 in range(0, k, rows):
-        l1 = min(l0 + rows, k)
-        Yc = Y[l0:l1, :k]
-        Yc += eta
-        block = Yc[:, l0:l1]
-        np.fill_diagonal(block, 1.0)
-        np.divide(F - F[l0:l1, None], Yc, out=Yc)
-        np.fill_diagonal(block, dF[l0:l1])
-        if rwa:
-            Yc += e_c
-        else:
-            Yc -= (e_c * v0[l0:l1])[:, None]
-        Yc *= (flip[l0:l1] / norm_v[l0:l1])[:, None]
-        Yc *= 1 / norm_u[:k]
-    Y[range(k, M), range(k, M)] = (e * sign * flip)[k:]
-    return np.ldexp(s, p), PT.T, QT.T, Y.T
+    # the Löwner weights e d, or e |d|^2 under the RWA (sign = 1 there), and
+    # the sums over the rows of V = zhat / D2: F, F' and |v|^2, and
+    # |u|^2 = 1 + sum_j V_ij^2 ds_j^2; and V [signed v, v] for the probe
+    weighted = (e * signed * ds if rwa else e * signed)[:k]
+    wz = weighted * zhat
+    sums = np.stack([weighted, np.ones(k), ds[:k] * ds[:k]], axis=1)
+    vp = probe[perm[:k]]
+    rhs = np.stack([signed[:k] * vp, vp], axis=1)
+    F, dF, vv, uu, projected = np.empty(k), np.empty(k), np.empty(k), np.empty(k), np.empty((k, 2))
+    for i0, i1 in blocks:
+        V = np.divide(zhat, D2[i0:i1])
+        F[i0:i1] = V @ wz
+        projected[i0:i1] = V @ rhs
+        V *= V
+        dF[i0:i1], vv[i0:i1], uu[i0:i1] = (V @ sums).T
+    norm_u = np.sqrt(1 + uu)
+    parts = dict(s=np.ldexp(s, p), D2=D2, perm=perm, zhat=zhat, signed=signed, nearest=nearest,
+                 F=F, dF=dF, norm_u=norm_u, norm_v=norm_u if rwa else np.sqrt(vv), flip=flip, e=e)
+    return parts, projected
 
 
 def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
     """An arrow's realization in the product state with mode occupations n.
 
     ``_broken_arrow_svd`` solves every arrow, with pairing or under the RWA,
-    coincident and zero levels included, for the weights e = 1 - 2n, and
-    writes X = Q^T diag(e) P down as a Löwner matrix, in O(M^2); s is in its
-    order, not sorted.  Every result is probed: K v = P diag(s) Q^T v,
-    P^T P v = v, Q^T Q v = v and X v = Q^T (e * P v) for one fixed vector v,
-    each to SPECTRAL_TOL, or ValueError (a NaN residual included).
+    coincident and zero levels included, for the weights e = 1 - 2n, in
+    O(M^2) and with D2 as its one M x M array; s is in its order, not
+    sorted.  Every result is probed: K v = P diag(s) Q^T v, P^T P v = v,
+    Q^T Q v = v and Q X v = e * P v for one fixed vector v, each to
+    SPECTRAL_TOL, or ValueError (a NaN or infinite residual included).
     """
     occupations = np.asarray(occupations, dtype=float)
     if occupations.shape != (arrow.modes,):
@@ -539,8 +653,11 @@ def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
             f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
         )
     weights = 1 - 2 * occupations
-    prop = ArrowPropagator(arrow, *_broken_arrow_svd(arrow, weights))
-    recon, ortho, state = _probe_residuals(prop, weights)
+    parts, projected = _broken_arrow_svd(arrow, weights, _probe_vector(arrow.modes))
+    prop = ArrowPropagator(arrow, **parts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a corrupted solve shows as an inf or NaN residual, not a warning
+        recon, ortho, state = _probe_residuals(prop, weights, projected)
     if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
         raise ValueError(
             f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "

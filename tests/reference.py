@@ -13,9 +13,11 @@ chi_ij = <A_i A_j^dag>, evolved as chi(t) = e^{-iHt} chi(0) e^{iHt} in the
 eigenbasis of the 2M x 2M Hermitian ``eigh`` of H.
 
 This route stays independent of the engine: it builds a dense H and calls
-``np.linalg.eigh``, never ``nambu.arrow_propagator``.  Only ``dense`` converts
-an ``ArrowPropagator``, the solver's output, into its form.  ``secular_roots``
-is LAPACK's ``dlasd4``, the reference for the engine's numpy secular solver.
+``np.linalg.eigh``, never ``nambu.arrow_propagator``.  Only ``factors`` and
+``dense`` convert an ``ArrowPropagator``, the solver's output, into its form:
+``factors`` is the one place that writes its P, Q and X down as M x M
+arrays.  ``secular_roots`` is LAPACK's ``dlasd4``, the reference for the
+engine's numpy secular solver.
 """
 
 from dataclasses import dataclass
@@ -214,6 +216,45 @@ def make_propagator(H: NambuMatrix, chi0: CorrelationMatrix) -> Propagator:
                       rotated_initial=U.conj().T @ chi0.data @ U)
 
 
+def factors(prop: ArrowPropagator, rows: int | None = None):
+    """P, Q and X of an arrow realization, assembled from its blocks of ``rows`` rows.
+
+    The roots' rows come from ``prop.cauchy`` (Q^T = (V signed - e_c^T) / |u|,
+    P^T = V / |v| or flip Q^T under the RWA) and ``prop.lowner``
+    (X^T = alpha (L + r) beta, ``state_scales``), each block elementwise, so
+    any ``rows`` gives the same bits.  A deflated mode j is its own pole: its
+    rows of P^T and Q^T are flip_j and sign_j at mode perm_j, and
+    X_jj = e_j sign_j flip_j.
+    The columns of P and Q are the modes, in mode order; the singular values
+    keep the solver's order.  ``rows`` defaults to all of them at once.
+    """
+    M, k = prop.arrow.modes, prop.roots
+    rows = rows or k
+    alpha, beta, r = prop.state_scales()
+    sign = prop.sign
+    PT, QT, XT = np.zeros((M, M)), np.zeros((M, M)), np.zeros((M, M))
+    for i0 in range(0, k, rows):
+        i1 = min(i0 + rows, k)
+        V = prop.cauchy(i0, i1)
+        U = V * prop.signed[:k]
+        U[:, 0] = -1.0
+        U *= (1 / prop.norm_u[i0:i1])[:, None]
+        QT[i0:i1, :k] = U
+        rwa = prop.arrow.rwa
+        PT[i0:i1, :k] = U * prop.flip[i0:i1, None] if rwa else V / prop.norm_v[i0:i1, None]
+        L = prop.lowner(i0, i1)
+        L += r[i0:i1, None]
+        L *= alpha[i0:i1, None]
+        XT[i0:i1, :k] = L * beta
+    d = np.arange(k, M)
+    QT[d, d], PT[d, d] = sign[k:], prop.flip[k:]
+    XT[d, d] = (prop.e * sign * prop.flip)[k:]
+    # columns: sorted poles -> modes
+    P, Q = np.empty((M, M)), np.empty((M, M))
+    P[prop.perm], Q[prop.perm] = PT.T, QT.T
+    return P, Q, XT.T
+
+
 def dense(prop: ArrowPropagator) -> Propagator:
     """An arrow realization as a general 2M x 2M ``Propagator``.
 
@@ -226,8 +267,9 @@ def dense(prop: ArrowPropagator) -> Propagator:
     sorted by descending s first, so the spectrum ascends.
     """
     order = np.argsort(-prop.s, kind="stable")
-    s, P, Q = prop.s[order], prop.P[:, order], prop.Q[:, order]
-    X = prop.X[np.ix_(order, order)]
+    P, Q, X = factors(prop)
+    s, P, Q = prop.s[order], P[:, order], Q[:, order]
+    X = X[np.ix_(order, order)]
     lo = (Q - P) / 2
     hi = (Q + P) / 2
     U = np.block([[lo, hi[:, ::-1]], [hi, lo[:, ::-1]]])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from reference import (
     evolve,
     expectation,
     expectation_series,
+    factors,
     initial_correlation,
     make_propagator,
     random_correlation,
@@ -278,19 +280,18 @@ class TestHeatCurrent:
         _, _, arrow, prop = arrow_setup()
         assert prop.arrow is arrow
         other_arrow = arrow_setup(bath_size=5)[2]
-        factors = dict(arrow=arrow, s=prop.s, P=prop.P, Q=prop.Q, X=prop.X)
-        ArrowPropagator(**factors)
-        for bad in (
-            dict(arrow=other_arrow),
-            dict(X=prop.X.astype(complex)),
-            dict(P=prop.P + 0j),
-            dict(s=prop.s[:-1]),
-            dict(s=prop.s[:, None]),
-            dict(Q=prop.Q[:, :-1]),
-            dict(X=prop.X[None]),
-        ):
-            with pytest.raises(ValueError, match="real array of shape"):
-                ArrowPropagator(**{**factors, **bad})
+        parts = {f.name: getattr(prop, f.name) for f in dataclasses.fields(prop)}
+        ArrowPropagator(**parts)
+        with pytest.raises(ValueError, match="array of shape"):
+            ArrowPropagator(**{**parts, "arrow": other_arrow})
+        for name, value in parts.items():
+            if name == "arrow":
+                continue
+            for bad in (value.astype(complex), value[:-1], value[None]):
+                with pytest.raises(ValueError, match=f"{name} must be an? (real|integer) array"):
+                    ArrowPropagator(**{**parts, name: bad})
+        with pytest.raises(ValueError, match="perm must be an integer array"):
+            ArrowPropagator(**{**parts, "perm": parts["perm"].astype(float)})
 
 
 def synthetic_series(band, terms=40, seed=0):
@@ -472,6 +473,56 @@ def assert_equals_grid_mean(prop, levels, window, time_step):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@dataclasses.dataclass(frozen=True)
+class FactorDouble:
+    """A stand-in realization from given s, P, Q and X, read as ``_forms`` reads a propagator.
+
+    With alpha = beta = 1 and r = 0 (``state_scales``) the Löwner rows are
+    the rows of X^T, and ``project`` and ``centre_rows`` give Q^T w, P^T w
+    and the centre's rows, so the forms see X, P and Q as given, with no
+    arrow solved.
+    """
+
+    arrow: Arrow
+    s: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    X: np.ndarray
+
+    @property
+    def roots(self):
+        return len(self.s)
+
+    def state_scales(self):
+        return np.ones(self.roots), np.ones(self.roots), np.zeros(self.roots)
+
+    def project(self, w):
+        return self.Q.T @ w, self.P.T @ w
+
+    def centre_rows(self):
+        return self.Q[self.arrow.center], self.P[self.arrow.center]
+
+    def lowner(self, l0, l1):
+        return self.X.T[l0:l1].copy()
+
+
+def assert_mean_is_term_sum(prop, levels, P, Q, X):
+    """window_mean_current against the grid mean and the total 2 f_Q summed term by term."""
+    s, arrow = prop.s, prop.arrow
+    # the total 2 f_Q = -cos(st)^T G_Q sin(st)
+    a, b = (levels * arrow.couplings) @ Q, Q[arrow.center]
+    G = X * (np.outer(b, a) - np.outer(a, b))
+    for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
+        assert_equals_grid_mean(prop, levels, window, time_step)
+        times = window_times(window, time_step)
+        total = sum(
+            -G[j, k] * np.cos(s[j] * times) * np.sin(s[k] * times)
+            for j in range(len(s)) for k in range(len(s))
+        )
+        got = window_mean_current(prop, levels, window, time_step)
+        assert got == pytest.approx(total.mean(), rel=1e-12, abs=0)
+
+
 def assert_equals_dense_mean(cfg, bath, prop, window, time_step):
     """window_mean_current against the mean of the dense 2M x 2M route's current.
 
@@ -547,19 +598,20 @@ class TestWindowMeanCurrent:
             arrow = Arrow(levels=np.array([0.7, 1.0, 1.3]), couplings=np.array([0.2, 0.0, -0.3]),
                           center=1, rwa=rwa)
             X = (Q.T * e) @ P
-            prop = ArrowPropagator(arrow=arrow, s=s, P=P, Q=Q, X=X)
-            # the total 2 f_Q = -cos(st)^T G_Q sin(st), summed term by term
-            a, b = (levels * arrow.couplings) @ Q, Q[arrow.center]
-            G = X * (np.outer(b, a) - np.outer(a, b))
-            for window, time_step in (((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)):
-                assert_equals_grid_mean(prop, levels, window, time_step)
-                times = window_times(window, time_step)
-                total = sum(
-                    -G[j, k] * np.cos(s[j] * times) * np.sin(s[k] * times)
-                    for j in range(3) for k in range(3)
-                )
-                got = window_mean_current(prop, levels, window, time_step)
-                assert got == pytest.approx(total.mean(), rel=1e-12, abs=0)
+            prop = FactorDouble(arrow=arrow, s=s, P=P, Q=Q, X=X)
+            assert_mean_is_term_sum(prop, levels, P, Q, X)
+
+    def test_near_degenerate_arrow_energies(self):
+        # two bath levels 1e-10 apart, weakly coupled: two quasiparticle
+        # energies about 1e-10 apart in a solved arrow
+        levels = np.array([0.0, 0.0, 1.5])
+        n = np.array([0.05, 0.4, 0.85])
+        for rwa in (False, True):
+            arrow = Arrow(levels=np.array([1.5, 1.0, 1.5 + 1e-10]),
+                          couplings=np.array([3e-6, 0.0, 3e-6]), center=1, rwa=rwa)
+            prop = arrow_propagator(arrow, n)
+            assert 0 < np.diff(np.sort(prop.s))[-1] < 2e-10
+            assert_mean_is_term_sum(prop, levels, *factors(prop))
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
     def test_peak_memory_is_below_one_form(self, rwa):

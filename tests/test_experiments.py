@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,30 @@ class TestWindowMeans:
         with pytest.raises(ValueError, match=r"s_max.*pi/\(2 s_max\)"):
             run_sweep(template(), [0.3], realizations=1, kinds=("exact",),
                       window=(20.0, 50.0), time_step=1.0)
+
+
+@pytest.mark.parametrize("deflated", [False, True], ids=["coupled", "deflated"])
+def test_realization_holds_one_mode_square(deflated):
+    # D2 is the realization's only M x M array: solving, probing and a window
+    # mean at N = 1000 (M = 2001, 32 MB an array) peak below 1.5 of one; a
+    # bath with every other cold coupling zero deflates a quarter of the modes
+    cfg = ValveConfig(bath_size=1000, gamma=0.2, t_hot=1.0, t_cold=0.0, seed=3)
+    bath = sample_bath(cfg)
+    if deflated:
+        couplings = bath.couplings.copy()
+        couplings[1, ::2] = 0.0
+        bath = valve.BathRealization(frequencies=bath.frequencies, couplings=couplings)
+    tracemalloc.start()
+    try:
+        prop, levels = experiments.realization(cfg, bath)
+        evolution.window_mean_current(prop, levels, (20.0, 50.0), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    M = 2 * cfg.bath_size + 1
+    one = 8 * M**2
+    assert peak < 1.5 * one, f"peak {peak / 1e6:.1f} MB, {peak / one:.2f} of one M x M array"
+    assert prop.roots == (M - cfg.bath_size // 2 if deflated else M)
 
 
 class TestRunTrace:

@@ -42,6 +42,7 @@ from reference import (
     dense_current,
     diagonalize,
     evolve,
+    factors,
     initial_correlation,
     make_propagator,
     observable_rate,
@@ -317,11 +318,11 @@ class TestSolverPaths:
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow, weights):
-            s, P, Q, X = good(arrow, weights)
-            for Y in (P, Q):
-                Y[:, [0, 1]] = Y[:, [1, 0]]  # mislabel two quasiparticles
-            return s, P, Q, X
+        def corrupted(arrow, weights, probe):
+            parts, projected = good(arrow, weights, probe)
+            for name in ("s", "D2"):  # mislabel two quasiparticles
+                parts[name][[0, 1]] = parts[name][[1, 0]]
+            return parts, projected
 
         monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
         with pytest.raises(ValueError, match="probe"):
@@ -331,10 +332,10 @@ class TestSolverPaths:
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow, weights):
-            s, P, Q, X = good(arrow, weights)
-            P[3, 4] = np.nan  # every residual is NaN, and NaN > tol is False
-            return s, P, Q, X
+        def corrupted(arrow, weights, probe):
+            parts, projected = good(arrow, weights, probe)
+            parts["D2"][3, 4] = np.nan  # every residual is NaN, and NaN > tol is False
+            return parts, projected
 
         monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
         with pytest.raises(ValueError, match="probe.*nan"):
@@ -348,16 +349,32 @@ class TestSolverPaths:
             propagate(cfg, bath)
 
     def test_probe_catches_bad_rotated_state(self, monkeypatch):
+        # the state alone wrong, s, P and Q exact: built from the wrong side
+        # of the Fermi level (holes for particles, -e for e), or with F,
+        # which enters X alone, scaled by 1 + 1e-6 (X off by about 1e-6).
+        # The state residual, and it alone, must see either
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
+        arrow = valve_module.build_arrow(cfg, bath)
+        weights = 1 - 2 * thermal_occupations(cfg, bath)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow, weights):
-            s, P, Q, X = good(arrow, weights)
-            return s, P, Q, X.T.copy()  # the state seen from the wrong side
+        def wrong_side(arrow, weights, probe):
+            return good(arrow, -weights, probe)
 
-        monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
-        with pytest.raises(ValueError, match="probe.*rotated-state residual"):
-            propagate(cfg, bath)
+        def scaled_F(arrow, weights, probe):
+            parts, projected = good(arrow, weights, probe)
+            parts["F"] *= 1 + 1e-6
+            return parts, projected
+
+        for corrupted, most in ((wrong_side, np.inf), (scaled_F, 1e-4)):
+            with monkeypatch.context() as m:
+                m.setattr(nambu, "_broken_arrow_svd", corrupted)
+                with pytest.raises(ValueError, match="probe.*rotated-state residual"):
+                    propagate(cfg, bath)
+            parts, _ = corrupted(arrow, weights, nambu._probe_vector(arrow.modes))
+            prop = nambu.ArrowPropagator(arrow, **parts)
+            recon, ortho, state = nambu._probe_residuals(prop, weights)
+            assert max(recon, ortho) <= nambu.SPECTRAL_TOL < state < most
 
 
 @pytest.mark.parametrize("cfg", [
@@ -377,7 +394,8 @@ def test_lowner_state_matches_product(cfg, monkeypatch):
     prop, calls = solvers_called(monkeypatch, cfg, bath)
     assert calls == {"secular"}
     e = 1 - 2 * thermal_occupations(cfg, bath)
-    assert np.abs(prop.X - (prop.Q.T * e) @ prop.P).max() <= 1e-13
+    P, Q, X = factors(prop)
+    assert np.abs(X - (Q.T * e) @ P).max() <= 1e-13
 
 
 def dense_matrix(arrow):
@@ -388,25 +406,54 @@ def dense_matrix(arrow):
     return K
 
 
-def assert_matches_dense_svd(levels, g, c, e):
-    """``arrow_propagator`` of the arrow, with pairing and under the RWA, against the dense SVD.
+def assert_factors_match_dense_svd(prop, n):
+    """The factors of ``prop`` against the dense SVD of its K and against Q^T diag(1 - 2n) P.
 
     Errors are relative to max(||K||, 1), as K = 0 has no scale of its own.
     """
-    M = len(levels)
+    M = prop.arrow.modes
+    K = dense_matrix(prop.arrow)
+    scale = max(np.linalg.norm(K, 2), 1.0)
+    s, (P, Q, X) = prop.s, factors(prop)
+    ref = np.linalg.svd(K, compute_uv=False)
+    assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
+    assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
+    assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
+    assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
+    assert np.abs(X - (Q.T * (1 - 2 * n)) @ P).max() < 1e-13
+
+
+def assert_matches_dense_svd(levels, g, c, e):
+    """``arrow_propagator`` of the arrow, with pairing and under the RWA, against the dense SVD."""
     for rwa in (False, True):
         arrow = nambu.Arrow(levels=levels, couplings=g, center=c, rwa=rwa)
-        K = dense_matrix(arrow)
-        scale = max(np.linalg.norm(K, 2), 1.0)
         n = (1 - e) / 2
-        prop = nambu.arrow_propagator(arrow, n)
-        s, P, Q, X = prop.s, prop.P, prop.Q, prop.X
-        ref = np.linalg.svd(K, compute_uv=False)
-        assert np.abs(np.sort(s)[::-1] - ref).max() / scale < 1e-13
-        assert np.abs((P * s) @ Q.T - K).max() / scale < 1e-13
-        assert np.abs(P.T @ P - np.eye(M)).max() < 1e-13
-        assert np.abs(Q.T @ Q - np.eye(M)).max() < 1e-13
-        assert np.abs(X - (Q.T * (1 - 2 * n)) @ P).max() < 1e-13
+        assert_factors_match_dense_svd(nambu.arrow_propagator(arrow, n), n)
+
+
+@pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+@pytest.mark.parametrize("kw, roots", [
+    (dict(gamma=0.3), "all"),
+    (dict(gamma=0.3, edit=zero_coupling), "deflated"),
+    (dict(gamma=0.0), "one"),
+], ids=["valve", "zero_coupling", "gamma0"])
+def test_factor_blocks_agree(kw, roots, rwa):
+    # the Cauchy and Löwner rows are elementwise in D2 and O(M) vectors, so
+    # the factors come out the same, bit for bit, from blocks of any size
+    cfg, bath, _, _ = valve(bath_size=12, rwa=rwa, **kw)
+    _, prop = propagate(cfg, bath)
+    M, k = prop.arrow.modes, prop.roots
+    assert k == {"all": M, "deflated": M - 1, "one": 1}[roots]
+    whole = factors(prop)
+    for rows in (1, 7):
+        for a, b in zip(factors(prop, rows), whole):
+            assert np.array_equal(a, b)
+    # the centre's rows, O(k), are those of Q and P
+    P, Q, _ = whole
+    c = prop.arrow.center
+    for got, want in zip(prop.centre_rows(), (Q[c, :k], P[c, :k])):
+        assert np.array_equal(got, want)
+    assert_factors_match_dense_svd(prop, thermal_occupations(cfg, bath))
 
 
 def test_small_arrows_match_dense_svd():
@@ -461,8 +508,9 @@ def test_power_of_two_scaling_is_exact(power, rwa):
                                  couplings=np.ldexp(arrow.couplings, power))
     a, b = arrow_propagator(arrow, n), arrow_propagator(scaled, n)
     assert np.array_equal(np.ldexp(a.s, power), b.s)
-    for name in ("P", "Q", "X"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    # every other field is the scaled arrow's K 2^-p, the same for both
+    for name in (f.name for f in dataclasses.fields(a) if f.name not in ("arrow", "s")):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_coupling_whose_square_overflows_is_refused():

@@ -38,7 +38,7 @@ def solver_inputs(monkeypatch, arrow, weights):
 
     with monkeypatch.context() as m:
         m.setattr(nambu, "_secular_roots", recording)
-        nambu._broken_arrow_svd(arrow, weights)
+        nambu._broken_arrow_svd(arrow, weights, nambu._probe_vector(arrow.modes))
     return seen
 
 
