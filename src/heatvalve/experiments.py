@@ -3,7 +3,10 @@
 Every sweep realization gets its own RNG stream, derived from the master seed
 and the job coordinates with a splitmix64 hash, so adding grid points or
 realizations never perturbs existing results and identical inputs give
-byte-identical outputs regardless of execution order.  The kinds of a trace
+byte-identical outputs regardless of execution order.  A worker solves its
+consecutive jobs as stacks (``nambu.arrow_propagators``), and an arrow's
+propagator is the same bits in any stack, so they do not depend on how the
+jobs are shared among workers either.  The kinds of a trace
 share one bath and one first-order overlay, and come back as arrays over the
 time grid, from which the CLI writes its rows column by column.
 """
@@ -11,6 +14,7 @@ time grid, from which the CLI writes its rows column by column.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -19,7 +23,7 @@ import numpy as np
 from . import analytics
 from .config import ConfigError
 from .evolution import CurrentTrace, heat_current, window_mean_current
-from .nambu import arrow_propagator
+from .nambu import arrow_propagators
 from .valve import (
     COLD_BATH,
     BathRealization,
@@ -66,12 +70,19 @@ class SweepRecord:
             raise ValueError("std_current must be >= 0")
 
 
-def realization(config: ValveConfig, bath: BathRealization | None = None):
-    """Arrow propagator and cold-bath levels of one realization, bath sampled if not given."""
+def _inputs(config: ValveConfig, bath: BathRealization | None = None):
+    """Arrow, occupations and cold-bath levels of one realization, bath sampled if not given."""
     if bath is None:
         bath = apply_internal_couplings(config, sample_bath(config))
-    prop = arrow_propagator(build_arrow(config, bath), thermal_occupations(config, bath))
-    return prop, bath_levels(config, bath, COLD_BATH)
+    return (build_arrow(config, bath), thermal_occupations(config, bath),
+            bath_levels(config, bath, COLD_BATH))
+
+
+def realization(config: ValveConfig, bath: BathRealization | None = None):
+    """Arrow propagator and cold-bath levels of one realization, bath sampled if not given."""
+    arrow, occupations, levels = _inputs(config, bath)
+    (prop,) = arrow_propagators([(arrow, occupations)])
+    return prop, levels
 
 
 def simulate_trace(
@@ -85,18 +96,37 @@ def simulate_trace(
     return heat_current(*realization(config, bath), times)
 
 
-def _steady_state_job(config: ValveConfig, window, time_step) -> float:
-    """Window mean of one realization's cold-bath current, with no time grid."""
-    return window_mean_current(*realization(config), window, time_step)
+def _steady_state_jobs(jobs) -> list[float]:
+    """Window means of the (config, window, time step) jobs, in order, with no time grid.
+
+    The arrows are solved as stacks of consecutive jobs (``arrow_propagators``),
+    each job's bath sampled when its stack is gathered.
+    """
+    pending = deque()
+
+    def arrows():
+        for config, window, time_step in jobs:
+            arrow, occupations, levels = _inputs(config)
+            pending.append((levels, window, time_step))
+            yield arrow, occupations
+
+    means = []
+    for prop in arrow_propagators(arrows()):
+        means.append(window_mean_current(prop, *pending.popleft()))
+        del prop  # a stack's D2 is freed before the next stack is solved
+    return means
 
 
 def _parallel_map(jobs, n_jobs: int):
     # A forked pool starts all its workers at once: never more than there is work or CPUs.
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        return [_steady_state_job(*j) for j in jobs]
+        return _steady_state_jobs(jobs)
+    # each worker a share of consecutive jobs, which it solves as stacks
+    size = -(-len(jobs) // workers)
+    shares = [jobs[i : i + size] for i in range(0, len(jobs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_steady_state_job, *zip(*jobs)))
+        return [mean for share in pool.map(_steady_state_jobs, shares) for mean in share]
 
 
 def run_sweep(

@@ -13,11 +13,16 @@ O(M^2), and returns them as an ``ArrowPropagator``: the secular table D2,
 its one M x M array, and O(M) vectors, from which rows of P, Q and X are
 made on demand.  The secular solver (``_secular_roots``) is numpy: LAPACK
 dlasd4's stable method, vectorized over the roots, with its stopping test.
+``arrow_propagators`` solves consecutive small arrows of one kind and root
+count as a stack, every root of every arrow in one iteration, each arrow
+to the bits it gets alone; ``arrow_propagator`` is the stack of one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -135,18 +140,11 @@ class ArrowPropagator:
     def lowner(self, l0: int, l1: int) -> np.ndarray:
         """Rows l0..l1 of L: (F_i - F_l) / (s_i^2 - s_l^2), F'_l on the diagonal.
 
-        s_i^2 - s_l^2 is D2_lj - D2_ij at the pole j nearest root i, which
-        keeps close roots accurate; on the diagonal it is exactly 0, held
-        at 1 through the division.
+        See ``_lowner_rows``, of which this is the stack of one.
         """
-        k = len(self.zhat)
-        L = np.take(self.D2[l0:l1], self.nearest, axis=1)
-        L -= self.D2[np.arange(k), self.nearest]
-        diag = L.reshape(-1)[l0 :: k + 1]
-        diag[...] = 1.0
-        np.divide(np.subtract(self.F, self.F[l0:l1, None]), L, out=L)
-        diag[...] = self.dF[l0:l1]
-        return L
+        L = np.empty((1, l1 - l0, len(self.zhat)))
+        return _lowner_rows(self.D2[None], self.nearest[None], self.F[None], self.dF[None],
+                            l0, l1, L, np.empty_like(L))[0]
 
     def state_scales(self):
         """(alpha, beta, r): X_il = beta_i (L_li + r_l) alpha_l over the roots."""
@@ -154,19 +152,17 @@ class ArrowPropagator:
         r = np.full(k, self.e[0]) if self.arrow.rwa else -self.e[0] * (self.zhat[0] / self.D2[:, 0])
         return self.flip[:k] / self.norm_v, 1 / self.norm_u, r
 
-    def project(self, w: np.ndarray, out: np.ndarray | None = None):
+    def project(self, w: np.ndarray):
         """Q^T w and P^T w in the solver's order, for the columns of w (M x n) in mode order.
 
         One pass over the Cauchy rows, against w in ``perm`` order: on the
         roots Q^T w = (V (signed w) - w_c) / |u| and P^T w = V w / |v| (flip
         Q^T w under the RWA); a deflated mode gives sign_j w_j and flip_j w_j.
-        ``out``, the pass's V [signed w, w] (k x 2n) if already made, saves it.
         """
         k, n = len(self.zhat), w.shape[1]
         wp = w[self.perm]
-        if out is None:
-            rhs = np.concatenate([wp[:k] * self.signed[:k, None], wp[:k]], axis=1)
-            out = np.concatenate([self.cauchy(i0, i1) @ rhs for i0, i1 in _row_blocks(k)])
+        rhs = np.concatenate([wp[:k] * self.signed[:k, None], wp[:k]], axis=1)
+        out = np.concatenate([self.cauchy(i0, i1) @ rhs for i0, i1 in _row_blocks(k)])
         q = wp * self.sign[:, None]
         q[:k] = (out[:, :n] - wp[0]) / self.norm_u[:, None]
         p = (q if self.arrow.rwa else wp) * self.flip[:, None]
@@ -185,35 +181,6 @@ class ArrowPropagator:
             return q, q * self.flip[: len(q)]
         return q, self.zhat[0] / self.D2[:, 0] / self.norm_v
 
-    def expand(self, x: np.ndarray, y: np.ndarray):
-        """Q x and P y in mode order, for the columns of x and y (M x n) in the solver's order.
-
-        One pass over the Cauchy rows, the transpose of ``project``; under
-        the RWA P y = Q (flip y).
-        """
-        k, n, rwa = len(self.zhat), x.shape[1], self.arrow.rwa
-        y = y * self.flip[:, None]
-        out = np.concatenate([x * self.sign[:, None], y], axis=1)
-        lhs = np.concatenate([x[:k] / self.norm_u[:, None],
-                              y[:k] / (self.norm_u if rwa else self.norm_v)[:, None]], axis=1)
-        out[:k] = sum(self.cauchy(i0, i1).T @ lhs[i0:i1] for i0, i1 in _row_blocks(k))
-        q = slice(None) if rwa else slice(0, n)  # the columns expanded through Q
-        out[:k, q] *= self.signed[:k, None]
-        out[0, q] = -lhs[:, q].sum(axis=0)
-        modes = np.empty_like(out)
-        modes[self.perm] = out
-        return modes[:, :n], modes[:, n:]
-
-    def state(self, v: np.ndarray) -> np.ndarray:
-        """X v for v in the solver's order: one pass over the Löwner rows."""
-        k = len(self.zhat)
-        alpha, beta, r = self.state_scales()
-        av = alpha * v[:k]
-        acc = sum(av[l0:l1] @ self.lowner(l0, l1) for l0, l1 in _row_blocks(k))
-        out = self.e * self.sign * self.flip * v
-        out[:k] = (acc + r @ av) * beta
-        return out
-
 
 @functools.lru_cache(maxsize=16)
 def _probe_vector(modes: int) -> np.ndarray:
@@ -223,41 +190,15 @@ def _probe_vector(modes: int) -> np.ndarray:
     return v
 
 
-def _probe_residuals(prop: ArrowPropagator, weights, projected=None) -> tuple[float, float, float]:
-    """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe.
-
-    The fixed pseudo-random vector v = ``_probe_vector(M)`` makes the checks
-    three passes over blocks of rows, the same Cauchy and Löwner rows the
-    currents read: Q^T v and P^T v (``projected``, the solver's V [signed v, v]
-    in its order, saves this one); X v; then Q (Q^T v), P (P^T v),
-    P (s * Q^T v), Q X v and P v.  K v itself is O(M) from the arrow, and
-    the state is checked as Q X v = e * P v for the weights e, which is
-    X v = Q^T (e * P v) for an orthogonal Q.
-    """
-    arrow, s = prop.arrow, prop.s
-    v = _probe_vector(arrow.modes)
-    norm = np.linalg.norm(v)
-    c = arrow.center
-    Kv = arrow.levels * v + arrow.column * v[c]
-    if arrow.rwa:
-        Kv[c] += arrow.couplings @ v
-    Qtv, Ptv = prop.project(v[:, None], projected)
-    Qx, Py = prop.expand(np.concatenate([Qtv, prop.state(v)[:, None]], axis=1),
-                         np.concatenate([Ptv, s[:, None] * Qtv, v[:, None]], axis=1))
-    scale = max(s.max(initial=0.0), 1.0) * norm
-    recon = np.linalg.norm(Kv - Py[:, 1]) / scale
-    ortho = max(np.linalg.norm(Qx[:, 0] - v), np.linalg.norm(Py[:, 0] - v)) / norm
-    state = np.linalg.norm(Qx[:, 1] - weights * Py[:, 2]) / norm
-    return float(recon), float(ortho), float(state)
-
-
 # A root's iteration cap: from the midpoint of its interval a valve's root
 # takes three steps, rarely more than seven, and none of 2592 valve arrows
 # (N up to 1200, gamma up to 2) took more than 13; LAPACK dlasd4 allows 400
 SECULAR_MAX_ITER = 30
-# elements in a block of rows (rows x k): the solver, its Löwner and vector
-# passes and the probe work a block at a time, so that the few block-sized
-# arrays beside D2 stay in cache and add little to the peak
+# elements in a block of rows (rows x k) of a stack's arrows: the solver,
+# its Löwner and vector passes and the probe work a block at a time, so
+# that the block-sized arrays beside D2 stay in cache and add little to the
+# peak.  A stack holds at most max(1, _BLOCK // k^2) arrows, so that one
+# block holds every row of every arrow of a stack of two or more
 _BLOCK = 1 << 16
 
 
@@ -267,32 +208,159 @@ def _row_blocks(k: int):
     return [(i0, min(i0 + rows, k)) for i0 in range(0, k, rows)]
 
 
-def _secular_eval(S, u, i0, i1, split=None):
+def _secular_rows(k: int) -> int:
+    """Rows of a block of the secular solver's evaluations: at least 64, for the last few roots."""
+    return max(64, _BLOCK // k)
+
+
+def _workspace(arrows: int, k: int) -> np.ndarray:
+    """A buffer of a block of rows of every arrow of a stack of ``arrows`` arrows of k roots.
+
+    Every block temporary of the solver and the probe is written into it
+    (``out=``), so a stack allocates its block arrays once.  Its rows are
+    even, at least two: the probe's Löwner rows and their numerators
+    take half each.
+    """
+    rows = min(k, _secular_rows(k))
+    return np.empty(arrows * max(2, rows + rows % 2) * k)
+
+
+def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of a workspace buffer, shaped."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _lowner_rows(D2, nearest, F, dF, l0, l1, L, spare):
+    """Rows l0..l1 of each stacked arrow's Löwner matrix L, written into L (B, l1 - l0, k).
+
+    (F_i - F_l) / (s_i^2 - s_l^2), F'_l on the diagonal: s_i^2 - s_l^2 is
+    D2_lj - D2_ij at the pole j nearest root i, which keeps close roots
+    accurate; on the diagonal it is exactly 0, held at 1 through the
+    division.  ``spare``, a buffer as large as L, takes F_i - F_l.
+    """
+    B, k = nearest.shape
+    for b in range(B):
+        np.take(D2[b, l0:l1], nearest[b], axis=1, out=L[b], mode="clip")
+    L -= D2[np.arange(B)[:, None], np.arange(k), nearest][:, None, :]
+    diag = L.reshape(B, -1)[:, l0 :: k + 1]
+    diag[...] = 1.0
+    num = _block(spare, *L.shape)
+    np.divide(np.subtract(F[:, None, :], F[:, l0:l1, None], out=num), L, out=L)
+    diag[...] = dF[:, l0:l1]
+    return L
+
+
+def _probe_residuals(stack, parts, weights, projected, work) -> np.ndarray:
+    """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe, per arrow.
+
+    ``stack`` are the arrows (``_BrokenArrow``) that ``_broken_arrow_svd``
+    solved into the stacked ``parts``, for the weights (B x M).  The fixed
+    pseudo-random vector v = ``_probe_vector(M)`` makes the checks passes
+    over blocks of rows of every arrow at once, the same Cauchy and Löwner
+    rows the currents read: Q^T v and P^T v, from the solver's V [signed v, v]
+    (``projected``); X v; then Q (Q^T v), P (P^T v), P (s * Q^T v), Q X v and
+    P v.  K v itself is O(M) from the arrow, and the state is checked as
+    Q X v = e * P v for the weights e, which is X v = Q^T (e * P v) for an
+    orthogonal Q.  Returns (recon, ortho, state), one row per arrow.
+    """
+    B, M = weights.shape
+    rwa = stack[0].arrow.rwa
+    D2, zhat, s, perm, signed, flip, e = (parts[n] for n in ("D2", "zhat", "s", "perm",
+                                                            "signed", "flip", "e"))
+    norm_u, norm_v = parts["norm_u"], parts["norm_v"]
+    k = zhat.shape[1]
+    blocks = _row_blocks(k)
+    v = _probe_vector(M)
+    norm = np.linalg.norm(v)
+    levels = np.stack([b.arrow.levels for b in stack])
+    couplings = np.stack([b.arrow.couplings for b in stack])
+    centre = np.array([b.arrow.center for b in stack])
+    Kv = levels * v + (couplings if rwa else 2 * couplings) * v[centre][:, None]
+    if rwa:
+        Kv[np.arange(B), centre] += np.matmul(couplings[:, None, :], v[:, None])[:, 0, 0]
+    sign = np.where(signed < 0, -1.0, 1.0)
+    # Q^T v and P^T v in the solver's order
+    vp = v[perm]
+    qv = vp * sign
+    qv[:, :k] = (projected[..., 0] - vp[:, :1]) / norm_u
+    pv = (qv if rwa else vp) * flip
+    if not rwa:
+        pv[:, :k] = projected[..., 1] / norm_v
+    # X v, for v in the solver's order: X_il = beta_i (L_li + r_l) alpha_l on the
+    # roots, Löwner rows and their numerators each half a block of the workspace
+    r = np.repeat(e[:, :1], k, axis=1) if rwa else -e[:, :1] * (zhat[:, :1] / D2[:, :, 0])
+    av = flip[:, :k] / norm_v * v[:k]
+    acc = 0
+    half = max(1, -(-min(k, _BLOCK // k) // 2))
+    for l0 in range(0, k, half):
+        l1 = min(l0 + half, k)
+        size = B * (l1 - l0) * k
+        L = _lowner_rows(D2, parts["nearest"], parts["F"], parts["dF"], l0, l1,
+                         _block(work, B, l1 - l0, k), work[size : 2 * size])
+        acc = acc + (av[:, None, l0:l1] @ L)[:, 0]
+    xv = e * sign * flip * v
+    xv[:, :k] = (acc + np.matmul(r[:, None, :], av[:, :, None])[:, :, 0]) * (1 / norm_u)
+    # Q x and P y back in mode order, for the columns x = [Q^T v, X v] and
+    # y = [P^T v, s Q^T v, v]: one pass over the Cauchy rows; under the RWA P y = Q (flip y)
+    x = np.stack([qv, xv], axis=2)
+    y = np.stack([pv, s * qv, np.broadcast_to(v, (B, M))], axis=2) * flip[:, :, None]
+    out = np.concatenate([x * sign[:, :, None], y], axis=2)
+    lhs = np.concatenate([x[:, :k] / norm_u[:, :, None],
+                          y[:, :k] / (norm_u if rwa else norm_v)[:, :, None]], axis=2)
+    acc = 0
+    for i0, i1 in blocks:
+        V = np.divide(zhat[:, None, :], D2[:, i0:i1], out=_block(work, B, i1 - i0, k))
+        acc = acc + V.transpose(0, 2, 1) @ lhs[:, i0:i1]
+    out[:, :k] = acc
+    q = slice(None) if rwa else slice(0, 2)  # the columns expanded through Q
+    out[:, :k, q] *= signed[:, :k, None]
+    out[:, 0, q] = -lhs[:, :, q].sum(axis=1)
+    modes = np.empty_like(out)
+    modes[np.arange(B)[:, None], perm] = out
+    scale = np.maximum(s.max(axis=1, initial=0.0), 1.0) * norm
+    recon = np.linalg.norm(Kv - modes[..., 3], axis=1) / scale
+    ortho = np.maximum(np.linalg.norm(modes[..., 0] - v, axis=1),
+                       np.linalg.norm(modes[..., 2] - v, axis=1)) / norm
+    state = np.linalg.norm(modes[..., 1] - weights * modes[..., 4], axis=1) / norm
+    return np.stack([recon, ortho, state], axis=1)
+
+
+def _secular_eval(S, u, i0, i1, split):
     """F, 1 + sum_j |u_j^2 / D_j| and F' for rows i0..i1 of D = S, which becomes u / D.
 
-    Every pole j < i0 lies left of each of these roots (D < 0) and every
-    pole j >= i1 right of it (D > 0), so only the diagonal block needs |.|.
-    Given ``split`` (each row's last pole left of its root), also the part
-    of F' from the poles left of the root.
+    S (G x n x k) holds n rows of each of G arrows, u (G x k) their
+    weights.  Every pole j < i0 lies left of each of these roots (D < 0)
+    and every pole j >= i1 right of it (D > 0), so only the diagonal block
+    needs |.|, taken in place once F has been.  Given ``split`` (each row's
+    last pole left of its root), also the part of F' from the poles left of
+    the root.  Every product is one arrow's matrix-vector product (the
+    same BLAS call, stacked or not) and every row sum a row's own, so each
+    row comes out as its arrow alone gives it.
     """
-    np.divide(u, S, out=S)
-    block = S[:, i0:i1]
-    f = 1.0 + block @ u[i0:i1]
-    size = 1.0 + np.abs(block) @ u[i0:i1]
+    k = S.shape[2]
+    rows = S.reshape(-1, k)
+    if len(S) == 1:  # one arrow: 2-D matmuls, which numpy dispatches faster than stacked ones
+        S, u = rows, u[0]
+    np.divide(u[..., None, :], S, out=S)
+    block = S[..., i0:i1]
+    f = 1.0 + (block @ u[..., i0:i1, None])[..., 0]
+    left = (S[..., :i0] @ u[..., :i0, None])[..., 0] if i0 else None
+    right = (S[..., i1:] @ u[..., i1:, None])[..., 0] if i1 < k else None
+    size = 1.0 + (np.abs(block, out=block) @ u[..., i0:i1, None])[..., 0]
     if i0:
-        left = S[:, :i0] @ u[:i0]
         f += left
         size -= left
-    if i1 < S.shape[1]:
-        right = S[:, i1:] @ u[i1:]
+    if i1 < k:
         f += right
         size += right
-    fp = np.einsum("ij,ij->i", S, S)
+    fp = np.einsum("ij,ij->i", rows, rows)
     if split is None:
-        return f, size, fp, fp
+        return f.ravel(), size.ravel(), fp, fp
     mask = np.arange(i0, i1) <= split[:, None]
-    left = np.einsum("ij,ij->i", S[:, :i0], S[:, :i0]) + np.einsum("ij,ij,ij->i", block, block, mask)
-    return f, size, fp, left
+    block = rows[:, i0:i1]
+    left = np.einsum("ij,ij->i", rows[:, :i0], rows[:, :i0])
+    left += np.einsum("ij,ij,ij->i", block, block, mask)
+    return f.ravel(), size.ravel(), fp, left
 
 
 def _secular_step(state, f, fp, left, done):
@@ -313,7 +381,8 @@ def _secular_step(state, f, fp, left, done):
     the origin's frame, so a root far closer to the origin than eta is
     reached in one step.  The first candidate inside the bracket is taken:
     the smaller root, the other, a Newton step, bisection.  A root that is
-    ``done`` takes only the Newton step, if inside.
+    ``done`` takes only the Newton step, if inside.  Every column is a root
+    of its own: what one takes does not depend on the others.
     """
     eta, lo, hi, q_in = state[:4]
     w, last, middle, origin_left = state[9:]
@@ -360,79 +429,111 @@ def _secular_step(state, f, fp, left, done):
     return x
 
 
-def _secular_roots(ds, zn, rho):
+def _secular_roots(ds, zn, rho, work):
     """The k roots s_i of 1 + rho sum_j zn_j^2 / (ds_j^2 - s^2), and D2_ij = ds_j^2 - s_i^2.
 
-    ds ascending and distinct, zn of unit norm and nonzero, rho > 0: root i
-    lies in (ds_i, ds_{i+1}), the last in (ds_{k-1}^2, ds_{k-1}^2 + rho) as s^2.
-    The method is LAPACK ``dlasd4``'s (R.-C. Li, LAPACK Working Note 89,
-    1993; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), vectorized
-    over the roots: every root steps at once, and F, F' and sum |terms| of
-    the roots still moving are matrix-vector products over blocks of rows of
-    D2.  F at the midpoint of each interval picks the nearer pole d_o as the
-    origin (the last root's is ds_{k-1}); the unknown is eta = s^2 - d_o^2,
-    the poles are q_j = (ds_j - d_o)(ds_j + d_o), so every D2_ij = q_j - eta
-    is accurate to a few ulps and no difference of squares is formed.  The
-    midpoint's F and F' give the first step; each step solves a two-pole
-    rational model (``_secular_step``) inside the root's bracket.  A root
-    stops on dlasd4's test, |F| <= 8 eps (1 + sum_j |rho zn_j^2 / D_j| + |eta| F'),
+    A stack of B problems: ds and zn are B x k, rho has B entries, and the
+    results are B x k and B x k x k.  ds ascending and distinct, zn of unit
+    norm and nonzero, rho > 0: root i lies in (ds_i, ds_{i+1}), the last in
+    (ds_{k-1}^2, ds_{k-1}^2 + rho) as s^2.  The method is LAPACK
+    ``dlasd4``'s (R.-C. Li, LAPACK Working Note 89, 1993; Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16, 1995), vectorized over the roots of
+    every arrow: every root steps at once, and F, F' and sum |terms| of the
+    roots still moving are matrix-vector products over blocks of rows of
+    D2, written into ``work`` (``_workspace``).  F at the midpoint of each
+    interval picks the nearer pole d_o as the origin (the last root's is
+    ds_{k-1}); the unknown is eta = s^2 - d_o^2, the poles are
+    q_j = (ds_j - d_o)(ds_j + d_o), so every D2_ij = q_j - eta is accurate
+    to a few ulps and no difference of squares is formed.  The midpoint's F
+    and F' give the first step; each step solves a two-pole rational model
+    (``_secular_step``) inside the root's bracket.  A root stops on
+    dlasd4's test, |F| <= 8 eps (1 + sum_j |rho zn_j^2 / D_j| + |eta| F'),
     and then takes the Newton step that evaluation gives.  A root still
-    moving after SECULAR_MAX_ITER steps raises LinAlgError naming it.  k = 1
-    is the closed form s^2 = ds_0^2 + rho zn_0^2.
+    moving after SECULAR_MAX_ITER steps raises LinAlgError naming it.
+    k = 1 is the closed form s^2 = ds_0^2 + rho zn_0^2.
+
+    Each arrow's blocks of rows depend on k alone, and its rows still
+    moving are evaluated together, as a matrix of those rows alone, so
+    every arrow's roots and D2 are the bits it gets in a stack of one.
     """
-    k = len(ds)
-    u = np.sqrt(rho) * np.abs(zn)
+    B, k = ds.shape
+    u = np.sqrt(rho)[:, None] * np.abs(zn)
     w = u * u
-    D2 = np.empty((k, k))
+    D2 = np.empty((B, k, k))
     if k == 1:
-        D2[0, 0] = -w[0]
+        D2[:, 0, 0] = -w[:, 0]
         return ds + w / (ds + np.sqrt(ds * ds + w)), D2
-    delsq = (ds[1:] - ds[:-1]) * (ds[1:] + ds[:-1])
-    half = np.append(delsq, rho) / 2
-    starts = np.arange(0, k + max(64, _BLOCK // k), max(64, _BLOCK // k))
-    starts[-1] = k
-    blocks = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    delsq = (ds[:, 1:] - ds[:, :-1]) * (ds[:, 1:] + ds[:, :-1])
+    half = np.concatenate([delsq, rho[:, None]], axis=1) / 2
+    step = _secular_rows(k)
+    starts = list(range(0, k, step)) + [k]
+    blocks = list(zip(starts[:-1], starts[1:]))
+    # each arrow's first root of each block, in the stack's flat order b k + i
+    bounds = (np.arange(B)[:, None] * k + starts).ravel()
+    flat = D2.reshape(B * k, k)
 
-    work = np.empty((starts[1], k))
+    def evaluate(act, offset, middle=None):
+        """F, 1 + sum |terms|, F' and its left part (``middle`` rows) of the roots ``act``.
 
-    def evaluate(rows, offset, middle=None):
-        """F, 1 + sum |terms|, F' and its left part (``middle`` rows) of the roots ``rows``."""
-        parts = []
-        ends = np.searchsorted(rows, starts).tolist()
-        for (i0, i1), a0, a1 in zip(blocks, ends, ends[1:]):
-            if a0 < a1:
-                r = rows[a0:a1]
-                if a1 - a0 == i1 - i0:
-                    S = np.subtract(D2[i0:i1], offset[a0:a1, None], out=work[: a1 - a0])
+        ``act`` holds b k + i for root i of arrow b, ascending.  In each
+        block the arrows with as many rows still moving are evaluated at once.
+        """
+        ends = np.searchsorted(act, bounds).reshape(B, -1).tolist()
+        out = np.empty((4, len(act)))
+        for j, (i0, i1) in enumerate(blocks):
+            groups = {}
+            for b, e in enumerate(ends):
+                if e[j + 1] > e[j]:
+                    groups.setdefault(e[j + 1] - e[j], []).append(b)
+            for n, g in groups.items():
+                every = len(g) == B
+                # the group's rows in act: one arrow's are consecutive
+                if len(g) == 1:
+                    pos = slice(ends[g[0]][j], ends[g[0]][j] + n)
+                elif every and len(blocks) == 1:
+                    pos = slice(None)
                 else:
-                    S = np.take(D2, r, axis=0, out=work[: a1 - a0], mode="clip")
-                    S -= offset[a0:a1, None]
-                split = None if middle is None or not middle[a0:a1].any() else np.minimum(r, k - 2)
-                parts.append(_secular_eval(S, u, i0, i1, split))
-        return parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+                    pos = (np.array([ends[b][j] for b in g])[:, None] + np.arange(n)).ravel()
+                rows = act[pos]
+                S = _block(work, len(g), n, k)
+                if every and n == i1 - i0:
+                    np.subtract(D2[:, i0:i1], offset[pos].reshape(B, n, 1), out=S)
+                else:
+                    np.take(flat, rows, axis=0, out=S.reshape(-1, k), mode="clip")
+                    S -= offset[pos].reshape(-1, n, 1)
+                split = None
+                if middle is not None and middle[pos].any():
+                    split = np.minimum(rows % k, k - 2)
+                for dst, src in zip(out, _secular_eval(S, u if every else u[g], i0, i1, split)):
+                    dst[pos] = src
+        return out
 
     # the origin guessed from the terms of F at the midpoint of poles i,
     # i + 1 and 0 (the centre's, the heaviest in a valve's arrow); a wrong
     # guess costs one more pass over that root's row
-    guess = np.zeros(k, bool)
-    centre = w[0] / ((ds[1:-1] - ds[0]) * (ds[1:-1] + ds[0]) + half[1:-1])
-    guess[:-1] = 1 + (w[1:] - w[:-1]) / half[:-1] - np.append(0.0, centre) < 0
-    act = np.arange(k)
+    i, each = np.arange(k), np.arange(B)[:, None]
+    guess = np.zeros((B, k), bool)
+    centre = w[:, :1] / ((ds[:, 1:-1] - ds[:, :1]) * (ds[:, 1:-1] + ds[:, :1]) + half[:, 1:-1])
+    guess[:, :-1] = (1 + (w[:, 1:] - w[:, :-1]) / half[:, :-1]
+                     - np.concatenate([np.zeros((B, 1)), centre], axis=1) < 0)
+    act = np.arange(B * k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # D2 rows = q_j = (ds_j - d_o)(ds_j + d_o) for the origin d_o, and F
         # at the midpoint
-        origin = act + guess
+        origin = i + guess
         for i0, i1 in blocks:
-            o = ds[origin[i0:i1], None]
-            np.multiply(ds - o, ds + o, out=D2[i0:i1])
-        f, size, fp, left = evaluate(act, np.where(guess, -half, half))
+            o = ds[each, origin[:, i0:i1], None]
+            q = np.subtract(ds[:, None, :], o, out=D2[:, i0:i1])
+            q *= np.add(ds[:, None, :], o, out=_block(work, *q.shape))
+        f, size, fp, left = evaluate(act, np.where(guess, -half, half).ravel())
         # F < 0 at the midpoint: the root lies nearer ds_{i+1}
-        right = f < 0
-        right[-1] = False
-        origin = act + right
+        right = (f < 0).reshape(B, k)
+        right[:, -1] = False
+        origin = i + right
         wrong = np.flatnonzero(right != guess)
-        o = ds[origin[wrong], None]
-        D2[wrong] = (ds - o) * (ds + o)
+        arrow = wrong // k
+        o = ds[arrow, origin.ravel()[wrong]][:, None]
+        flat[wrong] = (ds[arrow] - o) * (ds[arrow] + o)
         # per root: eta, its bracket; the q of the interval's other end, of
         # the pole across the origin (+-inf if none) and of pole 0, and the
         # square roots of their weights (0 for none); the origin's weight, the
@@ -440,28 +541,39 @@ def _secular_roots(ds, zn, rho):
         # the interval's left end.  Both of the last root's near poles lie
         # left of it
         sign = 1.0 - 2 * right
-        state = np.empty((13, k))
+        inner = right[:, :-1]
+        state = np.empty((13, B, k))
         state[0] = half * sign
         state[1] = np.minimum(state[0], 0.0)
         state[2] = np.maximum(state[0], 0.0)
-        state[3, :-1] = delsq * sign[:-1]
-        state[4, :-1] = -sign[:-1] * np.concatenate([[np.inf], delsq, [np.inf]])[act[:-1] + 2 * right[:-1]]
-        do = ds[origin]
-        state[5] = (ds[0] - do) * (ds[0] + do)
-        state[6, :-1] = u[act[:-1] + 1 - right[:-1]]
-        state[7, :-1] = np.concatenate([[0.0], u, [0.0]])[act[:-1] + 3 * right[:-1]]
-        state[8] = np.where(origin > 1, u[0], 0.0)
-        state[9] = w[origin]
+        state[3, :, :-1] = delsq * sign[:, :-1]
+        inf = np.full((B, 1), np.inf)
+        across = np.concatenate([inf, delsq, inf], axis=1)[each, i[:-1] + 2 * inner]
+        state[4, :, :-1] = -sign[:, :-1] * across
+        do = ds[each, origin]
+        state[5] = (ds[:, :1] - do) * (ds[:, :1] + do)
+        state[6, :, :-1] = u[each, i[:-1] + 1 - inner]
+        none = np.zeros((B, 1))
+        state[7, :, :-1] = np.concatenate([none, u, none], axis=1)[each, i[:-1] + 3 * inner]
+        state[8] = np.where(origin > 1, u[:, :1], 0.0)
+        state[9] = w[each, origin]
         state[10] = np.nan
         state[11] = 0.0
         state[12] = ~right
         # the last root lies in (0, rho]: F(rho) >= 0, and = 0 when every other
         # pole is at the origin; its bracket is open, so a hair above rho
-        lo, hi = (0.0, half[-1]) if f[-1] >= 0 else (half[-1], rho * (1 + 4 * np.finfo(float).eps))
-        state[:5, -1] = half[-1], lo, hi, -delsq[-1], np.inf
-        state[6:8, -1] = u[-2], 0.0
-        state[12, -1] = 0.0
-        eta = np.empty(k)
+        below = f.reshape(B, k)[:, -1] >= 0
+        top = half[:, -1]
+        state[0, :, -1] = top
+        state[1, :, -1] = np.where(below, 0.0, top)
+        state[2, :, -1] = np.where(below, top, rho * (1 + 4 * np.finfo(float).eps))
+        state[3, :, -1] = -delsq[:, -1]
+        state[4, :, -1] = np.inf
+        state[6, :, -1] = u[:, -2]
+        state[7, :, -1] = 0.0
+        state[12, :, -1] = 0.0
+        state = state.reshape(13, B * k)
+        eta = np.empty(B * k)
         tol = 8 * np.finfo(float).eps
         for it in range(SECULAR_MAX_ITER + 1):
             done = np.abs(f) <= tol * (size + np.abs(state[0]) * fp)
@@ -475,18 +587,86 @@ def _secular_roots(ds, zn, rho):
                 if not len(act):
                     break
             if it == SECULAR_MAX_ITER:
+                b, root = divmod(int(act[0]), k)
+                where = f" (arrow {b} of a stack of {B})" if B > 1 else ""
                 raise np.linalg.LinAlgError(
-                    f"secular root {act[0]} of a {k}-root arrow did not "
+                    f"secular root {root} of a {k}-root arrow{where} did not "
                     f"converge in {SECULAR_MAX_ITER} steps"
                 )
             f, size, fp, left = evaluate(act, state[0], state[11])
-        D2 -= eta[:, None]
-    do = ds[origin]
+        flat -= eta[:, None]
+    do = ds[each, origin]
+    eta = eta.reshape(B, k)
     return do + eta / (do + np.sqrt(do * do + eta)), D2
 
 
-def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray, probe: np.ndarray):
-    """SVD K = P diag(s) Q^T of an arrow, and X = Q^T diag(e) P, as D2 and O(M) vectors.
+@dataclass(frozen=True)
+class _BrokenArrow:
+    """An arrow as the secular solver takes it: K 2^-p as a broken arrow, its poles sorted.
+
+    ``perm`` sorts the modes: the centre, the k - 1 coupled modes by |d|,
+    then the deflated ones; ds = |d|, zs, and the signs of d are in that
+    order, and rho = |zs[:k]|^2.  ``mu`` is the RWA's shift (0 with
+    pairing).  See ``_broken_arrow_svd``.
+    """
+
+    arrow: Arrow
+    p: int
+    mu: float
+    perm: np.ndarray
+    ds: np.ndarray
+    zs: np.ndarray
+    sign: np.ndarray
+    k: int
+    rho: float
+
+
+def _broken_arrow(arrow: Arrow) -> _BrokenArrow:
+    """The broken arrow of ``arrow`` (``_broken_arrow_svd``): scaled, deflated and sorted."""
+    M, c, rwa = arrow.modes, arrow.center, arrow.rwa
+    # K 2^-p, its largest entry in [1/4, 1) for an even p (sqrt(mu) under the
+    # RWA scales by 2^(-p/2))
+    p = np.frexp(max(np.abs(arrow.levels).max(), np.abs(arrow.couplings).max()))[1]
+    p += p % 2
+    levels, couplings = np.ldexp(arrow.levels, -p), np.ldexp(arrow.couplings, -p)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ldexp(couplings @ couplings, 2 * p)):
+            raise ValueError(
+                f"coupling scale max|g| = {np.abs(arrow.couplings).max():.3g} is too large: "
+                "|g|^2 overflows (|g| must stay below about 1e154)"
+            )
+    mu = 0.0
+    if rwa:
+        mu = 2 * (np.abs(levels).max() + np.linalg.norm(couplings)) or 1.0
+        d = np.sqrt(levels + mu)
+        z = couplings / d
+        z[c] = np.sqrt(levels[c] + mu - z @ z)
+    else:
+        d, z = levels.copy(), 2 * couplings
+        z[c] = levels[c]
+    d[c] = 0.0
+    # K = 0 has no scale of its own; any will do
+    scale = max(np.abs(d).max(), np.abs(z).max()) or 1.0
+    tol = 8 * np.finfo(float).eps * scale
+    if abs(z[c]) <= tol:
+        z[c] = tol
+    # sorted order: c, then the coupled modes by |d|, then the deflated ones
+    rest = np.delete(np.arange(M), c)
+    coupled = np.abs(z[rest]) > tol
+    live = rest[coupled]
+    perm = np.concatenate([[c], live[np.argsort(np.abs(d[live]), kind="stable")], rest[~coupled]])
+    k = 1 + len(live)
+    ds, zs = np.abs(d[perm]), z[perm]
+    gap = tol / 8
+    if np.any(np.diff(ds[:k]) < gap):
+        for j in range(1, k):
+            ds[j] = max(ds[j], ds[j - 1] + gap)
+    return _BrokenArrow(arrow=arrow, p=int(p), mu=float(mu), perm=perm, ds=ds, zs=zs,
+                        sign=np.where(d[perm] < 0, -1.0, 1.0), k=k, rho=float(zs[:k] @ zs[:k]))
+
+
+def _broken_arrow_svd(stack, weights: np.ndarray, probe: np.ndarray, work: np.ndarray):
+    """SVD K = P diag(s) Q^T of each arrow of a stack, and X = Q^T diag(e) P, as D2 and vectors.
 
     With pairing, K^T = diag(d) + e_c z^T with z = K[:, c] (the central
     level at c) and d = levels but d_c = 0, and K^T = S A for S = diag(sign d)
@@ -528,113 +708,140 @@ def _broken_arrow_svd(arrow: Arrow, weights: np.ndarray, probe: np.ndarray):
     entry in [1/4, 1), and s is scaled back: a power of two changes no
     rounding, so P, Q, X and s are those of K itself, while the secular
     steps' squares of squares stay inside the float range.  A
-    coupling whose square |g|^2 overflows is refused with a ValueError.
+    coupling whose square |g|^2 overflows is refused with a ValueError
+    (``_broken_arrow``).
 
-    Returns the ``ArrowPropagator`` fields but the arrow, by name, and
-    V [signed v, v] for the vector ``probe`` (v, in mode order), taken in
-    the pass that gives F: the first pass of ``_probe_residuals``.  The
-    singular values (and the columns of P and Q, the rows and columns of
-    X) come in the solver's order: the k roots ascending, then the deflated
-    modes.  Raises LinAlgError if a secular root does not converge.
+    ``stack`` holds B broken arrows (``_broken_arrow``) of one kind, M and
+    root count k, ``weights`` their e (B x M, mode order).  Every pass runs
+    over the whole stack, its block arrays in ``work`` (``_workspace``), and
+    each arrow's products are its own matrix products, so every arrow's
+    results are the bits it gets in a stack of one.  Returns the
+    ``ArrowPropagator`` fields but the arrow, by name, each stacked (B x ...),
+    and V [signed v, v] (B x k x 2) for the vector ``probe`` (v, in mode
+    order), taken in the pass that gives F: the first pass of
+    ``_probe_residuals``.  The singular values (and the columns of P and Q,
+    the rows and columns of X) come in the solver's order: the k roots
+    ascending, then the deflated modes.  Raises LinAlgError if a secular
+    root does not converge.
     """
-    M, c, rwa = arrow.modes, arrow.center, arrow.rwa
-    # K 2^-p, its largest entry in [1/4, 1) for an even p (sqrt(mu) under the
-    # RWA scales by 2^(-p/2))
-    p = np.frexp(max(np.abs(arrow.levels).max(), np.abs(arrow.couplings).max()))[1]
-    p += p % 2
-    levels, couplings = np.ldexp(arrow.levels, -p), np.ldexp(arrow.couplings, -p)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.ldexp(couplings @ couplings, 2 * p)):
-            raise ValueError(
-                f"coupling scale max|g| = {np.abs(arrow.couplings).max():.3g} is too large: "
-                "|g|^2 overflows (|g| must stay below about 1e154)"
-            )
-    if rwa:
-        mu = 2 * (np.abs(levels).max() + np.linalg.norm(couplings)) or 1.0
-        d = np.sqrt(levels + mu)
-        z = couplings / d
-        z[c] = np.sqrt(levels[c] + mu - z @ z)
-    else:
-        d, z = levels.copy(), 2 * couplings
-        z[c] = levels[c]
-    d[c] = 0.0
-    # K = 0 has no scale of its own; any will do
-    scale = max(np.abs(d).max(), np.abs(z).max()) or 1.0
-    tol = 8 * np.finfo(float).eps * scale
-    if abs(z[c]) <= tol:
-        z[c] = tol
-    # sorted order: c, then the coupled modes by |d|, then the deflated ones
-    rest = np.delete(np.arange(M), c)
-    coupled = np.abs(z[rest]) > tol
-    live = rest[coupled]
-    perm = np.concatenate([[c], live[np.argsort(np.abs(d[live]), kind="stable")], rest[~coupled]])
-    k = 1 + len(live)
-    ds, zs = np.abs(d[perm]), z[perm]
-    sign = np.where(d[perm] < 0, -1.0, 1.0)
-    gap = tol / 8
-    if np.any(np.diff(ds[:k]) < gap):
-        for j in range(1, k):
-            ds[j] = max(ds[j], ds[j - 1] + gap)
-    rho = float(zs[:k] @ zs[:k])
-    # D2[i, j] = ds_j^2 - s_i^2, roots ascending; a row is a root, a column a
-    # coupled mode (a pole) in the sorted order.  The deflated modes have none
-    sig, D2 = _secular_roots(ds[:k], zs[:k] / np.sqrt(rho), rho)
+    B, k, rwa = len(stack), stack[0].k, stack[0].arrow.rwa
+    ds, zs, sign, perm = (np.stack([getattr(a, name) for a in stack])
+                          for name in ("ds", "zs", "sign", "perm"))
+    rho = np.array([a.rho for a in stack])
+    # D2[b, i, j] = ds_j^2 - s_i^2, roots ascending; a row is a root, a column
+    # a coupled mode (a pole) in the sorted order.  The deflated modes have none
+    sig, D2 = _secular_roots(ds[:, :k], zs[:, :k] / np.sqrt(rho)[:, None], rho, work)
     # by interlacing root i lies between poles i and i + 1; the nearer, and
     # s_i^2 minus its square
     i = np.arange(k)
-    nearest = i.copy()
-    nearest[:-1] += np.abs(D2[i[:-1], i[:-1] + 1]) < np.abs(D2[i[:-1], i[:-1]])
+    nearest = np.tile(i, (B, 1))
+    nearest[:, :-1] += np.abs(D2[:, i[:-1], i[:-1] + 1]) < np.abs(D2[:, i[:-1], i[:-1]])
     blocks = _row_blocks(k)
 
     # Löwner: z_j^2 = prod_i (ds_j^2 - s_i^2) / prod_{m != j} (ds_j^2 - ds_m^2),
     # root i < k - 1 over pole m = i for i < j and m = i + 1 for i >= j, so
     # that by interlacing every ratio lies in (0, 1); root k - 1 left over.
     # ds_j^2 - ds_m^2 is D2_ij - D2_im, two terms of opposite sign
-    prod = np.ones(k)
+    prod = np.ones((B, k))
     for i0, i1 in blocks:
         n = min(i1, k - 1) - i0
         if n <= 0:
             continue
-        D = D2[i0 : i0 + n]
+        D = D2[:, i0 : i0 + n]
         r = np.arange(i0, i0 + n)
-        den = np.empty_like(D)
-        np.subtract(D[:, :i0], D2[r, r + 1][:, None], out=den[:, :i0])
-        np.subtract(D[:, i0:], D2[r, r][:, None], out=den[:, i0:])
-        block = den[:, i0 : i0 + n]
-        block[...] = np.where(r[:, None] >= r, D[:, i0 : i0 + n] - D2[r, r + 1][:, None], block)
+        den = _block(work, B, n, k)
+        below, above = D2[:, r, r + 1][:, :, None], D2[:, r, r][:, :, None]
+        np.subtract(D[:, :, :i0], below, out=den[:, :, :i0])
+        np.subtract(D[:, :, i0:], above, out=den[:, :, i0:])
+        np.subtract(D[:, :, i0 : i0 + n], below, out=den[:, :, i0 : i0 + n], where=r[:, None] >= r)
         np.divide(D, den, out=den)
-        den[0] *= prod
-        prod = den.prod(axis=0)
-    zhat = np.copysign(np.sqrt(np.abs(prod * D2[k - 1])), zs[:k])
+        den[:, 0] *= prod
+        prod = den.prod(axis=1)
+    zhat = np.copysign(np.sqrt(np.abs(prod * D2[:, k - 1])), zs[:, :k])
 
     # from here on an entry is a singular value: the k roots, then the
     # deflated modes
-    s = np.concatenate([sig, ds[k:]])
-    flip = np.ones(M)
+    s = np.concatenate([sig, ds[:, k:]], axis=1)
+    flip = np.ones_like(s)
     if rwa:
-        lam = (s - np.sqrt(mu)) * (s + np.sqrt(mu))
+        root_mu = np.sqrt([[a.mu] for a in stack])
+        lam = (s - root_mu) * (s + root_mu)
         s = np.abs(lam)
         flip[lam < 0] = -1.0
-    e, signed = weights[perm], sign * ds
+    e, signed = weights[np.arange(B)[:, None], perm], sign * ds
     # the Löwner weights e d, or e |d|^2 under the RWA (sign = 1 there), and
     # the sums over the rows of V = zhat / D2: F, F' and |v|^2, and
     # |u|^2 = 1 + sum_j V_ij^2 ds_j^2; and V [signed v, v] for the probe
-    weighted = (e * signed * ds if rwa else e * signed)[:k]
-    wz = weighted * zhat
-    sums = np.stack([weighted, np.ones(k), ds[:k] * ds[:k]], axis=1)
-    vp = probe[perm[:k]]
-    rhs = np.stack([signed[:k] * vp, vp], axis=1)
-    F, dF, vv, uu, projected = np.empty(k), np.empty(k), np.empty(k), np.empty(k), np.empty((k, 2))
+    weighted = (e * signed * ds if rwa else e * signed)[:, :k]
+    wz = (weighted * zhat)[:, :, None]
+    sums = np.stack([weighted, np.ones((B, k)), ds[:, :k] * ds[:, :k]], axis=2)
+    vp = probe[perm[:, :k]]
+    rhs = np.stack([signed[:, :k] * vp, vp], axis=2)
+    F, dF, vv, uu = np.empty((4, B, k))
+    projected = np.empty((B, k, 2))
     for i0, i1 in blocks:
-        V = np.divide(zhat, D2[i0:i1])
-        F[i0:i1] = V @ wz
-        projected[i0:i1] = V @ rhs
+        V = np.divide(zhat[:, None, :], D2[:, i0:i1], out=_block(work, B, i1 - i0, k))
+        F[:, i0:i1] = (V @ wz)[..., 0]
+        projected[:, i0:i1] = V @ rhs
         V *= V
-        dF[i0:i1], vv[i0:i1], uu[i0:i1] = (V @ sums).T
+        dF[:, i0:i1], vv[:, i0:i1], uu[:, i0:i1] = np.moveaxis(V @ sums, 2, 0)
     norm_u = np.sqrt(1 + uu)
+    p = np.array([[a.p] for a in stack])
     parts = dict(s=np.ldexp(s, p), D2=D2, perm=perm, zhat=zhat, signed=signed, nearest=nearest,
                  F=F, dF=dF, norm_u=norm_u, norm_v=norm_u if rwa else np.sqrt(vv), flip=flip, e=e)
     return parts, projected
+
+
+def _solve_stack(stack, weights: np.ndarray) -> list[ArrowPropagator]:
+    """The probed ``ArrowPropagator`` of every broken arrow of a stack, for its weights (B x M)."""
+    work = _workspace(len(stack), stack[0].k)
+    parts, projected = _broken_arrow_svd(stack, weights, _probe_vector(weights.shape[1]), work)
+    props = [ArrowPropagator(a.arrow, **{name: part[b] for name, part in parts.items()})
+             for b, a in enumerate(stack)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a corrupted solve shows as an inf or NaN residual, not a warning
+        residuals = _probe_residuals(stack, parts, weights, projected, work)
+    for b, (recon, ortho, state) in enumerate(residuals):
+        if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
+            where = f" (arrow {b} of a stack of {len(stack)})" if len(stack) > 1 else ""
+            raise ValueError(
+                f"arrow SVD failed its probe{where}: reconstruction residual {recon:.3e}, "
+                f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
+            )
+    return props
+
+
+def arrow_propagators(realizations: Iterable) -> Iterator[ArrowPropagator]:
+    """``arrow_propagator`` of each (arrow, occupations), in order, solved as stacks.
+
+    Consecutive arrows of one kind, one M and one root count k (the modes
+    that couple to the centre, after deflation) form a stack of at most
+    max(1, _BLOCK // k^2) arrows, which ``_broken_arrow_svd`` and the probe
+    solve in one pass: one secular iteration over every root of every
+    arrow, one probe and one workspace per stack.  Every propagator is the
+    bits its arrow gets alone.  A stack is solved when it is full or the
+    next arrow does not join it, so the propagators of one stack at a time
+    are held, and at k^2 > _BLOCK / 2 (M >= 182 for a valve) one arrow's.
+    """
+    stack, weights = [], []
+    for arrow, occupations in realizations:
+        occupations = np.asarray(occupations, dtype=float)
+        if occupations.shape != (arrow.modes,):
+            raise ValueError(
+                f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
+            )
+        item = _broken_arrow(arrow)
+        if stack and (item.k, arrow.modes, arrow.rwa) != (stack[0].k, stack[0].arrow.modes,
+                                                          stack[0].arrow.rwa):
+            yield from _solve_stack(stack, np.array(weights))
+            stack, weights = [], []
+        stack.append(item)
+        weights.append(1 - 2 * occupations)
+        if len(stack) >= _BLOCK // item.k**2:
+            yield from _solve_stack(stack, np.array(weights))
+            stack, weights = [], []
+    if stack:
+        yield from _solve_stack(stack, np.array(weights))
 
 
 def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
@@ -646,21 +853,7 @@ def arrow_propagator(arrow: Arrow, occupations) -> ArrowPropagator:
     sorted.  Every result is probed: K v = P diag(s) Q^T v, P^T P v = v,
     Q^T Q v = v and Q X v = e * P v for one fixed vector v, each to
     SPECTRAL_TOL, or ValueError (a NaN or infinite residual included).
+    It is the stack of one of ``arrow_propagators``.
     """
-    occupations = np.asarray(occupations, dtype=float)
-    if occupations.shape != (arrow.modes,):
-        raise ValueError(
-            f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
-        )
-    weights = 1 - 2 * occupations
-    parts, projected = _broken_arrow_svd(arrow, weights, _probe_vector(arrow.modes))
-    prop = ArrowPropagator(arrow, **parts)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # a corrupted solve shows as an inf or NaN residual, not a warning
-        recon, ortho, state = _probe_residuals(prop, weights, projected)
-    if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
-        raise ValueError(
-            f"arrow SVD failed its probe: reconstruction residual {recon:.3e}, "
-            f"orthogonality residual {ortho:.3e}, rotated-state residual {state:.3e}"
-        )
+    (prop,) = arrow_propagators([(arrow, occupations)])
     return prop

@@ -142,7 +142,8 @@ def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> Bath
     returned as drawn.  Otherwise one real symmetric matrix per bath (bath 1,
     then bath 2, see ``InternalCouplingSpec``) comes from the stream
     ``default_rng([seed, 0x1C])``, decoupled from ``sample_bath``'s by the
-    fixed tag.  Diagonalizing diag(w_ak) + that matrix gives new level
+    fixed tag; both are drawn at once.  Diagonalizing diag(w_ak) + that
+    matrix, both baths in one stacked eigh, gives new level
     frequencies (the eigenvalues) and rotated couplings g_a -> |U^T g_a|:
     the modulus fixes each eigenvector's sign, arbitrary in eigh anyway, so
     that every coupling is non-negative.  The couplings' sum of squares is
@@ -153,14 +154,13 @@ def apply_internal_couplings(config: ValveConfig, bath: BathRealization) -> Bath
         return bath
     N = config.bath_size
     rng = np.random.default_rng([config.seed, 0x1C])
-    new_freqs = np.empty_like(bath.frequencies)
-    new_g = np.empty_like(bath.couplings)
-    for a in range(2):
-        A = rng.normal(scale=spec.scale / np.sqrt(N), size=(N, N))
-        evals, U = np.linalg.eigh(np.diag(bath.frequencies[a]) + (A + A.T) / 2)
-        new_freqs[a] = evals
-        new_g[a] = np.abs(U.T @ bath.couplings[a])
-    return BathRealization(frequencies=new_freqs, couplings=new_g)
+    A = rng.normal(scale=spec.scale / np.sqrt(N), size=(2, N, N))
+    H = A + A.transpose(0, 2, 1)
+    H /= 2
+    H[:, np.arange(N), np.arange(N)] += bath.frequencies
+    evals, U = np.linalg.eigh(H)
+    new_g = np.abs((U.transpose(0, 2, 1) @ bath.couplings[:, :, None])[..., 0])
+    return BathRealization(frequencies=evals, couplings=new_g)
 
 
 def build_arrow(config: ValveConfig, bath: BathRealization) -> Arrow:

@@ -284,11 +284,26 @@ class TestDist:
         assert [(s["gamma_over_omega0"], s["bath_size"]) for s in scales] == [(0.2, 4)]
         assert scales[0]["relaxation_time"] == pytest.approx(relaxation_time(0.2), rel=1e-15)
 
+    def test_two_jobs_write_the_bytes_of_one(self, tmp_path):
+        # M = 121 with internal couplings, both kinds: one process and each
+        # of two solve their consecutive jobs as stacks of four
+        cfg = write_config(
+            tmp_path, "gamma_grid: [0.1, 0.3]\nkind: both\n"
+            "internal_coupling: {generator: random_hermitian, scale: 0.1}\n",
+            bath_size=60, realizations=4, time_step=0.05, window="[20, 50]")
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["dist", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in out.glob("sweep_*.csv")})
+        assert len(written[0]) == 3 and written[0] == written[1]
+
     def test_grid_longer_than_the_seed_stride_is_refused(self, tmp_path, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("a realization ran")
 
-        monkeypatch.setattr(experiments, "_steady_state_job", never)
+        monkeypatch.setattr(experiments, "_steady_state_jobs", never)
         cfg = write_config(tmp_path, f"gamma_grid: {[0.1] * 1001}\n")
         out = tmp_path / "out"
         assert main(["dist", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
@@ -356,7 +371,7 @@ class TestExitCodes:
         def never(*args):
             raise AssertionError("a realization ran")
 
-        monkeypatch.setattr(experiments, "_steady_state_job", never)
+        monkeypatch.setattr(experiments, "_steady_state_jobs", never)
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
         out = tmp_path / "out"
         out.write_text("kept")
@@ -368,7 +383,7 @@ class TestExitCodes:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(experiments, "arrow_propagator", no_memory)
+        monkeypatch.setattr(experiments, "arrow_propagators", no_memory)
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
         (tmp_path / "kept").mkdir()
         out = tmp_path / "kept" / "a" / "b"
@@ -433,7 +448,7 @@ class TestExitCodes:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 596. GiB for an array")
 
-        monkeypatch.setattr(experiments, "arrow_propagator", no_memory)
+        monkeypatch.setattr(experiments, "arrow_propagators", no_memory)
         argv = [command, "--config", str(write_config(tmp_path, extra)), "--out", str(tmp_path)]
         assert main(argv) == EXIT_NUMERICAL
         # one line, no traceback
@@ -445,7 +460,7 @@ class TestExitCodes:
         def broken(*args):
             raise TypeError("broken call")
 
-        monkeypatch.setattr(experiments, "arrow_propagator", broken)
+        monkeypatch.setattr(experiments, "arrow_propagators", broken)
         cfg = write_config(tmp_path, "gamma_grid: [0.2]\n")
         with pytest.raises(TypeError, match="broken call"):
             main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])

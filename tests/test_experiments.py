@@ -208,7 +208,8 @@ class TestWindowMeans:
         dist_template = template(
             bath_size=8, internal_coupling=InternalCouplingSpec(scale=0.3)
         )
-        monkeypatch.setattr(experiments, "_steady_state_job", self.grid_job)
+        monkeypatch.setattr(experiments, "_steady_state_jobs",
+                            lambda jobs: [self.grid_job(*job) for job in jobs])
         want_sweep = run_sweep(template(bath_size=20), [0.0, 0.3], **sweep)
         want_dist = run_distribution_comparison(dist_template, [0.2], **sweep)
         monkeypatch.undo()
@@ -310,8 +311,8 @@ class TestDistributionComparison:
         # law di's grid point gi draws its seed at gi + 1000 (di + 1), so point
         # 1000 of one law would repeat point 0 of the next
         seeds = []
-        monkeypatch.setattr(experiments, "_steady_state_job",
-                            lambda config, *_: seeds.append(config.seed) or 0.0)
+        monkeypatch.setattr(experiments, "_steady_state_jobs",
+                            lambda jobs: [seeds.append(config.seed) or 0.0 for config, *_ in jobs])
         run_distribution_comparison(template(), [0.0] * 1000, realizations=1, kinds=("rwa",),
                                     **FAST)
         assert len(set(seeds)) == len(seeds) == 3000

@@ -318,10 +318,10 @@ class TestSolverPaths:
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow, weights, probe):
-            parts, projected = good(arrow, weights, probe)
+        def corrupted(stack, weights, probe, work):
+            parts, projected = good(stack, weights, probe, work)
             for name in ("s", "D2"):  # mislabel two quasiparticles
-                parts[name][[0, 1]] = parts[name][[1, 0]]
+                parts[name][0, [0, 1]] = parts[name][0, [1, 0]]
             return parts, projected
 
         monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
@@ -332,9 +332,9 @@ class TestSolverPaths:
         cfg, bath, _, _ = valve(bath_size=5, gamma=0.3)
         good = nambu._broken_arrow_svd
 
-        def corrupted(arrow, weights, probe):
-            parts, projected = good(arrow, weights, probe)
-            parts["D2"][3, 4] = np.nan  # every residual is NaN, and NaN > tol is False
+        def corrupted(stack, weights, probe, work):
+            parts, projected = good(stack, weights, probe, work)
+            parts["D2"][0, 3, 4] = np.nan  # every residual is NaN, and NaN > tol is False
             return parts, projected
 
         monkeypatch.setattr(nambu, "_broken_arrow_svd", corrupted)
@@ -358,11 +358,11 @@ class TestSolverPaths:
         weights = 1 - 2 * thermal_occupations(cfg, bath)
         good = nambu._broken_arrow_svd
 
-        def wrong_side(arrow, weights, probe):
-            return good(arrow, -weights, probe)
+        def wrong_side(stack, weights, probe, work):
+            return good(stack, -weights, probe, work)
 
-        def scaled_F(arrow, weights, probe):
-            parts, projected = good(arrow, weights, probe)
+        def scaled_F(stack, weights, probe, work):
+            parts, projected = good(stack, weights, probe, work)
             parts["F"] *= 1 + 1e-6
             return parts, projected
 
@@ -371,9 +371,13 @@ class TestSolverPaths:
                 m.setattr(nambu, "_broken_arrow_svd", corrupted)
                 with pytest.raises(ValueError, match="probe.*rotated-state residual"):
                     propagate(cfg, bath)
-            parts, _ = corrupted(arrow, weights, nambu._probe_vector(arrow.modes))
-            prop = nambu.ArrowPropagator(arrow, **parts)
-            recon, ortho, state = nambu._probe_residuals(prop, weights)
+            stack = [nambu._broken_arrow(arrow)]
+            work = nambu._workspace(1, stack[0].k)
+            parts, projected = corrupted(stack, weights[None], nambu._probe_vector(arrow.modes),
+                                         work)
+            nambu.ArrowPropagator(arrow, **{name: part[0] for name, part in parts.items()})
+            ((recon, ortho, state),) = nambu._probe_residuals(stack, parts, weights[None],
+                                                              projected, work)
             assert max(recon, ortho) <= nambu.SPECTRAL_TOL < state < most
 
 

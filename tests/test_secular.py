@@ -32,14 +32,23 @@ def solver_inputs(monkeypatch, arrow, weights):
     seen = []
     solve = nambu._secular_roots
 
-    def recording(ds, zn, rho):
-        seen.append((ds.copy(), zn.copy(), rho))
-        return solve(ds, zn, rho)
+    def recording(ds, zn, rho, work):
+        seen.extend((d.copy(), z.copy(), float(r)) for d, z, r in zip(ds, zn, rho))
+        return solve(ds, zn, rho, work)
 
     with monkeypatch.context() as m:
         m.setattr(nambu, "_secular_roots", recording)
-        nambu._broken_arrow_svd(arrow, weights, nambu._probe_vector(arrow.modes))
+        stack = [nambu._broken_arrow(arrow)]
+        nambu._broken_arrow_svd(stack, weights[None], nambu._probe_vector(arrow.modes),
+                                nambu._workspace(1, stack[0].k))
     return seen
+
+
+def secular_roots_alone(ds, zn, rho):
+    """``nambu._secular_roots`` on the stack of one problem."""
+    sig, D2 = nambu._secular_roots(ds[None], zn[None], np.array([rho]),
+                                   nambu._workspace(1, len(ds)))
+    return sig[0], D2[0]
 
 
 def valve_arrow(N, gamma, rwa=False, seed=0, scale=None):
@@ -73,7 +82,7 @@ def _true_root(ds, zn, rho, origin, eta):
 
 
 def assert_matches_dlasd4(ds, zn, rho):
-    sig, D2 = nambu._secular_roots(ds, zn, rho)
+    sig, D2 = secular_roots_alone(ds, zn, rho)
     ref_sig, ref_D2 = secular_roots(ds, zn, rho)
     sig_err = np.abs(sig - ref_sig) / ref_sig
     d2_err = (np.abs(D2 - ref_D2) / np.abs(ref_D2)).max(axis=1)
@@ -135,7 +144,7 @@ def test_k1_closed_form(monkeypatch):
     (problem,) = solver_inputs(monkeypatch, *arrow([1.0, 0.3, 0.7], [0, EPS, -EPS]))
     ds, zn, rho = problem
     assert len(ds) == 1
-    sig, D2 = nambu._secular_roots(ds, zn, rho)
+    sig, D2 = secular_roots_alone(ds, zn, rho)
     assert sig[0] == np.sqrt(rho) and D2[0, 0] == -rho
 
 

@@ -63,3 +63,21 @@ def test_sweep_trace_and_dist_load_no_scipy(tmp_path):
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_committed_bench_reports_are_comparable():
+    # a BENCH_*.json pairs the harness reports of a parent and a change on
+    # one workload of BENCHMARK.json; each side records the seed, the BLAS
+    # thread count and the commit it measured, without which no speedup counts
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    reports = sorted((ROOT / "bench").glob("BENCH_*.json"))
+    assert reports
+    for path in reports:
+        report = json.loads(path.read_text())
+        assert set(report) == {"about", "command", "workload", "parent", "change"}, path.name
+        assert report["workload"] in workloads, path.name
+        for side in ("parent", "change"):
+            environment = report[side]["environment"]
+            for key in ("seed", "blas_threads", "git_commit"):
+                assert key in environment, (path.name, side, key)
+            assert environment["workload"] == report["workload"], (path.name, side)

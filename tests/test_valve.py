@@ -250,6 +250,20 @@ class TestInternalCouplings:
         np.testing.assert_allclose(out.frequencies, FOLDED_FREQUENCIES, rtol=1e-13, atol=0)
         np.testing.assert_allclose(out.couplings, FOLDED_COUPLINGS, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("bath_size,scale", [(4, 0.3), (60, 0.1), (200, 0.4)])
+    def test_fold_equals_the_per_bath_fold(self, bath_size, scale):
+        # one draw of both baths' matrices and one stacked eigh: bit for bit
+        # the fold of each bath in turn, a draw and an eigh at a time
+        cfg = make_config(bath_size=bath_size, internal_coupling=InternalCouplingSpec(scale=scale))
+        bath = sample_bath(cfg)
+        out = apply_internal_couplings(cfg, bath)
+        rng = np.random.default_rng([cfg.seed, 0x1C])
+        for a in range(2):
+            A = rng.normal(scale=scale / np.sqrt(bath_size), size=(bath_size, bath_size))
+            evals, U = np.linalg.eigh(np.diag(bath.frequencies[a]) + (A + A.T) / 2)
+            assert np.array_equal(out.frequencies[a], evals)
+            assert np.array_equal(out.couplings[a], np.abs(U.T @ bath.couplings[a]))
+
     def test_zero_spec_is_permutation(self):
         cfg = make_config(bath_size=6, internal_coupling=InternalCouplingSpec(scale=0.0))
         bath = sample_bath(cfg)
