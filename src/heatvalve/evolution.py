@@ -212,7 +212,7 @@ def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.nda
         )
     alpha, beta, r = prop.state_scales()
     # a = Q^T w and b = Q^T e_c = Q[c, :], and P's, on the roots
-    a, ap = (x[:k, 0] for x in prop.project(w[:, None]))
+    a, ap = (x[:k] for x in prop.project(w))
     b, bp = prop.centre_rows()
     # G_k^T = L * (left^T @ right) + the rank-one term, left (2 x k) on the
     # rows of L and right (2 x k) on its columns: f_Q's rows on sin, f_P's on cos

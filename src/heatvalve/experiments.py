@@ -6,7 +6,8 @@ realizations never perturbs existing results and identical inputs give
 byte-identical outputs regardless of execution order.  A worker solves its
 consecutive jobs as stacks (``nambu.arrow_propagators``), and an arrow's
 propagator is the same bits in any stack, so they do not depend on how the
-jobs are shared among workers either.  The kinds of a trace
+jobs are shared among workers either.  A distribution scan runs its three
+coupling laws as one job list in one worker pool.  The kinds of a trace
 share one bath and one first-order overlay, and come back as arrays over the
 time grid, from which the CLI writes its rows column by column.
 """
@@ -129,6 +130,40 @@ def _parallel_map(jobs, n_jobs: int):
         return [mean for share in pool.map(_steady_state_jobs, shares) for mean in share]
 
 
+def _sweep_jobs(template, grid, realizations, kinds, window, time_step, grid_offset):
+    """The (config, window, time step) jobs of a sweep, grid point by kind by realization.
+
+    A job's seed is derived from the template's seed and its coordinates, the
+    grid index shifted by ``grid_offset``.
+    """
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
+    if not grid:
+        raise ValueError("gamma grid must be nonempty")
+    return [
+        (replace(template, gamma=float(gamma), rwa=(kind == "rwa"),
+                 seed=derive_seed(template.seed, gi + grid_offset, r, 0 if kind == "exact" else 1)),
+         window, time_step)
+        for gi, gamma in enumerate(grid) for kind in kinds for r in range(realizations)
+    ]
+
+
+def _records(template, grid, kinds, means) -> list[SweepRecord]:
+    """One SweepRecord per (grid point, kind), from the means (grid x kinds x realizations)."""
+    records = []
+    for gamma, row in zip(grid, means):
+        gamma = float(gamma)
+        gamma_sd = analytics.spectral_density(gamma)
+        landauer = analytics.landauer_current(gamma, template.t_hot, template.t_cold)
+        weak = analytics.weak_coupling_current(gamma_sd, gamma_sd, template.t_hot, template.t_cold)
+        for kind, vals in zip(kinds, row):
+            records.append(SweepRecord(
+                gamma_over_omega0=gamma, kind=kind, mean_current=float(np.mean(vals)),
+                std_current=float(np.std(vals)), landauer=landauer, weak_coupling=weak,
+                realizations=len(vals)))
+    return records
+
+
 def run_sweep(
     config_template: ValveConfig,
     gamma_grid,
@@ -146,46 +181,10 @@ def run_sweep(
     step have their defaults in the config schema (``config._DEFAULTS``).
     """
     gamma_grid = list(gamma_grid)
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-    if not gamma_grid:
-        raise ValueError("gamma grid must be nonempty")
-    jobs = []
-    for gi, gamma in enumerate(gamma_grid):
-        for kind in kinds:
-            for r in range(realizations):
-                seed = derive_seed(
-                    config_template.seed, gi + grid_offset, r, 0 if kind == "exact" else 1
-                )
-                cfg = replace(
-                    config_template, gamma=float(gamma), rwa=(kind == "rwa"), seed=seed
-                )
-                jobs.append((cfg, window, time_step))
-    means = _parallel_map(jobs, n_jobs)
-    means = np.reshape(means, (len(gamma_grid), len(kinds), realizations))
-
-    records = []
-    for gi, gamma in enumerate(gamma_grid):
-        gamma = float(gamma)
-        gamma_sd = analytics.spectral_density(gamma)
-        landauer = analytics.landauer_current(gamma, config_template.t_hot, config_template.t_cold)
-        weak = analytics.weak_coupling_current(
-            gamma_sd, gamma_sd, config_template.t_hot, config_template.t_cold
-        )
-        for ki, kind in enumerate(kinds):
-            vals = means[gi, ki]
-            records.append(
-                SweepRecord(
-                    gamma_over_omega0=gamma,
-                    kind=kind,
-                    mean_current=float(np.mean(vals)),
-                    std_current=float(np.std(vals)),
-                    landauer=landauer,
-                    weak_coupling=weak,
-                    realizations=realizations,
-                )
-            )
-    return records
+    jobs = _sweep_jobs(config_template, gamma_grid, realizations, kinds, window, time_step,
+                       grid_offset)
+    means = np.reshape(_parallel_map(jobs, n_jobs), (len(gamma_grid), len(kinds), realizations))
+    return _records(config_template, gamma_grid, kinds, means)
 
 
 def run_trace(
@@ -220,24 +219,18 @@ def run_distribution_comparison(
     time_step,
     n_jobs: int = 1,
 ) -> dict[str, list[SweepRecord]]:
-    """run_sweep repeated for the three matched-second-moment coupling laws."""
+    """run_sweep for the three matched-second-moment coupling laws, as one job list in one pool."""
     gamma_grid = list(gamma_grid)
     if len(gamma_grid) > DIST_GRID_MAX:
         raise ConfigError(
             f"config key 'gamma_grid' has {len(gamma_grid)} points; at most "
             f"{DIST_GRID_MAX} keep the coupling laws' seeds apart"
         )
-    out = {}
-    for di, dist in enumerate(CouplingDistribution):
-        cfg = replace(config_template, coupling_dist=dist)
-        out[dist.value] = run_sweep(
-            cfg,
-            gamma_grid,
-            realizations,
-            kinds=kinds,
-            window=window,
-            time_step=time_step,
-            n_jobs=n_jobs,
-            grid_offset=DIST_GRID_MAX * (di + 1),
-        )
-    return out
+    laws = [replace(config_template, coupling_dist=dist) for dist in CouplingDistribution]
+    jobs = [job for di, cfg in enumerate(laws)
+            for job in _sweep_jobs(cfg, gamma_grid, realizations, kinds, window, time_step,
+                                   DIST_GRID_MAX * (di + 1))]
+    means = np.reshape(_parallel_map(jobs, n_jobs),
+                       (len(laws), len(gamma_grid), len(kinds), realizations))
+    return {cfg.coupling_dist.value: _records(cfg, gamma_grid, kinds, m)
+            for cfg, m in zip(laws, means)}

@@ -85,12 +85,14 @@ class ArrowPropagator:
       X_jj = e_j sign_j flip_j.
 
     zhat, signed, F, F' (``dF``) and |v| are those of the arrow as the
-    solver scaled it (K 2^-p); s is K's own.  What is O(k) to rebuild from
-    them (the nearest pole's D2_ij, V[:, 0]) is not stored.  e are the
-    weights 1 - 2n in ``perm`` order, so e_c = e[0].  Every field is real
-    and shaped by the arrow's M and the root count k (D2's rows), else
-    refused; ``perm`` and ``nearest`` are integers.  The arrow is kept, so
-    every current is taken with the arrow the realization was solved from.
+    solver scaled it (K 2^-p); s is K's own.  V[:, 0] and the nearest pole's
+    D2_ij are O(k) to rebuild and not stored; ``nearest`` is kept, as every
+    ``lowner`` slice would rebuild it (one thread: 7 against 33 us for 64
+    rows at M = 121, 14 against 399 us at M = 901).  e are the weights
+    1 - 2n in ``perm`` order, so e_c = e[0].  Every field is real and shaped
+    by the arrow's M and the root count k (D2's rows), else refused; ``perm``
+    and ``nearest`` are integers.  The arrow is kept, so every current is
+    taken with the arrow the realization was solved from.
     """
 
     arrow: Arrow
@@ -153,21 +155,21 @@ class ArrowPropagator:
         return self.flip[:k] / self.norm_v, 1 / self.norm_u, r
 
     def project(self, w: np.ndarray):
-        """Q^T w and P^T w in the solver's order, for the columns of w (M x n) in mode order.
+        """Q^T w and P^T w in the solver's order, for the vector w (M) in mode order.
 
         One pass over the Cauchy rows, against w in ``perm`` order: on the
         roots Q^T w = (V (signed w) - w_c) / |u| and P^T w = V w / |v| (flip
         Q^T w under the RWA); a deflated mode gives sign_j w_j and flip_j w_j.
         """
-        k, n = len(self.zhat), w.shape[1]
+        k = len(self.zhat)
         wp = w[self.perm]
-        rhs = np.concatenate([wp[:k] * self.signed[:k, None], wp[:k]], axis=1)
+        rhs = np.stack([wp[:k] * self.signed[:k], wp[:k]], axis=1)
         out = np.concatenate([self.cauchy(i0, i1) @ rhs for i0, i1 in _row_blocks(k)])
-        q = wp * self.sign[:, None]
-        q[:k] = (out[:, :n] - wp[0]) / self.norm_u[:, None]
-        p = (q if self.arrow.rwa else wp) * self.flip[:, None]
+        q = wp * self.sign
+        q[:k] = (out[:, 0] - wp[0]) / self.norm_u
+        p = (q if self.arrow.rwa else wp) * self.flip
         if not self.arrow.rwa:
-            p[:k] = out[:, n:] / self.norm_v[:, None]
+            p[:k] = out[:, 1] / self.norm_v
         return q, p
 
     def centre_rows(self):
@@ -265,19 +267,17 @@ def _probe_residuals(stack, parts, weights, projected, work) -> np.ndarray:
     """
     B, M = weights.shape
     rwa = stack[0].arrow.rwa
-    D2, zhat, s, perm, signed, flip, e = (parts[n] for n in ("D2", "zhat", "s", "perm",
-                                                            "signed", "flip", "e"))
-    norm_u, norm_v = parts["norm_u"], parts["norm_v"]
+    D2, zhat, s, perm, signed, flip, e, norm_u, norm_v = (
+        parts[n] for n in ("D2", "zhat", "s", "perm", "signed", "flip", "e", "norm_u", "norm_v"))
     k = zhat.shape[1]
     blocks = _row_blocks(k)
     v = _probe_vector(M)
     norm = np.linalg.norm(v)
-    levels = np.stack([b.arrow.levels for b in stack])
-    couplings = np.stack([b.arrow.couplings for b in stack])
+    levels, column = (np.stack([getattr(b.arrow, n) for b in stack]) for n in ("levels", "column"))
     centre = np.array([b.arrow.center for b in stack])
-    Kv = levels * v + (couplings if rwa else 2 * couplings) * v[centre][:, None]
+    Kv = levels * v + column * v[centre][:, None]
     if rwa:
-        Kv[np.arange(B), centre] += np.matmul(couplings[:, None, :], v[:, None])[:, 0, 0]
+        Kv[np.arange(B), centre] += np.matmul(column[:, None, :], v[:, None])[:, 0, 0]
     sign = np.where(signed < 0, -1.0, 1.0)
     # Q^T v and P^T v in the solver's order
     vp = v[perm]

@@ -150,9 +150,10 @@ class TestRunSweep:
         )
         assert serial == parallel
 
-    @pytest.mark.parametrize("cpus,asked", [(64, [4]), (3, [3]), (None, [])],
+    @pytest.mark.parametrize("cpus,asked,dist_asked", [(64, [4], [6]), (3, [3], [3]),
+                                                       (None, [], [])],
                              ids=["64_cpus", "3_cpus", "unknown_cpus"])
-    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, asked):
+    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, asked, dist_asked):
         # a stand-in pool that records its size and maps in this process
         sizes = []
 
@@ -175,6 +176,12 @@ class TestRunSweep:
         records = run_sweep(template(), n_jobs=10**6, **sweep)  # 4 jobs
         assert sizes == asked
         assert records == run_sweep(template(), **sweep)
+        # a dist runs its three coupling laws' 6 jobs in one pool
+        sizes.clear()
+        dist = dict(gamma_grid=[0.2], realizations=2, kinds=("rwa",), **FAST)
+        by_law = run_distribution_comparison(template(), n_jobs=10**6, **dist)
+        assert sizes == dist_asked
+        assert by_law == run_distribution_comparison(template(), **dist)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):

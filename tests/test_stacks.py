@@ -12,31 +12,17 @@ import pytest
 
 from heatvalve import InternalCouplingSpec, ValveConfig, nambu
 from heatvalve.evolution import window_mean_current
-from heatvalve.experiments import derive_seed
-from heatvalve.valve import (
-    BathRealization,
-    apply_internal_couplings,
-    bath_levels,
-    build_arrow,
-    sample_bath,
-    thermal_occupations,
-)
+from heatvalve.experiments import _inputs, derive_seed
+from heatvalve.valve import BathRealization, sample_bath
 
 WINDOW, DT = (20.0, 50.0), 0.05
-
-
-def realization(cfg, bath=None):
-    """(arrow, occupations, cold-bath levels) of one valve realization."""
-    if bath is None:
-        bath = apply_internal_couplings(cfg, sample_bath(cfg))
-    return build_arrow(cfg, bath), thermal_occupations(cfg, bath), bath_levels(cfg, bath, 2)
 
 
 def valves(N, specs, internal=None):
     """One realization per (gamma, kind, seed) in ``specs``."""
     base = ValveConfig(bath_size=N, gamma=0.1, t_hot=1.0, t_cold=0.0,
                        internal_coupling=internal and InternalCouplingSpec(scale=internal))
-    return [realization(replace(base, gamma=g, rwa=kind == "rwa", seed=seed))
+    return [_inputs(replace(base, gamma=g, rwa=kind == "rwa", seed=seed))
             for g, kind, seed in specs]
 
 
@@ -93,8 +79,7 @@ def test_coincident_levels_in_a_stack(monkeypatch):
         freqs = bath.frequencies.copy()
         freqs[0, 3:6] = freqs[0, 2]  # a run of equal hot levels
         freqs[1, 7] = freqs[1, 8] = 0.0  # cold levels at the centre's pole
-        inputs[i] = realization(cfg, BathRealization(frequencies=freqs,
-                                                     couplings=bath.couplings))
+        inputs[i] = _inputs(cfg, BathRealization(frequencies=freqs, couplings=bath.couplings))
     assert_stack_invariant(monkeypatch, inputs, [3, 3])
 
 
