@@ -17,11 +17,14 @@ the working memory is O(M B), not O(M T).  A long grid oversamples
 the forms, whose frequencies are at most 2 s_max: they are evaluated at
 the nodes of Chebyshev panels and interpolated onto the grid
 (``chebyshev_panels``) when that costs less.  A window mean is the mean of
-the current on the window's samples (``window_mean_current``).
+the current on the window's samples (``window_mean_current``), taken by the
+Gauss rule of the samples' uniform measure (``_gram_rule``): the forms at
+about half the nodes that interpolation needs, and none at the samples.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +102,10 @@ PHASE_COST = 250
 PANEL_TERM_COST = 100
 
 
+# Largest phase z for which _panel_degree is checked (tests/test_evolution.py).
+PANEL_DEGREE_PHASE_MAX = 1100.0
+
+
 def _panel_degree(z: float) -> int:
     """Degree n of a panel's interpolant for the phase z = band h: J_n(z) < eps / 50."""
     return int(np.ceil(z + 11 * np.cbrt(z))) + 4
@@ -117,7 +124,7 @@ def chebyshev_panels(direct, times: np.ndarray, band: float, work: int) -> np.nd
     a panel e^{i omega t} has the Chebyshev coefficients 2 i^m J_m(omega h)
     (Jacobi-Anger; Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), and
     n = ceil(z + 11 z^(1/3)) + 4 keeps J_n(z) below eps / 50 for every
-    z <= 1100 (checked against scipy.special.jv on 22000 points), so the
+    z <= PANEL_DEGREE_PHASE_MAX = 1100 (checked against scipy.special.jv), so the
     interpolant is exact to rounding: within a few eps of the sum of the
     series' |coefficients|.  A time that equals a node takes the node's
     value.  Times go to panels by value, so they may come in any order,
@@ -186,6 +193,16 @@ def _coupled_levels(prop: nambu.ArrowPropagator, levels) -> np.ndarray:
 FORM_ROWS = 64
 
 
+def _check_phases(s_max: float, times: np.ndarray) -> None:
+    """Refuse times with s_max |t| >= 1/eps, where fl(s t) keeps no digit of the phase."""
+    t = float(times[np.abs(times).argmax()]) if len(times) else 0.0
+    if not s_max * abs(t) * np.finfo(float).eps < 1:
+        raise ValueError(
+            f"phase s_max*|t| = {s_max * abs(t):.3g} is beyond 1/eps at t={t} for the "
+            f"highest quasiparticle energy s_max={s_max:.6g}: no phase s t is resolved"
+        )
+
+
 def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.ndarray):
     """f_k(t) = cos(st)^T G_k sin(st) for k < parts, a (parts, T) array.
 
@@ -204,12 +221,7 @@ def _forms(prop: nambu.ArrowPropagator, w: np.ndarray, parts: int, times: np.nda
     """
     s, k = prop.s, prop.roots
     s_max = float(s.max(initial=0.0))
-    t = float(times[np.abs(times).argmax()]) if len(times) else 0.0
-    if not s_max * abs(t) * np.finfo(float).eps < 1:
-        raise ValueError(
-            f"phase s_max*|t| = {s_max * abs(t):.3g} is beyond 1/eps at t={t} for the "
-            f"highest quasiparticle energy s_max={s_max:.6g}: no phase s t is resolved"
-        )
+    _check_phases(s_max, times)
     alpha, beta, r = prop.state_scales()
     # a = Q^T w and b = Q^T e_c = Q[c, :], and P's, on the roots
     a, ap = (x[:k] for x in prop.project(w))
@@ -302,18 +314,86 @@ def _check_sample_count(n: int, window) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _gram_rule(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of n nodes for the mean over the samples 0, 1, ..., T - 1: (nodes, weights).
+
+    sum_j weights_j p(nodes_j) = mean_i p(i) for every polynomial p of degree
+    <= 2n - 1.  Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the
+    eigenvalues of the Jacobi matrix of the monic discrete Chebyshev (Gram)
+    polynomials on 0..T-1, diagonal (T - 1)/2 and off-diagonal sqrt(beta_k)
+    with beta_k = k^2 (T^2 - k^2) / (4 (4k^2 - 1)) (Gautschi, Orthogonal
+    Polynomials (2004)), taken scaled to [-1, 1], and the weights the squared
+    first components of its eigenvectors.  The weights are positive with
+    sum 1 and the nodes lie inside (0, T - 1); once n^2 is some 20 T or
+    more the outer nodes close on the outer samples, to rounding.  For
+    n >= T the rule is the samples themselves, weights 1/T.  Both arrays
+    are read-only.
+    """
+    if n >= T:
+        nodes, weights = np.arange(T, dtype=float), np.full(T, 1 / T)
+    else:
+        half = (T - 1) / 2
+        k = np.arange(1.0, n)
+        off = np.sqrt(k * k * (T * T - k * k) / (4 * (4 * k * k - 1))) / half
+        y, v = np.linalg.eigh(np.diag(off, -1))  # eigh reads the lower triangle
+        nodes, weights = half * (1 + y), v[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _window_rule(t0: float, dt: float, T: int, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights whose sum is the mean over the samples t0 + i dt, i < T, of the current.
+
+    The current's frequencies are at most 2 s_max, so on a run of samples of
+    span S it is a polynomial of degree D = ``_panel_degree``(s_max S) to
+    eps / 50 of its coefficients, and the Gauss rule of ceil((D + 1)/2)
+    nodes (``_gram_rule``) averages it exactly.  _panel_degree is checked up
+    to z = PANEL_DEGREE_PHASE_MAX, so the samples are split into the fewest
+    consecutive, near-equal runs each within it, each run's rule weighted by
+    its share of the samples.
+    """
+    z = s_max * dt  # phase per sample
+    per_run = int(PANEL_DEGREE_PHASE_MAX / z) + 1 if z > 0 else T
+    runs = -(-T // per_run)
+    nodes, weights = [], []
+    i0 = 0
+    for r in range(runs):
+        size = T // runs + (r < T % runs)
+        x, v = _gram_rule(size, (_panel_degree(z * (size - 1)) + 2) // 2)
+        nodes.append(t0 + (i0 + x) * dt)
+        weights.append(v * (size / T))
+        i0 += size
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+# Largest share of a window mean that the rule's phase rounding may reach, bounded
+# by eps s_max max|t| max|f| over its nodes; past it the mean is taken on the
+# samples.  The bound overstates the rule's error some 30-fold (mpmath, M = 3
+# and 7), so a rule's mean stays within about 1e-12 of itself of the samples'.
+ROUNDING_SHARE = 1e-11
+
+
 def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) -> float:
     """Mean over the samples of ``window_times`` of the ``heat_current`` total.
 
     The total is 2 f_Q for every arrow (``heat_current``), so the mean is
     that of -cos(st)^T G_Q sin(st) over the samples, one form (``_forms``).
-    Its Chebyshev panels, and the (M, nodes) phases, grow with the window's
-    length times s_max: exact at M = 2401 (one thread, dt 0.05) [20, 50]
-    took 90 ms and [200, 400] 220 ms.
+    A Gauss rule exact on the samples (``_window_rule``) takes it at about
+    (z + 11 z^(1/3))/2 nodes for z = s_max (t_hi - t_lo), not at every
+    sample: 53-55 nodes for the 600 samples of [20, 50] at dt 0.05 and
+    M = 121, 243-246 for the 4000 of [200, 400].  Its nodes are not
+    samples, so its phases round differently; where that rounding, at most
+    eps s_max max|t| max|f| at a node, could reach ROUNDING_SHARE of the
+    mean, the mean is taken on the samples instead.  Exact at M = 2401 (one
+    thread, dt 0.05) [20, 50] took 57-59 ms and [200, 400] 101-106 ms,
+    against 70 and 220-247 ms interpolating the samples from panels.
 
     The sample mean is the current's time average only if the samples
     resolve its highest frequency, 2 s_max: a time step with
-    s_max dt >= pi/2 undersamples it and is refused.
+    s_max dt >= pi/2 undersamples it and is refused, and so are samples
+    whose phase s_max |t| reaches 1/eps.
     """
     w = _coupled_levels(prop, levels)
     times = window_times(window, time_step)
@@ -327,4 +407,13 @@ def window_mean_current(prop: nambu.ArrowPropagator, levels, window, time_step) 
         )
     if not w.any():
         return 0.0  # G_Q is exactly zero
-    return float(-_forms(prop, w, 1, times)[0].mean())
+    _check_phases(s_max, times)
+    # the samples' own spacing: numpy's arange steps by fl(t_lo + dt) - t_lo, not dt
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    nodes, weights = _window_rule(times[0], step, len(times), s_max)
+    f = _forms(prop, w, 1, nodes)[0]
+    mean = weights @ f
+    rounding = np.finfo(float).eps * s_max * np.abs(times).max() * np.abs(f).max()
+    if not rounding <= ROUNDING_SHARE * abs(mean):
+        mean = _forms(prop, w, 1, times)[0].mean()
+    return float(-mean)

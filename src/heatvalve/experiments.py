@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,6 +122,9 @@ def _parallel_map(jobs, n_jobs: int):
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return _steady_state_jobs(jobs)
+    # imported here: the pool loads multiprocessing, which a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     # each worker a share of consecutive jobs, which it solves as stacks
     size = -(-len(jobs) // workers)
     shares = [jobs[i : i + size] for i in range(0, len(jobs), size)]

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from heatvalve import (
     Arrow,
@@ -25,6 +26,9 @@ from heatvalve import (
 from heatvalve import analytics, evolution
 from heatvalve.analytics import occupation
 from heatvalve.evolution import (
+    _gram_rule,
+    _panel_degree,
+    _window_rule,
     chebyshev_panels,
     phase_blocks,
     window_times,
@@ -396,6 +400,14 @@ class TestChebyshevPanels:
         assert got is calls[0][1]
 
 
+def test_panel_degree_bounds_the_bessel_coefficients():
+    # J_n(z) < eps / 50 at n = _panel_degree(z) for every z <= PANEL_DEGREE_PHASE_MAX:
+    # the degree the panels and the window means' Gauss rules rely on
+    z = np.linspace(0.0, evolution.PANEL_DEGREE_PHASE_MAX, 22001)
+    n = np.array([_panel_degree(x) for x in z])
+    assert np.abs(jv(n, z)).max() < np.finfo(float).eps / 50
+
+
 class TestHeatCurrentPanels:
     """heat_current and the overlay at sizes where the panel path is taken."""
 
@@ -544,6 +556,47 @@ DEGENERATE = BathRealization(
 )
 
 
+class TestGramRule:
+    """The Gauss rule of a window's samples (``_gram_rule``, ``_window_rule``)."""
+
+    @pytest.mark.parametrize("T, n", [(10, 4), (11, 10), (600, 55), (600, 157), (4000, 243)])
+    def test_exact_on_the_samples(self, T, n):
+        # every Chebyshev polynomial of degree <= 2n - 1 in [-1, 1] coordinates
+        # averages as on the samples themselves
+        nodes, weights = _gram_rule(T, n)
+        assert len(nodes) == len(weights) == n
+        scaled = 2 * nodes / (T - 1) - 1
+        samples = 2 * np.arange(T) / (T - 1) - 1
+        got = weights @ np.polynomial.chebyshev.chebvander(scaled, 2 * n - 1)
+        want = np.polynomial.chebyshev.chebvander(samples, 2 * n - 1).mean(axis=0)
+        assert np.abs(got - want).max() <= 1e-13
+        assert weights.min() > 0 and weights.sum() == pytest.approx(1, abs=1e-14)
+
+    @pytest.mark.parametrize("window, time_step", [((20.0, 50.0), 0.05), ((200.0, 400.0), 0.05)])
+    def test_nodes_lie_strictly_inside_the_window(self, window, time_step):
+        times = window_times(window, time_step)
+        nodes, weights = _window_rule(times[0], time_step, len(times), s_max=2.2)
+        assert len(nodes) < len(times) / 2
+        assert window[0] < nodes.min() and nodes.max() < window[1]
+        assert weights.min() > 0 and weights.sum() == pytest.approx(1, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_as_many_nodes_as_samples_are_the_samples(self, n):
+        nodes, weights = _gram_rule(10, n)
+        assert np.array_equal(nodes, np.arange(10.0))
+        assert np.array_equal(weights, np.full(10, 0.1))
+
+    def test_cached_read_only_and_repeatable(self):
+        nodes, weights = _gram_rule(600, 55)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        again = _gram_rule(600, 55)
+        assert again[0] is nodes and again[1] is weights
+        _gram_rule.cache_clear()
+        fresh = _gram_rule(600, 55)
+        assert fresh[0] is not nodes
+        assert np.array_equal(fresh[0], nodes) and np.array_equal(fresh[1], weights)
+
+
 class TestWindowMeanCurrent:
     @pytest.mark.parametrize("kw, window, time_step", [
         (dict(bath_size=450, gamma=0.2), (20.0, 50.0), 0.05),
@@ -552,8 +605,10 @@ class TestWindowMeanCurrent:
         (dict(bath_size=450, gamma=0.2, rwa=True), (200.0, 400.0), 0.5),
         (dict(bath_size=12, internal_coupling=InternalCouplingSpec(scale=0.3)), (20.0, 50.0), 0.05),
         (dict(bath_size=6, internal_coupling=InternalCouplingSpec(scale=0.2)), (20.0, 30.0), 0.5),
+        # s_max (t_hi - t_lo) = 1199 > PANEL_DEGREE_PHASE_MAX: two runs' rules
+        (dict(bath_size=450, gamma=0.2), (0.0, 600.0), 0.05),
     ], ids=["exact-short", "exact-long", "rwa-short", "rwa-long", "real_internal",
-            "internal_n6"])
+            "internal_n6", "exact-composite"])
     def test_equals_grid_mean(self, kw, window, time_step):
         cfg, bath, arrow, prop = arrow_setup(**kw)
         levels = bath_levels(cfg, bath, 2)
@@ -638,6 +693,19 @@ class TestWindowMeanCurrent:
         cfg, bath, arrow, prop = arrow_setup()
         with pytest.raises(ValueError, match="only 5 samples"):
             window_mean_current(prop, bath_levels(cfg, bath, 2), (20.0, 22.0), 0.5)
+
+    def test_unresolved_phases_are_refused(self):
+        # samples whose phase s_max t reaches 1/eps, named by the last of them
+        cfg, bath, arrow, prop = arrow_setup()
+        levels = bath_levels(cfg, bath, 2)
+        s_max = prop.s.max()
+        edge = 1 / (np.finfo(float).eps * s_max)
+        dt = 0.5 / s_max
+        window_mean_current(prop, levels, (0.5 * edge, 0.5 * edge + 20 * dt), dt)
+        window = (edge, edge + 20 * dt)
+        with pytest.raises(ValueError, match=r"phase s_max\*\|t\| = .* beyond 1/eps") as exc:
+            window_mean_current(prop, levels, window, dt)
+        assert f"t={window_times(window, dt)[-1]}" in str(exc.value)
 
     def test_aliasing_time_step_is_refused(self):
         cfg, bath, arrow, prop = arrow_setup()

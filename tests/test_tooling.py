@@ -47,9 +47,11 @@ for command, extra in (("sweep", "gamma_grid: [0.0, 0.3]\n"), ("trace", "gamma: 
                        ("dist", "gamma_grid: [0.2]\n")):
     cfg = tmp / f"{command}.yaml"
     cfg.write_text(base + extra)
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp / command)]) == 0
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp / command), "--jobs", "1"]) == 0
+pool = sorted(m for m in sys.modules if m in ("multiprocessing", "concurrent.futures.process"))
 for formula in ("fermi", "weak", "landauer", "transmission", "selfenergy"):
     assert cli.main(["oracle", formula]) == 0
+print(pool)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -57,12 +59,15 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_sweep_trace_and_dist_load_no_scipy(tmp_path):
     # sweep, trace, dist and every closed-form oracle need numpy and PyYAML
     # alone; oracle anomalous loads scipy.integrate and fock-check
-    # scipy.sparse when they run
+    # scipy.sparse when they run.  With one job no process pool opens, so
+    # neither multiprocessing nor concurrent.futures.process is loaded
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_SCIPY, str(tmp_path)], cwd=ROOT,
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip().splitlines()[-1] == "[]"
+    pool_modules, scipy_modules = res.stdout.strip().splitlines()[-2:]
+    assert pool_modules == "[]"
+    assert scipy_modules == "[]"
 
 
 def test_committed_bench_reports_are_comparable():
