@@ -367,7 +367,12 @@ def _in_window(times: np.ndarray, window) -> np.ndarray:
 
 
 def window_times(window, time_step) -> np.ndarray:
-    """The time grid of a steady-state window: t_lo, t_lo + dt, ... inside it."""
+    """The time grid of a steady-state window: t_lo, t_lo + dt, ... up to t_hi.
+
+    The samples are those of ``np.arange`` inside [t_lo, t_hi], so the last
+    one is dropped when arange rounds it past t_hi: [20, 50] at dt 0.05 gives
+    600 samples, without 50, and [200, 400] at dt 0.5 gives all 401.
+    """
     times = np.arange(window[0], window[1] + time_step / 2, time_step)
     return times[_in_window(times, window)]
 

@@ -118,8 +118,10 @@ def _steady_state_jobs(jobs) -> list[float]:
 
 
 def _parallel_map(jobs, n_jobs: int):
-    # A forked pool starts all its workers at once: never more than there is work or CPUs.
-    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    # A forked pool starts all its workers at once: never more than there is work or
+    # CPUs this process may run on (the host's count where affinity is unknown).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_jobs, len(jobs), cpus or 1)
     if workers <= 1:
         return _steady_state_jobs(jobs)
     # imported here: the pool loads multiprocessing, which a one-worker run never needs

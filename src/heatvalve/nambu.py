@@ -157,14 +157,22 @@ class ArrowPropagator:
     def project(self, w: np.ndarray):
         """Q^T w and P^T w in the solver's order, for the vector w (M) in mode order.
 
-        One pass over the Cauchy rows, against w in ``perm`` order: on the
-        roots Q^T w = (V (signed w) - w_c) / |u| and P^T w = V w / |v| (flip
-        Q^T w under the RWA); a deflated mode gives sign_j w_j and flip_j w_j.
+        One pass over the Cauchy rows, against w in ``perm`` order, then ``from_cauchy``.
         """
         k = len(self.zhat)
         wp = w[self.perm]
         rhs = np.stack([wp[:k] * self.signed[:k], wp[:k]], axis=1)
         out = np.concatenate([self.cauchy(i0, i1) @ rhs for i0, i1 in _row_blocks(k)])
+        return self.from_cauchy(wp, out)
+
+    def from_cauchy(self, wp: np.ndarray, out: np.ndarray):
+        """Q^T w and P^T w from w in ``perm`` order (wp) and its Cauchy pass out = V [signed w, w].
+
+        On the roots Q^T w = (V (signed w) - w_c) / |u| and P^T w = V w / |v|
+        (flip Q^T w under the RWA); a deflated mode gives sign_j w_j and
+        flip_j w_j.  The probe reads its Q^T v and P^T v here too.
+        """
+        k = len(self.zhat)
         q = wp * self.sign
         q[:k] = (out[:, 0] - wp[0]) / self.norm_u
         p = (q if self.arrow.rwa else wp) * self.flip
@@ -210,11 +218,6 @@ def _row_blocks(k: int):
     return [(i0, min(i0 + rows, k)) for i0 in range(0, k, rows)]
 
 
-def _secular_rows(k: int) -> int:
-    """Rows of a block of the secular solver's evaluations: at least 64, for the last few roots."""
-    return max(64, _BLOCK // k)
-
-
 def _workspace(arrows: int, k: int) -> np.ndarray:
     """A buffer of a block of rows of every arrow of a stack of ``arrows`` arrows of k roots.
 
@@ -223,7 +226,7 @@ def _workspace(arrows: int, k: int) -> np.ndarray:
     even, at least two: the probe's Löwner rows and their numerators
     take half each.
     """
-    rows = min(k, _secular_rows(k))
+    rows = _row_blocks(k)[0][1]
     return np.empty(arrows * max(2, rows + rows % 2) * k)
 
 
@@ -252,46 +255,43 @@ def _lowner_rows(D2, nearest, F, dF, l0, l1, L, spare):
     return L
 
 
-def _probe_residuals(stack, parts, weights, projected, work) -> np.ndarray:
+def _probe_residuals(props, parts, weights, projected, work) -> np.ndarray:
     """Relative residuals of K = P diag(s) Q^T, P^T P = Q^T Q = 1 and X on one probe, per arrow.
 
-    ``stack`` are the arrows (``_BrokenArrow``) that ``_broken_arrow_svd``
-    solved into the stacked ``parts``, for the weights (B x M).  The fixed
+    ``props`` are the propagators of the stacked ``parts`` that
+    ``_broken_arrow_svd`` solved for the weights (B x M).  The fixed
     pseudo-random vector v = ``_probe_vector(M)`` makes the checks passes
-    over blocks of rows of every arrow at once, the same Cauchy and Löwner
-    rows the currents read: Q^T v and P^T v, from the solver's V [signed v, v]
-    (``projected``); X v; then Q (Q^T v), P (P^T v), P (s * Q^T v), Q X v and
-    P v.  K v itself is O(M) from the arrow, and the state is checked as
-    Q X v = e * P v for the weights e, which is X v = Q^T (e * P v) for an
-    orthogonal Q.  Returns (recon, ortho, state), one row per arrow.
+    over blocks of rows of every arrow at once, which read the arrows as the
+    currents do: Q^T v and P^T v by ``from_cauchy``, from the solver's
+    V [signed v, v] (``projected``); X v by ``state_scales``; then Q (Q^T v),
+    P (P^T v), P (s * Q^T v), Q X v and P v.  K v itself is O(M) from the
+    arrow, and the state is checked as Q X v = e * P v for the weights e,
+    which is X v = Q^T (e * P v) for an orthogonal Q.  Returns (recon,
+    ortho, state), one row per arrow.
     """
     B, M = weights.shape
-    rwa = stack[0].arrow.rwa
+    rwa = props[0].arrow.rwa
     D2, zhat, s, perm, signed, flip, e, norm_u, norm_v = (
         parts[n] for n in ("D2", "zhat", "s", "perm", "signed", "flip", "e", "norm_u", "norm_v"))
     k = zhat.shape[1]
     blocks = _row_blocks(k)
     v = _probe_vector(M)
     norm = np.linalg.norm(v)
-    levels, column = (np.stack([getattr(b.arrow, n) for b in stack]) for n in ("levels", "column"))
-    centre = np.array([b.arrow.center for b in stack])
+    levels, column = (np.stack([getattr(p.arrow, n) for p in props]) for n in ("levels", "column"))
+    centre = np.array([p.arrow.center for p in props])
     Kv = levels * v + column * v[centre][:, None]
     if rwa:
         Kv[np.arange(B), centre] += np.matmul(column[:, None, :], v[:, None])[:, 0, 0]
     sign = np.where(signed < 0, -1.0, 1.0)
     # Q^T v and P^T v in the solver's order
-    vp = v[perm]
-    qv = vp * sign
-    qv[:, :k] = (projected[..., 0] - vp[:, :1]) / norm_u
-    pv = (qv if rwa else vp) * flip
-    if not rwa:
-        pv[:, :k] = projected[..., 1] / norm_v
+    qv, pv = map(np.stack, zip(*(p.from_cauchy(w, out)
+                                 for p, w, out in zip(props, v[perm], projected))))
     # X v, for v in the solver's order: X_il = beta_i (L_li + r_l) alpha_l on the
     # roots, Löwner rows and their numerators each half a block of the workspace
-    r = np.repeat(e[:, :1], k, axis=1) if rwa else -e[:, :1] * (zhat[:, :1] / D2[:, :, 0])
-    av = flip[:, :k] / norm_v * v[:k]
+    alpha, beta, r = map(np.stack, zip(*(p.state_scales() for p in props)))
+    av = alpha * v[:k]
     acc = 0
-    half = max(1, -(-min(k, _BLOCK // k) // 2))
+    half = -(-blocks[0][1] // 2)
     for l0 in range(0, k, half):
         l1 = min(l0 + half, k)
         size = B * (l1 - l0) * k
@@ -299,7 +299,7 @@ def _probe_residuals(stack, parts, weights, projected, work) -> np.ndarray:
                          _block(work, B, l1 - l0, k), work[size : 2 * size])
         acc = acc + (av[:, None, l0:l1] @ L)[:, 0]
     xv = e * sign * flip * v
-    xv[:, :k] = (acc + np.matmul(r[:, None, :], av[:, :, None])[:, :, 0]) * (1 / norm_u)
+    xv[:, :k] = (acc + np.matmul(r[:, None, :], av[:, :, None])[:, :, 0]) * beta
     # Q x and P y back in mode order, for the columns x = [Q^T v, X v] and
     # y = [P^T v, s Q^T v, v]: one pass over the Cauchy rows; under the RWA P y = Q (flip y)
     x = np.stack([qv, xv], axis=2)
@@ -465,9 +465,8 @@ def _secular_roots(ds, zn, rho, work):
         return ds + w / (ds + np.sqrt(ds * ds + w)), D2
     delsq = (ds[:, 1:] - ds[:, :-1]) * (ds[:, 1:] + ds[:, :-1])
     half = np.concatenate([delsq, rho[:, None]], axis=1) / 2
-    step = _secular_rows(k)
-    starts = list(range(0, k, step)) + [k]
-    blocks = list(zip(starts[:-1], starts[1:]))
+    blocks = _row_blocks(k)
+    starts = [i0 for i0, _ in blocks] + [k]
     # each arrow's first root of each block, in the stack's flat order b k + i
     bounds = (np.arange(B)[:, None] * k + starts).ravel()
     flat = D2.reshape(B * k, k)
@@ -800,7 +799,7 @@ def _solve_stack(stack, weights: np.ndarray) -> list[ArrowPropagator]:
              for b, a in enumerate(stack)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a corrupted solve shows as an inf or NaN residual, not a warning
-        residuals = _probe_residuals(stack, parts, weights, projected, work)
+        residuals = _probe_residuals(props, parts, weights, projected, work)
     for b, (recon, ortho, state) in enumerate(residuals):
         if not all(r <= SPECTRAL_TOL for r in (recon, ortho, state)):
             where = f" (arrow {b} of a stack of {len(stack)})" if len(stack) > 1 else ""
@@ -819,9 +818,9 @@ def arrow_propagators(realizations: Iterable) -> Iterator[ArrowPropagator]:
     max(1, _BLOCK // k^2) arrows, which ``_broken_arrow_svd`` and the probe
     solve in one pass: one secular iteration over every root of every
     arrow, one probe and one workspace per stack.  Every propagator is the
-    bits its arrow gets alone.  A stack is solved when it is full or the
-    next arrow does not join it, so the propagators of one stack at a time
-    are held, and at k^2 > _BLOCK / 2 (M >= 182 for a valve) one arrow's.
+    bits its arrow gets alone.  A stack is solved before an arrow that does
+    not join it or would overfill it, and at the end, so the propagators of
+    one stack at a time are held, and at k^2 > _BLOCK / 2 (M >= 182) one arrow's.
     """
     stack, weights = [], []
     for arrow, occupations in realizations:
@@ -831,15 +830,13 @@ def arrow_propagators(realizations: Iterable) -> Iterator[ArrowPropagator]:
                 f"occupations must have shape ({arrow.modes},), got {occupations.shape}"
             )
         item = _broken_arrow(arrow)
-        if stack and (item.k, arrow.modes, arrow.rwa) != (stack[0].k, stack[0].arrow.modes,
-                                                          stack[0].arrow.rwa):
+        if stack and ((item.k, arrow.modes, arrow.rwa) != (stack[0].k, stack[0].arrow.modes,
+                                                           stack[0].arrow.rwa)
+                      or len(stack) >= _BLOCK // item.k**2):
             yield from _solve_stack(stack, np.array(weights))
             stack, weights = [], []
         stack.append(item)
         weights.append(1 - 2 * occupations)
-        if len(stack) >= _BLOCK // item.k**2:
-            yield from _solve_stack(stack, np.array(weights))
-            stack, weights = [], []
     if stack:
         yield from _solve_stack(stack, np.array(weights))
 

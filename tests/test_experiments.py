@@ -150,10 +150,13 @@ class TestRunSweep:
         )
         assert serial == parallel
 
-    @pytest.mark.parametrize("cpus,asked,dist_asked", [(64, [4], [6]), (3, [3], [3]),
-                                                       (None, [], [])],
-                             ids=["64_cpus", "3_cpus", "unknown_cpus"])
-    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, asked, dist_asked):
+    # cpus is the host's count, allowed the CPUs this process may run on
+    # (None: a platform with no affinity call)
+    @pytest.mark.parametrize("cpus,allowed,asked,dist_asked",
+                             [(64, 64, [4], [6]), (3, None, [3], [3]), (None, None, [], []),
+                              (64, 2, [2], [2])],
+                             ids=["64_cpus", "3_cpus", "unknown_cpus", "2_of_64_cpus"])
+    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, allowed, asked, dist_asked):
         # a stand-in pool that records its size and maps in this process
         sizes = []
 
@@ -172,6 +175,11 @@ class TestRunSweep:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if allowed is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(allowed)),
+                                raising=False)
         sweep = dict(gamma_grid=[0.2, 0.3], realizations=2, kinds=("rwa",), **FAST)
         records = run_sweep(template(), n_jobs=10**6, **sweep)  # 4 jobs
         assert sizes == asked

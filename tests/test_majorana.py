@@ -375,8 +375,8 @@ class TestSolverPaths:
             work = nambu._workspace(1, stack[0].k)
             parts, projected = corrupted(stack, weights[None], nambu._probe_vector(arrow.modes),
                                          work)
-            nambu.ArrowPropagator(arrow, **{name: part[0] for name, part in parts.items()})
-            ((recon, ortho, state),) = nambu._probe_residuals(stack, parts, weights[None],
+            prop = nambu.ArrowPropagator(arrow, **{name: part[0] for name, part in parts.items()})
+            ((recon, ortho, state),) = nambu._probe_residuals([prop], parts, weights[None],
                                                               projected, work)
             assert max(recon, ortho) <= nambu.SPECTRAL_TOL < state < most
 

@@ -118,9 +118,32 @@ def test_corrupted_arrow_in_a_stack_fails_the_probe(rwa, monkeypatch):
             list(nambu.arrow_propagators((a, n) for a, n, _ in inputs))
     work = nambu._workspace(4, stack[0].k)
     parts, projected = corrupted(stack, weights, nambu._probe_vector(121), work)
-    residuals = nambu._probe_residuals(stack, parts, weights, projected, work)
+    props = [nambu.ArrowPropagator(a.arrow, **{name: part[b] for name, part in parts.items()})
+             for b, a in enumerate(stack)]
+    residuals = nambu._probe_residuals(props, parts, weights, projected, work)
     assert (np.delete(residuals, 2, axis=0) <= nambu.SPECTRAL_TOL).all()
     assert max(residuals[2, :2]) <= nambu.SPECTRAL_TOL < residuals[2, 2] < 1e-4
+
+
+@pytest.mark.parametrize("rwa", [False, True], ids=["exact", "rwa"])
+def test_probe_reads_the_state_scales_the_currents_read(rwa, monkeypatch):
+    # r, the rank-one term of X, off by 1e-6 in ``state_scales``, which the
+    # forms of every current read: the probe reads the same r, so it must
+    # see it in arrow 2 alone and in arrow 2 of a stack of four
+    inputs, _ = stack_of_four(rwa)
+    arrow, occupations, _ = inputs[2]
+    scales = nambu.ArrowPropagator.state_scales
+
+    def perturbed(prop):
+        alpha, beta, r = scales(prop)
+        return alpha, beta, (r + 1e-6 if prop.arrow is arrow else r)
+
+    monkeypatch.setattr(nambu.ArrowPropagator, "state_scales", perturbed)
+    with pytest.raises(ValueError, match=r"probe: .*rotated-state residual"):
+        nambu.arrow_propagator(arrow, occupations)
+    with pytest.raises(ValueError,
+                       match=r"probe \(arrow 2 of a stack of 4\).*rotated-state residual"):
+        list(nambu.arrow_propagators((a, n) for a, n, _ in inputs))
 
 
 def test_root_that_does_not_converge_in_a_stack_raises(monkeypatch):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,3 +88,17 @@ def test_committed_bench_reports_are_comparable():
             for key in ("seed", "blas_threads", "git_commit"):
                 assert key in environment, (path.name, side, key)
             assert environment["workload"] == report["workload"], (path.name, side)
+
+
+def test_readme_names_existing_attributes():
+    # every `module.NAME` in README.md that names a module of the package
+    # names an attribute of it (and every `heatvalve.module` a module), so
+    # a constant or function deleted or renamed cannot leave README stale
+    modules = {p.stem for p in (ROOT / "src" / "heatvalve").glob("*.py")}
+    refs = re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    named = [(m, n) for m, n in refs if m in modules]
+    assert len(named) >= 9
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"heatvalve.{module}"), name), f"{module}.{name}"
+    for module in {n for m, n in refs if m == "heatvalve"}:
+        assert module in modules, f"heatvalve.{module}"
